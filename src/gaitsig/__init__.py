@@ -1,6 +1,13 @@
 """Diagnostic gait signatures from joint-angle trajectories: Morlet
 scalograms, region/level feature vectors, and SOM classification."""
 
+import os
+
+# Set before numpy loads: no stage uses BLAS threads (the one BLAS call is
+# a dot product of at most 8 values in evaluate.kappa), and idle threads
+# cost CPU in every process.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .data import (
     CANONICAL_GRID_SIZE,
     ClassLabel,

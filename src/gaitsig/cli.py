@@ -18,7 +18,7 @@ from . import som as sm
 from . import synth
 from . import wavelet as wv
 from .config import ConfigError, RunConfig, load_config
-from .pipeline import StageError, run_pipeline, _safe_name
+from .pipeline import StageError, run_pipeline, scalogram_stems
 
 
 def _parse_map_dims(text: str) -> tuple[int, int]:
@@ -91,6 +91,7 @@ def cmd_cwt(args) -> int:
     boundary = wv.Boundary(args.boundary)
     joints = [gd.Joint(j) for j in args.joints.split(",")] if args.joints else list(gd.Joint)
     sides = [gd.Side(s) for s in args.sides.split(",")] if args.sides else list(gd.Side)
+    stems = scalogram_stems(subjects)
     out = Path(args.out) / "scalograms"
     out.mkdir(parents=True, exist_ok=True)
     count = 0
@@ -102,7 +103,7 @@ def cmd_cwt(args) -> int:
                 continue
             sc = wv.cwt(traj, grid, params, boundary)
             sc = replace(sc, subject_id=subj.id, label=subj.label)
-            stem = out / f"scalogram_{_safe_name(subj.id)}_{joint.value}_{side.value}"
+            stem = out / f"scalogram_{stems[subj.id]}_{joint.value}_{side.value}"
             wv.write_scalogram_csv(sc, f"{stem}.csv")
             if args.pgm:
                 pgm.write_pgm(sc.values, f"{stem}.pgm")

@@ -17,6 +17,7 @@ canonical (joint, side) order.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -225,6 +226,9 @@ def _parse_parts_token(token: str) -> tuple[tuple[Joint, Side], ...]:
 
 
 def write_features_csv(vectors: Sequence[FeatureVector], path) -> None:
+    """Write the feature matrix with the csv module, so any subject id and
+    label text reads back unchanged; ids without a comma, quote or line
+    break give plain comma-joined rows."""
     if not vectors:
         raise ValueError("no feature vectors to write")
     width = len(vectors[0].values)
@@ -233,24 +237,32 @@ def write_features_csv(vectors: Sequence[FeatureVector], path) -> None:
             f"# layout: n_time={N_TIME_SAMPLES} n_scale={N_SCALE_SAMPLES} "
             "per part, time-major, parts concatenated in canonical order\n"
         )
-        names = ",".join(f"f{i:03d}" for i in range(width))
-        fh.write(f"subject_id,label,level,parts,{names}\n")
+        plain = csv.writer(fh, lineterminator="\n")
+        # the writer may leave a lone "\r" unquoted (Python 3.11 does), and
+        # a reader would end the row there
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(["subject_id", "label", "level", "parts"] + [f"f{i:03d}" for i in range(width)])
         for v in vectors:
             if len(v.values) != width:
                 raise ValueError("feature vectors have mixed lengths")
-            label = v.label.value if v.label is not None else ""
-            vals = ",".join(repr(float(x)) for x in v.values)
-            fh.write(f"{v.subject_id},{label},{v.level.value},{_parts_token(v.parts)},{vals}\n")
+            text = [v.subject_id, v.label.value if v.label is not None else ""]
+            writer = quoted if any("\r" in t for t in text) else plain
+            writer.writerow(
+                text + [v.level.value, _parts_token(v.parts)] + list(map(repr, v.values.tolist()))
+            )
 
 
 def read_features_csv(path) -> list[FeatureVector]:
     vectors = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#") or line.startswith("subject_id,"):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        for row in rows:  # the layout comment precedes the header
+            if row and row[0] == "subject_id":
+                break
+        for row in rows:
+            if not row:
                 continue
-            sid, label_text, level_text, parts_token, *vals = line.split(",")
+            sid, label_text, level_text, parts_token, *vals = row
             vectors.append(
                 FeatureVector(
                     values=np.array([float(v) for v in vals]),

@@ -30,8 +30,19 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _safe_name(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", text)
+def scalogram_stems(subjects: list[gd.Subject]) -> dict[str, str]:
+    """File-name stem per subject id. Two ids with one stem (`a b` and
+    `a_b`) are refused: the second subject's files would overwrite the
+    first's."""
+    owners: dict[str, str] = {}
+    for subj in subjects:
+        stem = re.sub(r"[^A-Za-z0-9._-]", "_", subj.id)
+        owner = owners.setdefault(stem, subj.id)
+        if owner != subj.id:
+            raise ValueError(
+                f"subject ids {owner!r} and {subj.id!r} share the scalogram file stem {stem!r}"
+            )
+    return {sid: stem for stem, sid in owners.items()}
 
 
 def subject_scalograms(subject: gd.Subject, cfg: RunConfig) -> list[wv.Scalogram]:
@@ -48,11 +59,6 @@ def subject_scalograms(subject: gd.Subject, cfg: RunConfig) -> list[wv.Scalogram
             sc = wv.cwt(traj, cfg.scales, cfg.morlet, cfg.boundary)
             out.append(replace(sc, subject_id=subject.id, label=subject.label))
     return out
-
-
-def subject_feature_vector(subject: gd.Subject, cfg: RunConfig) -> ft.FeatureVector:
-    parts = [ft.extract_features(sc, cfg.split) for sc in subject_scalograms(subject, cfg)]
-    return ft.combine_joints(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +126,7 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
         gd.write_csv(subjects, out_dir / "dataset.csv")
 
     with _stage("cwt", out_dir):
+        stems = scalogram_stems(subjects)
         scalogram_dir = out_dir / "scalograms"
         scalogram_dir.mkdir(exist_ok=True)
         all_scalograms: dict[str, list[wv.Scalogram]] = {}
@@ -127,7 +134,7 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
             scs = subject_scalograms(subj, cfg)
             all_scalograms[subj.id] = scs
             for sc in scs:
-                stem = f"scalogram_{_safe_name(subj.id)}_{sc.joint.value}_{sc.side.value}"
+                stem = f"scalogram_{stems[subj.id]}_{sc.joint.value}_{sc.side.value}"
                 wv.write_scalogram_csv(sc, scalogram_dir / f"{stem}.csv")
                 if cfg.write_pgm:
                     pgm.write_pgm(sc.values, scalogram_dir / f"{stem}.pgm")

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,17 @@ EXPECTED_ARTIFACTS = [
     "eval.txt",
     "confusion.csv",
 ]
+
+
+def write_colliding_dataset(tmp_path) -> Path:
+    """Two subjects whose ids differ but map to one file stem, `a_b`."""
+    path = tmp_path / "collide.csv"
+    lines = ["subject_id,label,joint,side,pct,angle_deg"]
+    for sid, label in (("a b", "Normal"), ("a_b", "CP-dp")):
+        for pct in range(101):
+            lines.append(f"{sid},{label},Hip,Right,{pct}.0,{20.0 * math.sin(pct / 16.0)!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def tree_bytes(root: Path) -> dict:
@@ -149,6 +161,15 @@ class TestRunPipeline:
         assert marker.startswith("dataset:")
         assert "[dataset]" in capsys.readouterr().err
 
+    def test_colliding_file_stems_rejected(self, tmp_path, capsys):
+        cfg = {"seed": 1, "input_csv": str(write_colliding_dataset(tmp_path)),
+               "joints": ["Hip"], "sides": ["Right"], "som": {"rows": 2, "cols": 2}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+        assert (out / "FAILED").read_text().startswith("cwt:")
+        assert "'a b' and 'a_b'" in capsys.readouterr().err
+        assert not list(out.rglob("scalogram_*"))
+
     def test_resolved_config_echo_is_loadable_and_equivalent(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -243,6 +264,12 @@ class TestSubcommandChain:
         ]) == 0
         assert (run_dir / "features.csv").read_bytes() == (stage_dir / "features.csv").read_bytes()
         assert (run_dir / "som.json").read_bytes() == (stage_dir / "som.json").read_bytes()
+
+    def test_cwt_colliding_file_stems_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["cwt", "--input", str(write_colliding_dataset(tmp_path)), "--out", str(out)]) == 1
+        assert "'a b' and 'a_b'" in capsys.readouterr().err
+        assert not list(out.rglob("scalogram_*"))
 
     def test_ingest_round_trip(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())

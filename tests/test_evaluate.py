@@ -1,4 +1,5 @@
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gaitsig.data import ClassLabel, NORMAL, POLIO
 from gaitsig.evaluate import (
     EvalReport,
+    FoldRecord,
     classify,
     format_report_table,
     kappa,
@@ -17,7 +19,7 @@ from gaitsig.evaluate import (
     write_confusion_csv,
     write_report_json,
 )
-from gaitsig.som import InitMode, SomMap, TrainSchedule
+from gaitsig.som import InitMode, SomMap, TrainSchedule, init, train
 
 A = ClassLabel("Normal")
 B = ClassLabel("Polio")
@@ -262,6 +264,56 @@ class TestLoocv:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             loocv([Vec(np.zeros(2), "a", A)], FAST_SCHEDULE)
+
+
+def three_class_vectors(n_per_class=5, spread=4.0, seed=4):
+    """Overlapping classes, so some folds mispredict and a fold out of
+    place would change the report."""
+    rng = np.random.default_rng(seed)
+    centers = {A: [0.0, 0.0], B: [6.0, 0.0], ClassLabel("CP-dp"): [3.0, 5.0]}
+    return [
+        Vec(np.abs(np.array(c) + rng.normal(0, spread, 2)), f"{lab.value}{i}", lab)
+        for lab, c in centers.items()
+        for i in range(n_per_class)
+    ]
+
+
+def serial_loocv(data, schedule, rows, cols):
+    """Reference: the folds one after another through the public API."""
+    classes = sorted({v.label for v in data})
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    folds = []
+    for i, held_out in enumerate(data):
+        training = data[:i] + data[i + 1:]
+        x = np.stack([v.values for v in training])
+        som = init(rows, cols, x.shape[1], replace(schedule, rng_seed=schedule.rng_seed + i), samples=x)
+        predicted = classify(label_map(train(som, x), training), held_out)
+        confusion[classes.index(held_out.label), classes.index(predicted)] += 1
+        folds.append(FoldRecord(held_out.subject_id, held_out.label, predicted))
+    correct = sum(f.true == f.predicted for f in folds)
+    return confusion, tuple(folds), kappa(confusion), correct / len(data)
+
+
+class TestLoocvWorkers:
+    # more folds than usable CPUs, so every worker runs several folds
+    DATA = three_class_vectors(n_per_class=max(5, len(os.sched_getaffinity(0)) // 3 + 1))
+    SCHEDULE = TrainSchedule(epochs=25, rng_seed=11, init=InitMode.SAMPLE_INIT)
+
+    def assert_matches_serial(self, report):
+        confusion, folds, k, rate = serial_loocv(self.DATA, self.SCHEDULE, 3, 3)
+        assert 0 < rate < 1
+        assert np.array_equal(report.confusion, confusion)
+        assert report.folds == folds
+        assert report.kappa == k
+        assert report.recognition_rate == rate
+
+    def test_pool_equals_serial_loop(self):
+        assert len(self.DATA) > len(os.sched_getaffinity(0))
+        self.assert_matches_serial(loocv(self.DATA, self.SCHEDULE, rows=3, cols=3))
+
+    def test_one_cpu_equals_serial_loop(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self.assert_matches_serial(loocv(self.DATA, self.SCHEDULE, rows=3, cols=3))
 
 
 class TestReportOutput:

@@ -1,6 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitsig.data import ClassLabel, Joint, NORMAL, Side
@@ -298,6 +301,43 @@ class TestFeaturesCsv:
             assert (a.subject_id, a.parts, a.level, a.label) == (
                 b.subject_id, b.parts, b.level, b.label
             )
+
+    def test_plain_ids_are_comma_joined(self, tmp_path):
+        # readers that split rows on "," rely on unquoted plain rows
+        values = np.array([0.25, 1e-05] + [3.0] * 158)
+        v = [FeatureVector(values=values, subject_id="pt 0.b-1", parts=((Joint.HIP, Side.RIGHT),),
+                           level=Level.HIGH_SCALE, label=ClassLabel("CP-dp")),
+             FeatureVector(values=values, subject_id="s2", parts=((Joint.HIP, Side.RIGHT),),
+                           level=Level.HIGH_SCALE)]
+        path = tmp_path / "features.csv"
+        write_features_csv(v, path)
+        vals = ",".join(repr(float(x)) for x in values)
+        names = ",".join(f"f{i:03d}" for i in range(160))
+        assert path.read_text(encoding="utf-8").split("\n")[1:] == [
+            f"subject_id,label,level,parts,{names}",
+            f"pt 0.b-1,CP-dp,HighScale,Hip:Right,{vals}",
+            f"s2,,HighScale,Hip:Right,{vals}",
+            "",
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.text(), min_size=1, max_size=3),
+        labels=st.lists(st.none() | st.text(min_size=1), min_size=3, max_size=3),
+    )
+    @example(ids=["a,b", "x\ry", "subject_id"], labels=['q"\n', None, "#c"])
+    def test_round_trip_any_id_and_label_text(self, ids, labels):
+        vectors = [
+            FeatureVector(values=np.full(160, float(i)), subject_id=sid, parts=((Joint.KNEE, Side.LEFT),),
+                          level=Level.LOW_SCALE, label=None if lab is None else ClassLabel(lab))
+            for i, (sid, lab) in enumerate(zip(ids, labels))
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            write_features_csv(vectors, path)
+            back = read_features_csv(path)
+        assert [(b.subject_id, b.label) for b in back] == [(a.subject_id, a.label) for a in vectors]
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(vectors, back))
 
     def test_write_twice_identical_bytes(self, tmp_path):
         v = [FeatureVector(values=np.linspace(0, 1, 160), subject_id="s",
