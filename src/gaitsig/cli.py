@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from . import som as sm
 from . import synth
 from . import wavelet as wv
 from .config import ConfigError, RunConfig, load_config
-from .pipeline import StageError, run_pipeline, scalogram_stems
+from .pipeline import StageError, run_pipeline, write_scalograms
+from .pool import fork_map
 
 
 def _parse_map_dims(text: str) -> tuple[int, int]:
@@ -86,30 +88,31 @@ def cmd_synth(args) -> int:
 
 def cmd_cwt(args) -> int:
     subjects = _ingest_any(args.input)
-    grid = _parse_scales(args.scales) if args.scales else wv.ScaleGrid.default()
-    params = wv.MorletParams(nu0=args.nu0, truncation_radius=args.truncation_radius)
-    boundary = wv.Boundary(args.boundary)
-    joints = [gd.Joint(j) for j in args.joints.split(",")] if args.joints else list(gd.Joint)
-    sides = [gd.Side(s) for s in args.sides.split(",")] if args.sides else list(gd.Side)
-    stems = scalogram_stems(subjects)
+    is_json = str(args.input).endswith(".json")
+    cfg = RunConfig(
+        input_csv=None if is_json else args.input,
+        input_json=args.input if is_json else None,
+        joints=tuple(gd.Joint(j) for j in args.joints.split(",")) if args.joints else tuple(gd.Joint),
+        sides=tuple(gd.Side(s) for s in args.sides.split(",")) if args.sides else tuple(gd.Side),
+        morlet=wv.MorletParams(nu0=args.nu0, truncation_radius=args.truncation_radius),
+        scales=_parse_scales(args.scales) if args.scales else wv.ScaleGrid.default(),
+        boundary=wv.Boundary(args.boundary),
+        write_pgm=args.pgm,
+    )
     out = Path(args.out) / "scalograms"
-    out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for subj in subjects:
-        for (joint, side), traj in sorted(
-            subj.trajectories.items(), key=lambda kv: gd.part_sort_key(*kv[0])
-        ):
-            if joint not in joints or side not in sides:
-                continue
-            sc = wv.cwt(traj, grid, params, boundary)
-            sc = replace(sc, subject_id=subj.id, label=subj.label)
-            stem = out / f"scalogram_{stems[subj.id]}_{joint.value}_{side.value}"
-            wv.write_scalogram_csv(sc, f"{stem}.csv")
-            if args.pgm:
-                pgm.write_pgm(sc.values, f"{stem}.pgm")
-            count += 1
+    count = sum(write_scalograms(subjects, cfg, out, keep=False))
     print(f"wrote {count} scalograms -> {out}")
     return 0
+
+
+def _part_vector(split: ft.RegionSplit, path: Path) -> ft.FeatureVector:
+    """The single-part feature vector of one scalogram file; a pool task
+    of `gaitsig features`."""
+    sc = wv.read_scalogram_csv(path)
+    try:
+        return ft.extract_features(sc, split)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_features(args) -> int:
@@ -117,17 +120,10 @@ def cmd_features(args) -> int:
     paths = sorted(Path(args.scalograms).glob("scalogram_*.csv"))
     if not paths:
         raise ConfigError(f"no scalogram_*.csv files under {args.scalograms}")
-    by_subject: dict[str, list[wv.Scalogram]] = {}
-    order: list[str] = []
-    for p in paths:
-        sc = wv.read_scalogram_csv(p)
-        if sc.subject_id not in by_subject:
-            order.append(sc.subject_id)
-        by_subject.setdefault(sc.subject_id, []).append(sc)
-    vectors = []
-    for sid in sorted(order):
-        parts = [ft.extract_features(sc, split) for sc in by_subject[sid]]
-        vectors.append(ft.combine_joints(parts))
+    by_subject: dict[str, list[ft.FeatureVector]] = {}
+    for part in fork_map(partial(_part_vector, split), paths):
+        by_subject.setdefault(part.subject_id, []).append(part)
+    vectors = [ft.combine_joints(by_subject[sid]) for sid in sorted(by_subject)]
     expected = vectors[0].parts
     for v in vectors:
         if v.parts != expected:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
@@ -188,30 +190,22 @@ def resample(traj: GaitTrajectory, new_grid_size: int) -> GaitTrajectory:
 # trajectory must form a complete uniform grid over [0, 100].
 
 
+_JOINTS = {j.value: j for j in Joint}
+_SIDES = {s.value: s for s in Side}
+
+
 def _parse_joint(text: str, where: str) -> Joint:
-    for j in Joint:
-        if j.value == text:
-            return j
-    raise ParseError(f"{where}: unknown joint {text!r}")
+    try:
+        return _JOINTS[text]
+    except (KeyError, TypeError):
+        raise ParseError(f"{where}: unknown joint {text!r}") from None
 
 
 def _parse_side(text: str, where: str) -> Side:
-    for s in Side:
-        if s.value == text:
-            return s
-    raise ParseError(f"{where}: unknown side {text!r}")
-
-
-def _parse_angle(text: str, where: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"{where}: angle_deg {text!r} is not a number") from None
-    if not np.isfinite(value):
-        raise ParseError(f"{where}: angle_deg {text!r} is not finite")
-    if abs(value) > MAX_ABS_ANGLE_DEG:
-        raise ParseError(f"{where}: |angle_deg| exceeds {MAX_ABS_ANGLE_DEG}")
-    return value
+        return _SIDES[text]
+    except (KeyError, TypeError):
+        raise ParseError(f"{where}: unknown side {text!r}") from None
 
 
 def _uniform_grid_samples(
@@ -262,54 +256,62 @@ def ingest_csv(path) -> list[Subject]:
             raise SchemaError(
                 f"{path}: header must contain exactly {','.join(CSV_COLUMNS)}"
             )
-        col = {name: header.index(name) for name in CSV_COLUMNS}
+        fields = operator.itemgetter(*(header.index(name) for name in CSV_COLUMNS))
 
-        order: list[str] = []
-        labels: dict[str, ClassLabel] = {}
+        labels: dict[str, ClassLabel] = {}  # label text -> one shared label
+        subject_labels: dict[str, str] = {}  # subject id -> label text, in file order
         points: dict[str, dict[tuple[Joint, Side], list[tuple[float, float]]]] = {}
+        # every error names the row; the "file:line" text is built only then
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            where = f"{path}:{lineno}"
             if len(row) != len(CSV_COLUMNS):
-                raise ParseError(f"{where}: expected {len(CSV_COLUMNS)} fields")
-            sid = row[col["subject_id"]]
+                raise ParseError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields")
+            sid, label_text, joint_text, side_text, pct_text, angle_text = fields(row)
             if not sid:
-                raise ParseError(f"{where}: empty subject_id")
-            label_text = row[col["label"]]
+                raise ParseError(f"{path}:{lineno}: empty subject_id")
             if not label_text:
-                raise SchemaError(f"{where}: missing label")
-            label = ClassLabel(label_text)
-            joint = _parse_joint(row[col["joint"]], where)
-            side = _parse_side(row[col["side"]], where)
+                raise SchemaError(f"{path}:{lineno}: missing label")
+            joint = _JOINTS.get(joint_text)
+            if joint is None:
+                raise ParseError(f"{path}:{lineno}: unknown joint {joint_text!r}")
+            side = _SIDES.get(side_text)
+            if side is None:
+                raise ParseError(f"{path}:{lineno}: unknown side {side_text!r}")
             try:
-                pct = float(row[col["pct"]])
+                pct = float(pct_text)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: pct {pct_text!r} is not a number") from None
+            if not 0.0 <= pct <= 100.0:
+                raise ParseError(f"{path}:{lineno}: pct {pct} outside [0, 100]")
+            try:
+                angle = float(angle_text)
             except ValueError:
                 raise ParseError(
-                    f"{where}: pct {row[col['pct']]!r} is not a number"
+                    f"{path}:{lineno}: angle_deg {angle_text!r} is not a number"
                 ) from None
-            if not 0.0 <= pct <= 100.0:
-                raise ParseError(f"{where}: pct {pct} outside [0, 100]")
-            angle = _parse_angle(row[col["angle_deg"]], where)
+            if not math.isfinite(angle):
+                raise ParseError(f"{path}:{lineno}: angle_deg {angle_text!r} is not finite")
+            if abs(angle) > MAX_ABS_ANGLE_DEG:
+                raise ParseError(f"{path}:{lineno}: |angle_deg| exceeds {MAX_ABS_ANGLE_DEG}")
 
-            if sid not in labels:
-                order.append(sid)
-                labels[sid] = label
-                points[sid] = {}
-            elif labels[sid] != label:
+            known = subject_labels.setdefault(sid, label_text)
+            if known != label_text:
                 raise SchemaError(
-                    f"{where}: subject {sid!r} has conflicting labels "
-                    f"{labels[sid]} and {label}"
+                    f"{path}:{lineno}: subject {sid!r} has conflicting labels "
+                    f"{known} and {label_text}"
                 )
-            points[sid].setdefault((joint, side), []).append((pct, angle))
+            if label_text not in labels:
+                labels[label_text] = ClassLabel(label_text)
+            points.setdefault(sid, {}).setdefault((joint, side), []).append((pct, angle))
 
     subjects = []
-    for sid in order:
+    for sid, label_text in subject_labels.items():
         parts = {}
         for key, pts in points[sid].items():
             where = f"{path}: subject {sid!r} {key[0].value}/{key[1].value}"
             parts[key] = _uniform_grid_samples(pts, where)
-        subjects.append(_finish_subject(sid, labels[sid], parts, meta={}))
+        subjects.append(_finish_subject(sid, labels[label_text], parts, meta={}))
     if not subjects:
         raise SchemaError(f"{path}: no data rows")
     return subjects
@@ -317,25 +319,31 @@ def ingest_csv(path) -> list[Subject]:
 
 def write_csv(subjects: Sequence[Subject], path) -> None:
     """Write subjects in the dataset CSV schema (canonical column order;
-    trajectories in canonical part order). Floats use repr so that
-    ingest -> write -> ingest round-trips bit-identically."""
+    trajectories in canonical part order), one row at a time. Floats use
+    repr so that ingest -> write -> ingest round-trips bit-identically.
+    Any subject id and label text reads back unchanged; rows of ids
+    without a comma, quote or line break are plain comma-joined text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        plain = csv.writer(fh, lineterminator="\n")
+        # the writer may leave a lone "\r" unquoted (Python 3.11 does), and
+        # a reader would end the row there
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(CSV_COLUMNS)
+        pct_text: dict[int, list[str]] = {}  # grid size -> formatted pct axis
         for subj in subjects:
+            text = [subj.id, subj.label.value]
+            writer = quoted if any("\r" in t for t in text) else plain
             for joint, side in subj.sorted_parts():
                 traj = subj.trajectories[(joint, side)]
-                for pct, angle in zip(traj.pct_axis, traj.samples):
-                    writer.writerow(
-                        [
-                            subj.id,
-                            subj.label.value,
-                            joint.value,
-                            side.value,
-                            repr(float(pct)),
-                            repr(float(angle)),
-                        ]
+                if traj.grid_size not in pct_text:
+                    pct_text[traj.grid_size] = list(map(repr, traj.pct_axis.tolist()))
+                lead = text + [joint.value, side.value]
+                writer.writerows(
+                    lead + [pct, angle]
+                    for pct, angle in zip(
+                        pct_text[traj.grid_size], map(repr, traj.samples.tolist())
                     )
+                )
 
 
 def ingest_json(path) -> list[Subject]:

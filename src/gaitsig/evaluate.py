@@ -17,7 +17,6 @@ arithmetic is that of a serial run, so the report is the same.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -27,6 +26,7 @@ import numpy as np
 
 from .data import ClassLabel
 from .features import FeatureVector
+from .pool import fork_map
 from .som import SomMap, TrainSchedule, best_match, clusters, init, train, umatrix
 
 
@@ -188,16 +188,8 @@ def loocv(
         raise ValueError("kappa undefined for single-class data")
     index = {lab: i for i, lab in enumerate(classes)}
 
-    # imported here because they add about 30 ms to the start of every
-    # gaitsig process, and only this stage uses them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork: workers inherit the imported modules and need no __main__ guard;
     # map keeps fold order, so the report is assembled as in a serial loop
-    workers = min(n, len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        predictions = list(pool.map(partial(_fold, data, schedule, rows, cols), range(n)))
+    predictions = fork_map(partial(_fold, data, schedule, rows, cols), range(n))
 
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     outcomes = np.zeros(n)

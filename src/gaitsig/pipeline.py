@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import som as sm
 from . import synth
 from . import wavelet as wv
 from .config import ConfigError, RunConfig, write_resolved_config
+from .pool import fork_map
 
 
 class StageError(RuntimeError):
@@ -45,20 +47,57 @@ def scalogram_stems(subjects: list[gd.Subject]) -> dict[str, str]:
     return {sid: stem for stem, sid in owners.items()}
 
 
-def subject_scalograms(subject: gd.Subject, cfg: RunConfig) -> list[wv.Scalogram]:
-    """CWT of the configured (joint, side) parts, tagged with provenance."""
-    out = []
-    for joint in cfg.joints:
-        for side in cfg.sides:
-            try:
-                traj = subject.trajectories[(joint, side)]
-            except KeyError:
-                raise ValueError(
-                    f"subject {subject.id!r} lacks a {joint.value}/{side.value} trajectory"
-                ) from None
-            sc = wv.cwt(traj, cfg.scales, cfg.morlet, cfg.boundary)
-            out.append(replace(sc, subject_id=subject.id, label=subject.label))
-    return out
+def _cwt_subject(
+    cfg: RunConfig,
+    out_dir: Path,
+    keep: bool,
+    job: tuple[gd.Subject, str, list[tuple[gd.Joint, gd.Side]]],
+) -> list[wv.Scalogram] | int:
+    """One subject's share of the cwt stage, run in a pool worker: the CWT
+    of each selected part, written as a scalogram CSV and, with
+    cfg.write_pgm, a PGM. Returns the scalograms, or only their count."""
+    subject, stem, parts = job
+    scalograms = []
+    for joint, side in parts:
+        sc = wv.cwt(subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, cfg.boundary)
+        sc = replace(sc, subject_id=subject.id, label=subject.label)
+        path = out_dir / f"scalogram_{stem}_{joint.value}_{side.value}"
+        wv.write_scalogram_csv(sc, f"{path}.csv")
+        if cfg.write_pgm:
+            pgm.write_pgm(sc.values, f"{path}.pgm")
+        scalograms.append(sc)
+    return scalograms if keep else len(scalograms)
+
+
+def write_scalograms(
+    subjects: list[gd.Subject], cfg: RunConfig, out_dir: Path, keep: bool
+) -> list[list[wv.Scalogram]] | list[int]:
+    """The cwt stage of `run` and `gaitsig cwt`: the scalograms of each
+    subject's parts among cfg.joints x cfg.sides, one pool task per
+    subject, written under out_dir. Scalogram files there that this run
+    does not write are deleted first. Returns each subject's scalograms,
+    or without `keep` only their number."""
+    stems = scalogram_stems(subjects)
+    jobs = [
+        (
+            subj,
+            stems[subj.id],
+            [(j, s) for j, s in subj.sorted_parts() if j in cfg.joints and s in cfg.sides],
+        )
+        for subj in subjects
+    ]
+    suffixes = (".csv", ".pgm") if cfg.write_pgm else (".csv",)
+    written = {
+        f"scalogram_{stem}_{joint.value}_{side.value}{suffix}"
+        for _, stem, parts in jobs
+        for joint, side in parts
+        for suffix in suffixes
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in out_dir.glob("scalogram_*"):
+        if path.suffix in (".csv", ".pgm") and path.name not in written:
+            path.unlink()
+    return fork_map(partial(_cwt_subject, cfg, out_dir, keep), jobs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +143,9 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
             raise ConfigError(f"input file not found: {path}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failed = out_dir / "FAILED"
-    if failed.exists():
-        failed.unlink()
+    # artifacts this run may not write: none survives from an earlier run
+    for name in ("FAILED", "umatrix.pgm", "eval.json", "eval.txt", "confusion.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     write_resolved_config(cfg, out_dir / "resolved_config.json")
 
     with _stage("dataset", out_dir):
@@ -126,23 +165,19 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
         gd.write_csv(subjects, out_dir / "dataset.csv")
 
     with _stage("cwt", out_dir):
-        stems = scalogram_stems(subjects)
-        scalogram_dir = out_dir / "scalograms"
-        scalogram_dir.mkdir(exist_ok=True)
-        all_scalograms: dict[str, list[wv.Scalogram]] = {}
         for subj in subjects:
-            scs = subject_scalograms(subj, cfg)
-            all_scalograms[subj.id] = scs
-            for sc in scs:
-                stem = f"scalogram_{stems[subj.id]}_{sc.joint.value}_{sc.side.value}"
-                wv.write_scalogram_csv(sc, scalogram_dir / f"{stem}.csv")
-                if cfg.write_pgm:
-                    pgm.write_pgm(sc.values, scalogram_dir / f"{stem}.pgm")
+            for joint in cfg.joints:
+                for side in cfg.sides:
+                    if (joint, side) not in subj.trajectories:
+                        raise ValueError(
+                            f"subject {subj.id!r} lacks a {joint.value}/{side.value} trajectory"
+                        )
+        scalograms = write_scalograms(subjects, cfg, out_dir / "scalograms", keep=True)
 
     with _stage("features", out_dir):
         vectors = [
             ft.combine_joints([ft.extract_features(sc, cfg.split) for sc in scs])
-            for scs in all_scalograms.values()
+            for scs in scalograms
         ]
         # canonical subject order so stagewise and all-in-one runs agree
         vectors.sort(key=lambda v: v.subject_id)

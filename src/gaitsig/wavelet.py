@@ -22,6 +22,8 @@ sinusoid of frequency f (cycles per percent) peaks near scale nu0/f.
 
 from __future__ import annotations
 
+import csv
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -160,6 +162,26 @@ def _periodic_extend(x: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([left, x, right])
 
 
+@functools.lru_cache(maxsize=8)
+def _kernels(
+    scales: tuple[float, ...], params: MorletParams, dt: float
+) -> tuple[tuple[int, np.ndarray], ...]:
+    """Per scale, the truncation half-width k and the flipped, conjugated,
+    scaled Morlet kernel on offsets -k..k. A cohort's curves share one
+    grid and one dt, so the kernels are built once; they are read-only,
+    since every caller gets the same arrays."""
+    out = []
+    for s in scales:
+        k = _half_width(params.truncation_radius * s, dt)
+        offsets = np.arange(-k, k + 1)
+        kernel = np.conj(morlet(offsets * dt / s, params)) * (dt / math.sqrt(s))
+        # column j = sum_k x[k] * kernel[k - j]  ==  (x * flip(kernel))[j + k]
+        flipped = kernel[::-1]
+        flipped.setflags(write=False)
+        out.append((k, flipped))
+    return tuple(out)
+
+
 def cwt(
     traj: GaitTrajectory,
     grid: ScaleGrid | None = None,
@@ -181,12 +203,7 @@ def cwt(
     n = traj.grid_size
     dt = 100.0 / (n - 1)
     rows = np.empty((len(grid), n))
-    for i, s in enumerate(grid.scales):
-        k = _half_width(params.truncation_radius * s, dt)
-        offsets = np.arange(-k, k + 1)
-        kernel = np.conj(morlet(offsets * dt / s, params)) * (dt / math.sqrt(s))
-        # column j = sum_k x[k] * kernel[k - j]  ==  (x * flip(kernel))[j + k]
-        flipped = kernel[::-1]
+    for i, (k, flipped) in enumerate(_kernels(tuple(grid.scales.tolist()), params, dt)):
         if boundary is Boundary.PERIODIC:
             conv = np.convolve(_periodic_extend(x, k), flipped)
             coeff = conv[2 * k : 2 * k + n]
@@ -206,53 +223,64 @@ def cwt(
 # --- scalogram CSV interchange ---------------------------------------------
 #
 # Matrix CSV (row = scale, column = cycle %), preceded by '#' comment lines
-# carrying provenance and both axes so files are self-describing.
+# carrying provenance and both axes so files are self-describing. The
+# provenance line is a space-delimited CSV record, so any subject id and
+# label text reads back unchanged; plain ids give plain `key=value` tokens.
 
 
 def write_scalogram_csv(sc: Scalogram, path) -> None:
+    label = sc.label.value if sc.label is not None else ""
+    header = [
+        "#",
+        "scalogram",
+        f"subject={sc.subject_id}",
+        f"label={label}",
+        f"joint={sc.joint.value}",
+        f"side={sc.side.value}",
+    ]
+    # the writer may leave a lone "\r" unquoted (Python 3.11 does), and a
+    # reader would end the record there
+    quoting = csv.QUOTE_ALL if any("\r" in f or "\n" in f for f in header) else csv.QUOTE_MINIMAL
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        label = sc.label.value if sc.label is not None else ""
-        fh.write(
-            f"# scalogram subject={sc.subject_id} label={label} "
-            f"joint={sc.joint.value} side={sc.side.value}\n"
-        )
-        fh.write("# scales=" + ",".join(repr(float(s)) for s in sc.scale_axis.scales) + "\n")
-        fh.write("# pct=" + ",".join(repr(float(t)) for t in sc.time_axis) + "\n")
-        for row in sc.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        csv.writer(fh, delimiter=" ", lineterminator="\n", quoting=quoting).writerow(header)
+        fh.write("# scales=" + ",".join(map(repr, sc.scale_axis.scales.tolist())) + "\n")
+        fh.write("# pct=" + ",".join(map(repr, sc.time_axis.tolist())) + "\n")
+        for row in sc.values.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_scalogram_csv(path) -> Scalogram:
-    meta: dict[str, str] = {}
     scales: np.ndarray | None = None
     pct: np.ndarray | None = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = csv.reader(fh, delimiter=" ")
+        fields = next(header, [])
+        if fields[:2] != ["#", "scalogram"]:
+            raise ValueError(f"{path}: missing scalogram header lines")
+        meta = dict(f.partition("=")[::2] for f in fields[2:])
+        for lineno, line in enumerate(fh, start=header.line_num + 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# scalogram "):
-                for tok in line[len("# scalogram "):].split():
-                    key, _, val = tok.partition("=")
-                    meta[key] = val
-            elif line.startswith("# scales="):
-                scales = np.array([float(v) for v in line[len("# scales="):].split(",")])
-            elif line.startswith("# pct="):
-                pct = np.array([float(v) for v in line[len("# pct="):].split(",")])
-            elif line.startswith("#"):
-                continue
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    if scales is None or pct is None or not meta:
+            try:
+                if line.startswith("# scales="):
+                    scales = np.array(list(map(float, line[len("# scales="):].split(","))))
+                elif line.startswith("# pct="):
+                    pct = np.array(list(map(float, line[len("# pct="):].split(","))))
+                elif line and not line.startswith("#"):
+                    rows.append(list(map(float, line.split(","))))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if scales is None or pct is None:
         raise ValueError(f"{path}: missing scalogram header lines")
-    label = ClassLabel(meta["label"]) if meta.get("label") else None
-    return Scalogram(
-        values=np.array(rows),
-        time_axis=pct,
-        scale_axis=ScaleGrid(scales),
-        joint=Joint(meta["joint"]),
-        side=Side(meta["side"]),
-        subject_id=meta.get("subject", ""),
-        label=label,
-    )
+    try:
+        return Scalogram(
+            values=np.array(rows),
+            time_axis=pct,
+            scale_axis=ScaleGrid(scales),
+            joint=Joint(meta.get("joint")),
+            side=Side(meta.get("side")),
+            subject_id=meta.get("subject", ""),
+            label=ClassLabel(meta["label"]) if meta.get("label") else None,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,13 +1,17 @@
 import json
 import math
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaitsig import wavelet
 from gaitsig.cli import main
 from gaitsig.config import ConfigError, config_from_dict, load_config
-from gaitsig.data import ingest_csv
+from gaitsig.data import ingest_csv, write_csv
+from gaitsig.features import read_features_csv
 
 
 def small_config(**overrides):
@@ -211,6 +215,30 @@ class TestRunPipeline:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert not (out / "eval.json").exists()
 
+    def test_rerun_keeps_no_stale_artifacts(self, tmp_path):
+        # 3+3 subjects and a 3x3 map: with LOOCV, then without, into one directory
+        doc = small_config(som={"rows": 3, "cols": 3, "epochs": 30})
+        doc["synth"]["n_subjects"] = 3
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", "--config", str(write_config(tmp_path, doc, "a.json")), "--out", str(out)]) == 0
+        assert (out / "eval.json").exists()
+        doc.update(loocv=False, write_pgm=False)
+        doc["synth"]["n_subjects"] = 2
+        cfg_path = write_config(tmp_path, doc, "b.json")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(fresh)]) == 0
+        assert tree_bytes(out) == tree_bytes(fresh)
+
+    def test_failing_cwt_task_marks_cwt_stage(self, tmp_path, monkeypatch, capsys):
+        def no_transform(*args):
+            raise ValueError("no transform in this worker")
+
+        monkeypatch.setattr(wavelet, "cwt", no_transform)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 1
+        assert (out / "FAILED").read_text() == "cwt: no transform in this worker\n"
+        assert "[cwt] no transform in this worker" in capsys.readouterr().err
+
 
 class TestSubcommandChain:
     def test_synth_then_stagewise_pipeline(self, tmp_path):
@@ -270,6 +298,62 @@ class TestSubcommandChain:
         assert main(["cwt", "--input", str(write_colliding_dataset(tmp_path)), "--out", str(out)]) == 1
         assert "'a b' and 'a_b'" in capsys.readouterr().err
         assert not list(out.rglob("scalogram_*"))
+
+    def stagewise(self, cfg_path, d):
+        assert main(["synth", "--config", str(cfg_path), "--out", str(d / "synth")]) == 0
+        assert main(["ingest", "--input", str(d / "synth" / "dataset.csv"), "--out", str(d / "data")]) == 0
+        assert main(["cwt", "--input", str(d / "data" / "dataset.csv"), "--out", str(d / "work")]) == 0
+        assert main(["features", "--scalograms", str(d / "work" / "scalograms"), "--out", str(d / "work")]) == 0
+        assert main([
+            "train", "--features", str(d / "work" / "features.csv"), "--out", str(d / "work"),
+            "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
+        ]) == 0
+        return tree_bytes(d)
+
+    def test_stagewise_tree_same_on_one_cpu(self, tmp_path, monkeypatch):
+        # every joint and side: 48 scalograms, more tasks than CPUs
+        cfg_path = write_config(tmp_path, small_config())
+        pooled = self.stagewise(cfg_path, tmp_path / "pooled")
+        assert len([k for k in pooled if k.endswith(".csv") and "scalogram_" in k]) == 48
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.stagewise(cfg_path, tmp_path / "one") == pooled
+
+    def test_corrupt_scalogram_names_file(self, tmp_path, capsys):
+        d = tmp_path / "stage"
+        main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)])
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--no-pgm"]) == 0
+        bad = sorted((d / "scalograms").glob("*.csv"))[17]
+        lines = bad.read_text(encoding="utf-8").split("\n")
+        lines[4] = "x" + lines[4]  # the second scale row
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 1
+        assert f"{bad}:5: could not convert string to float: 'x" in capsys.readouterr().err
+        assert not (d / "features.csv").exists()
+
+    def test_ids_sharing_a_first_word_stay_apart(self, tmp_path):
+        subjects = ingest_csv(write_colliding_dataset(tmp_path))
+        ids = ["pt 0, visit=1", "pt 0, visit=2"]
+        write_csv([replace(s, id=sid) for s, sid in zip(subjects, ids)], tmp_path / "d.csv")
+        d = tmp_path / "stage"
+        assert main(["cwt", "--input", str(tmp_path / "d.csv"), "--out", str(d)]) == 0
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 0
+        assert [v.subject_id for v in read_features_csv(d / "features.csv")] == ids
+
+    def test_cwt_rerun_removes_stale_scalograms(self, tmp_path):
+        big, small = small_config(), small_config(seed=8)
+        small["synth"]["n_subjects"] = 2
+        d, fresh = tmp_path / "d", tmp_path / "fresh"
+        for doc, name in ((big, "big"), (small, "small")):
+            main(["synth", "--config", str(write_config(tmp_path, doc, f"{name}.json")), "--out", str(tmp_path / name)])
+        assert main(["cwt", "--input", str(tmp_path / "big" / "dataset.csv"), "--out", str(d)]) == 0
+        for out in (d, fresh):
+            assert main([
+                "cwt", "--input", str(tmp_path / "small" / "dataset.csv"), "--out", str(out),
+                "--joints", "Hip,Knee", "--no-pgm",
+            ]) == 0
+        assert tree_bytes(d) == tree_bytes(fresh)
+        assert len(tree_bytes(fresh)) == 4 * 2 * 2  # 4 subjects x 2 joints x 2 sides, CSV only
 
     def test_ingest_round_trip(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())

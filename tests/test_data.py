@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +216,28 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match="pct"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ("s1,Normal,Hip,Left,0.0", ParseError, "expected 6 fields"),
+            (",Normal,Hip,Left,0.0,0.0", ParseError, "empty subject_id"),
+            ("s1,,Hip,Left,0.0,0.0", SchemaError, "missing label"),
+            ("s1,Normal,Elbow,Left,0.0,0.0", ParseError, "unknown joint 'Elbow'"),
+            ("s1,Normal,Hip,Up,0.0,0.0", ParseError, "unknown side 'Up'"),
+            ("s1,Normal,Hip,Left,x,0.0", ParseError, "pct 'x' is not a number"),
+            ("s1,Normal,Hip,Left,nan,0.0", ParseError, r"pct nan outside \[0, 100\]"),
+            ("s1,Normal,Hip,Left,1.0,ten", ParseError, "angle_deg 'ten' is not a number"),
+            ("s1,Normal,Hip,Left,1.0,-inf", ParseError, "angle_deg '-inf' is not finite"),
+            ("s1,Normal,Hip,Left,1.0,180.5", ParseError, r"\|angle_deg\| exceeds 180.0"),
+            ("s1,Polio,Hip,Left,1.0,0.0", SchemaError, "subject 's1' has conflicting labels Normal and Polio"),
+        ],
+    )
+    def test_row_errors_name_file_and_line(self, tmp_path, row, error, message):
+        path = tmp_path / "d.csv"
+        _write_rows(path, ["s1,Normal,Hip,Left,0.0,0.0", "", row])
+        with pytest.raises(error, match=f"^{re.escape(str(path))}:4: {message}$"):
+            ingest_csv(path)
+
 
 class TestRoundTrip:
     def _random_subjects(self, seed):
@@ -239,6 +264,22 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         for s, t in zip(subjects, again):
             assert s.id == t.id and s.label == t.label
+            for key in s.trajectories:
+                assert np.array_equal(s.trajectories[key].samples, t.trajectories[key].samples)
+
+    def test_csv_round_trip_any_id_text(self, tmp_path):
+        subjects = [
+            replace(s, id=sid) for s, sid in zip(self._random_subjects(13), ["a\rb", 'q"\n,', "plain"])
+        ]
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(subjects, p1)
+        again = ingest_csv(p1)
+        write_csv(again, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert [s.id for s in again] == ["a\rb", 'q"\n,', "plain"]
+        assert p1.read_text(encoding="utf-8").endswith("\nplain,CP-dp,Knee,Left,100.0,%r\n" % float(
+            subjects[2].trajectories[(Joint.KNEE, Side.LEFT)].samples[-1]))
+        for s, t in zip(subjects, again):
             for key in s.trajectories:
                 assert np.array_equal(s.trajectories[key].samples, t.trajectories[key].samples)
 

@@ -1,11 +1,15 @@
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitsig.data import Joint, Side
+from gaitsig import wavelet
+from gaitsig.data import ClassLabel, Joint, Side
 from gaitsig.pgm import read_pgm, to_gray, write_pgm
 from gaitsig.wavelet import (
     Boundary,
@@ -199,6 +203,47 @@ class TestCwt:
             cwt(make_traj(np.zeros(101)), grid=np.array([1.0, 2.0]))
 
 
+def uncached_cwt(traj, grid, params, boundary):
+    """Reference: the transform with every kernel built inline, per call."""
+    x, n = traj.samples, traj.grid_size
+    dt = 100.0 / (n - 1)
+    rows = np.empty((len(grid), n))
+    for i, s in enumerate(grid.scales):
+        k = wavelet._half_width(params.truncation_radius * s, dt)
+        kernel = np.conj(morlet(np.arange(-k, k + 1) * dt / s, params)) * (dt / math.sqrt(s))
+        if boundary is Boundary.PERIODIC:
+            rows[i] = np.abs(np.convolve(wavelet._periodic_extend(x, k), kernel[::-1])[2 * k : 2 * k + n])
+        else:
+            rows[i] = np.abs(np.convolve(x, kernel[::-1])[k : k + n])
+    return rows
+
+
+class TestKernelCache:
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_cached_call_equals_fresh_computation(self, boundary):
+        traj = make_traj(harmonic_signal(np.linspace(0, 100, 101), [(3, 12.0, 0.4), (9, 2.0, 1.0)]))
+        grid, params = ScaleGrid.default(count=10, lo=0.5, hi=30.0), MorletParams(nu0=1.3)
+        wavelet._kernels.cache_clear()
+        fresh = cwt(traj, grid, params, boundary)
+        cached = cwt(traj, ScaleGrid(grid.scales.copy()), MorletParams(nu0=1.3), boundary)
+        assert wavelet._kernels.cache_info().hits == 1
+        reference = uncached_cwt(traj, grid, params, boundary)
+        assert fresh.values.tobytes() == cached.values.tobytes() == reference.tobytes()
+
+    def test_key_separates_grids_params_and_spacing(self):
+        pct = np.linspace(0, 100, 101)
+        traj = make_traj(harmonic_signal(pct, [(2, 10.0, 0.0)]))
+        coarse = make_traj(harmonic_signal(pct[::2], [(2, 10.0, 0.0)]))
+        for t, grid, params in [
+            (traj, ScaleGrid.default(), MorletParams()),
+            (traj, ScaleGrid.default(count=8), MorletParams()),
+            (traj, ScaleGrid.default(), MorletParams(truncation_radius=3.0)),
+            (coarse, ScaleGrid.default(), MorletParams()),
+        ]:
+            got = cwt(t, grid, params)
+            assert got.values.tobytes() == uncached_cwt(t, grid, params, Boundary.ZERO).tobytes()
+
+
 class TestScalogramCsv:
     def test_round_trip(self, tmp_path):
         from gaitsig.data import ClassLabel
@@ -216,6 +261,37 @@ class TestScalogramCsv:
         assert np.array_equal(back.scale_axis.scales, sc.scale_axis.scales)
         assert back.subject_id == "subj-7" and back.label == ClassLabel("CP-lh")
         assert back.joint is sc.joint and back.side is sc.side
+
+    def test_plain_header_is_space_separated(self, tmp_path):
+        # readers that split the provenance line on whitespace rely on it
+        sc = replace(cwt(make_traj(np.zeros(101))), subject_id="pt-0.b", label=ClassLabel("CP-dp"))
+        write_scalogram_csv(sc, tmp_path / "sc.csv")
+        first = (tmp_path / "sc.csv").read_text(encoding="utf-8").split("\n")[0]
+        assert first == "# scalogram subject=pt-0.b label=CP-dp joint=Hip side=Right"
+
+    @settings(max_examples=60, deadline=None)
+    @given(sid=st.text(), label=st.none() | st.text(min_size=1))
+    @example(sid="pt 0, visit=2", label="CP dp")
+    @example(sid="a\rb", label="c\rd")
+    @example(sid='a\rb "c"\n', label="x=y z")
+    def test_round_trip_any_id_and_label_text(self, sid, label):
+        label = None if label is None else ClassLabel(label)
+        sc = replace(cwt(make_traj(np.linspace(-5.0, 5.0, 101))), subject_id=sid, label=label)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sc.csv"
+            write_scalogram_csv(sc, path)
+            back = read_scalogram_csv(path)
+        assert (back.subject_id, back.label) == (sc.subject_id, sc.label)
+        assert back.values.tobytes() == sc.values.tobytes()
+
+    def test_corrupt_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sc.csv"
+        write_scalogram_csv(cwt(make_traj(np.zeros(101))), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[5] = "x" + lines[5]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"sc\.csv:6: could not convert"):
+            read_scalogram_csv(path)
 
 
 class TestPgm:
