@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .data import ClassLabel, Joint, Side
-from .features import Level, RegionSplit
+from .features import Level
 from .som import InitMode, Kernel, TrainSchedule
 from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec
 from .wavelet import Boundary, MorletParams, ScaleGrid
@@ -89,7 +89,7 @@ class RunConfig:
     morlet: MorletParams = field(default_factory=MorletParams)
     scales: ScaleGrid = field(default_factory=ScaleGrid.default)
     boundary: Boundary = Boundary.ZERO
-    split: RegionSplit = field(default_factory=RegionSplit)
+    level: Level = Level.HIGH_SCALE
     zscore: bool = False
     som_rows: int = 10
     som_cols: int = 10
@@ -200,11 +200,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         scales = _scales_from_doc(wdoc.get("scales"), "wavelet.scales")
 
         fdoc = doc.get("features") or {}
-        _require_keys(fdoc, {"stance_fraction", "level", "zscore"}, "features")
-        split = RegionSplit(
-            stance_fraction=float(fdoc.get("stance_fraction", 0.60)),
-            level=Level(fdoc.get("level", "HighScale")),
-        )
+        _require_keys(fdoc, {"level", "zscore"}, "features")
+        level = Level(fdoc.get("level", "HighScale"))
         zscore = bool(fdoc.get("zscore", False))
 
         sdoc = doc.get("som") or {}
@@ -238,7 +235,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
             morlet=morlet,
             scales=scales,
             boundary=boundary,
-            split=split,
+            level=level,
             zscore=zscore,
             som_rows=rows,
             som_cols=cols,
@@ -287,8 +284,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "scales": [float(s) for s in cfg.scales.scales],
         },
         "features": {
-            "stance_fraction": cfg.split.stance_fraction,
-            "level": cfg.split.level.value,
+            "level": cfg.level.value,
             "zscore": cfg.zscore,
         },
         "som": {

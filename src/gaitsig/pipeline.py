@@ -1,9 +1,10 @@
 """End-to-end pipeline: dataset -> scalograms -> features -> SOM -> report.
 
-Each stage writes its artifacts into the output directory; a failure
-writes a FAILED marker naming the stage so partial outputs are never
-mistaken for a finished run. With a fixed config the whole artifact tree
-is byte-identical across reruns.
+Each stage is one function that writes its artifacts into an output
+directory; `run_pipeline` and the CLI subcommands call the same ones. In
+`run_pipeline` a failure writes a FAILED marker naming the stage so
+partial outputs are never mistaken for a finished run. With a fixed
+config the whole artifact tree is byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -32,6 +33,32 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def load_dataset(cfg: RunConfig) -> list[gd.Subject]:
+    """The subjects of cfg's one input source: generated from its synth
+    section, or read from its dataset CSV or JSON manifest."""
+    if cfg.synth is not None:
+        return synth.generate_groups(
+            cfg.synth.template,
+            cfg.synth.n_subjects,
+            cfg.synth.groups,
+            cfg.synth.rng_seed,
+            include_normal=cfg.synth.include_normal,
+            normal_jitter_sd=cfg.synth.normal_jitter_sd,
+        )
+    if cfg.input_csv is not None:
+        return gd.ingest_csv(cfg.input_csv)
+    return gd.ingest_json(cfg.input_json)
+
+
+def write_dataset(cfg: RunConfig, out_dir: Path) -> list[gd.Subject]:
+    """The dataset stage: load cfg's input source and write it on the
+    canonical grid as out_dir/dataset.csv."""
+    subjects = load_dataset(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    gd.write_csv(subjects, out_dir / "dataset.csv")
+    return subjects
+
+
 def scalogram_stems(subjects: list[gd.Subject]) -> dict[str, str]:
     """File-name stem per subject id. Two ids with one stem (`a b` and
     `a_b`) are refused: the second subject's files would overwrite the
@@ -50,14 +77,12 @@ def scalogram_stems(subjects: list[gd.Subject]) -> dict[str, str]:
 def _cwt_subject(
     cfg: RunConfig,
     out_dir: Path,
-    keep: bool,
     job: tuple[gd.Subject, str, list[tuple[gd.Joint, gd.Side]]],
-) -> list[wv.Scalogram] | int:
+) -> int:
     """One subject's share of the cwt stage, run in a pool worker: the CWT
     of each selected part, written as a scalogram CSV and, with
-    cfg.write_pgm, a PGM. Returns the scalograms, or only their count."""
+    cfg.write_pgm, a PGM. Returns the number of scalograms."""
     subject, stem, parts = job
-    scalograms = []
     for joint, side in parts:
         sc = wv.cwt(subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, cfg.boundary)
         sc = replace(sc, subject_id=subject.id, label=subject.label)
@@ -65,18 +90,14 @@ def _cwt_subject(
         wv.write_scalogram_csv(sc, f"{path}.csv")
         if cfg.write_pgm:
             pgm.write_pgm(sc.values, f"{path}.pgm")
-        scalograms.append(sc)
-    return scalograms if keep else len(scalograms)
+    return len(parts)
 
 
-def write_scalograms(
-    subjects: list[gd.Subject], cfg: RunConfig, out_dir: Path, keep: bool
-) -> list[list[wv.Scalogram]] | list[int]:
-    """The cwt stage of `run` and `gaitsig cwt`: the scalograms of each
-    subject's parts among cfg.joints x cfg.sides, one pool task per
-    subject, written under out_dir. Scalogram files there that this run
-    does not write are deleted first. Returns each subject's scalograms,
-    or without `keep` only their number."""
+def write_scalograms(subjects: list[gd.Subject], cfg: RunConfig, out_dir: Path) -> int:
+    """The cwt stage: the scalograms of each subject's parts among
+    cfg.joints x cfg.sides, one pool task per subject, written under
+    out_dir. Scalogram files there that this stage does not write are
+    deleted first. Returns the number of scalograms."""
     stems = scalogram_stems(subjects)
     jobs = [
         (
@@ -97,29 +118,99 @@ def write_scalograms(
     for path in out_dir.glob("scalogram_*"):
         if path.suffix in (".csv", ".pgm") and path.name not in written:
             path.unlink()
-    return fork_map(partial(_cwt_subject, cfg, out_dir, keep), jobs)
+    return sum(fork_map(partial(_cwt_subject, cfg, out_dir), jobs))
+
+
+def _part_vector(split: ft.RegionSplit, path: Path) -> ft.FeatureVector:
+    """The single-part feature vector of one scalogram file; a pool task
+    of the features stage."""
+    sc = wv.read_scalogram_csv(path)
+    try:
+        return ft.extract_features(sc, split)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> list[ft.FeatureVector]:
+    """The features stage: one feature vector per subject from the
+    scalogram CSVs under scalogram_dir, one pool task per file, its parts
+    combined in canonical order. Every subject must have the same parts.
+    Writes out_dir/features.csv in subject-id order and returns its rows."""
+    paths = sorted(Path(scalogram_dir).glob("scalogram_*.csv"))
+    if not paths:
+        raise ConfigError(f"no scalogram_*.csv files under {scalogram_dir}")
+    by_subject: dict[str, list[ft.FeatureVector]] = {}
+    for part in fork_map(partial(_part_vector, ft.RegionSplit(level=level)), paths):
+        by_subject.setdefault(part.subject_id, []).append(part)
+    vectors = [ft.combine_joints(by_subject[sid]) for sid in sorted(by_subject)]
+    expected = vectors[0].parts
+    for v in vectors:
+        if v.parts != expected:
+            raise ConfigError(
+                f"subject {v.subject_id!r} has parts {v.parts}, expected {expected}"
+            )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ft.write_features_csv(vectors, out_dir / "features.csv")
+    return vectors
+
+
+def write_map(
+    vectors,
+    rows: int,
+    cols: int,
+    schedule: sm.TrainSchedule,
+    threshold: float | None,
+    write_pgm: bool,
+    out_dir: Path,
+) -> tuple[sm.SomMap, np.ndarray]:
+    """The train stage: a rows x cols SOM trained on the vectors' values,
+    written with its U-Matrix, attraction field and clusters under
+    out_dir. Without write_pgm an earlier umatrix.pgm is deleted. Returns
+    the map and the per-node cluster ids."""
+    x = np.stack([v.values for v in vectors])
+    som_map = sm.train(sm.init(rows, cols, x.shape[1], schedule, samples=x), x)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sm.save_map_json(som_map, out_dir / "som.json")
+    um = sm.umatrix(som_map)
+    sm.write_umatrix_csv(um, out_dir / "umatrix.csv")
+    if write_pgm:
+        pgm.write_pgm(um.heights, out_dir / "umatrix.pgm")
+    else:
+        (out_dir / "umatrix.pgm").unlink(missing_ok=True)
+    sm.write_attraction_csv(sm.attraction_field(um), out_dir / "attraction.csv")
+    cluster_ids = sm.clusters(um, threshold)
+    sm.write_clusters_csv(cluster_ids, out_dir / "clusters.csv")
+    return som_map, cluster_ids
+
+
+def count_clusters(cluster_ids: np.ndarray) -> int:
+    """The number of U-Matrix clusters; border nodes belong to none."""
+    return len(set(cluster_ids[cluster_ids >= 0].tolist()))
+
+
+def write_eval(
+    vectors, schedule: sm.TrainSchedule, rows: int, cols: int, out_dir: Path
+) -> ev.EvalReport:
+    """The eval stage: leave-one-out validation of rows x cols maps,
+    written as eval.json, eval.txt and confusion.csv under out_dir."""
+    report = ev.loocv(vectors, schedule, rows=rows, cols=cols)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ev.write_report_json(report, out_dir / "eval.json")
+    ev.write_report_table(report, out_dir / "eval.txt")
+    ev.write_confusion_csv(report, out_dir / "confusion.csv")
+    return report
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    subjects: list[gd.Subject]
     vectors: list[ft.FeatureVector]
     som: sm.SomMap
-    um: sm.UMatrix
     cluster_ids: np.ndarray
     report: ev.EvalReport | None
 
     @property
     def n_clusters(self) -> int:
-        ids = self.cluster_ids
-        return int(len(set(ids[ids >= 0].tolist())))
-
-    def summary(self) -> dict:
-        out = {"n_clusters": self.n_clusters}
-        if self.report is not None:
-            out["recognition_rate"] = self.report.recognition_rate
-            out["kappa"] = self.report.kappa
-        return out
+        return count_clusters(self.cluster_ids)
 
 
 def _stage(name: str, out_dir: Path):
@@ -144,25 +235,12 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # artifacts this run may not write: none survives from an earlier run
-    for name in ("FAILED", "umatrix.pgm", "eval.json", "eval.txt", "confusion.csv"):
+    for name in ("FAILED", "eval.json", "eval.txt", "confusion.csv"):
         (out_dir / name).unlink(missing_ok=True)
     write_resolved_config(cfg, out_dir / "resolved_config.json")
 
     with _stage("dataset", out_dir):
-        if cfg.synth is not None:
-            subjects = synth.generate_groups(
-                cfg.synth.template,
-                cfg.synth.n_subjects,
-                cfg.synth.groups,
-                cfg.synth.rng_seed,
-                include_normal=cfg.synth.include_normal,
-                normal_jitter_sd=cfg.synth.normal_jitter_sd,
-            )
-        elif cfg.input_csv is not None:
-            subjects = gd.ingest_csv(cfg.input_csv)
-        else:
-            subjects = gd.ingest_json(cfg.input_json)
-        gd.write_csv(subjects, out_dir / "dataset.csv")
+        subjects = write_dataset(cfg, out_dir)
 
     with _stage("cwt", out_dir):
         for subj in subjects:
@@ -172,45 +250,21 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
                         raise ValueError(
                             f"subject {subj.id!r} lacks a {joint.value}/{side.value} trajectory"
                         )
-        scalograms = write_scalograms(subjects, cfg, out_dir / "scalograms", keep=True)
+        write_scalograms(subjects, cfg, out_dir / "scalograms")
 
     with _stage("features", out_dir):
-        vectors = [
-            ft.combine_joints([ft.extract_features(sc, cfg.split) for sc in scs])
-            for scs in scalograms
-        ]
-        # canonical subject order so stagewise and all-in-one runs agree
-        vectors.sort(key=lambda v: v.subject_id)
-        ft.write_features_csv(vectors, out_dir / "features.csv")
+        vectors = write_features(out_dir / "scalograms", cfg.level, out_dir)
 
     with _stage("train", out_dir):
         classifier_input = ft.standardize(vectors) if cfg.zscore else vectors
-        x = np.stack([v.values for v in classifier_input])
-        som_map = sm.init(cfg.som_rows, cfg.som_cols, x.shape[1], cfg.schedule, samples=x)
-        som_map = sm.train(som_map, x)
-        sm.save_map_json(som_map, out_dir / "som.json")
-        um = sm.umatrix(som_map)
-        sm.write_umatrix_csv(um, out_dir / "umatrix.csv")
-        if cfg.write_pgm:
-            pgm.write_pgm(um.heights, out_dir / "umatrix.pgm")
-        field = sm.attraction_field(um)
-        sm.write_attraction_csv(field, out_dir / "attraction.csv")
-        cluster_ids = sm.clusters(um, cfg.cluster_threshold)
-        sm.write_clusters_csv(cluster_ids, out_dir / "clusters.csv")
+        som_map, cluster_ids = write_map(
+            classifier_input, cfg.som_rows, cfg.som_cols, cfg.schedule,
+            cfg.cluster_threshold, cfg.write_pgm, out_dir,
+        )
 
     report = None
     if cfg.loocv:
         with _stage("eval", out_dir):
-            report = ev.loocv(classifier_input, cfg.schedule, rows=cfg.som_rows, cols=cfg.som_cols)
-            ev.write_report_json(report, out_dir / "eval.json")
-            ev.write_report_table(report, out_dir / "eval.txt")
-            ev.write_confusion_csv(report, out_dir / "confusion.csv")
+            report = write_eval(classifier_input, cfg.schedule, cfg.som_rows, cfg.som_cols, out_dir)
 
-    return PipelineResult(
-        subjects=subjects,
-        vectors=vectors,
-        som=som_map,
-        um=um,
-        cluster_ids=cluster_ids,
-        report=report,
-    )
+    return PipelineResult(vectors=vectors, som=som_map, cluster_ids=cluster_ids, report=report)

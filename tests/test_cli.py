@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaitsig import wavelet
+from gaitsig import features, wavelet
 from gaitsig.cli import main
 from gaitsig.config import ConfigError, config_from_dict, load_config
 from gaitsig.data import ingest_csv, write_csv
@@ -239,6 +239,17 @@ class TestRunPipeline:
         assert (out / "FAILED").read_text() == "cwt: no transform in this worker\n"
         assert "[cwt] no transform in this worker" in capsys.readouterr().err
 
+    def test_failing_extraction_marks_features_stage(self, tmp_path, monkeypatch, capsys):
+        def no_features(*args):
+            raise ValueError("no features in this worker")
+
+        monkeypatch.setattr(features, "extract_features", no_features)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 1
+        first = sorted((out / "scalograms").glob("scalogram_*.csv"))[0]
+        assert (out / "FAILED").read_text() == f"features: {first}: no features in this worker\n"
+        assert f"[features] {first}: no features in this worker" in capsys.readouterr().err
+
 
 class TestSubcommandChain:
     def test_synth_then_stagewise_pipeline(self, tmp_path):
@@ -290,8 +301,23 @@ class TestSubcommandChain:
             "train", "--features", str(stage_dir / "features.csv"), "--out", str(stage_dir),
             "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
         ]) == 0
-        assert (run_dir / "features.csv").read_bytes() == (stage_dir / "features.csv").read_bytes()
-        assert (run_dir / "som.json").read_bytes() == (stage_dir / "som.json").read_bytes()
+        assert main([
+            "eval", "--features", str(stage_dir / "features.csv"), "--out", str(stage_dir),
+            "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
+        ]) == 0
+        for name in ("features.csv", "som.json", "umatrix.csv", "umatrix.pgm", "attraction.csv",
+                     "clusters.csv", "eval.json", "eval.txt", "confusion.csv"):
+            assert (run_dir / name).read_bytes() == (stage_dir / name).read_bytes(), name
+
+    def test_train_without_pgm_removes_old_umatrix_pgm(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
+        assert (out / "umatrix.pgm").exists()
+        assert main([
+            "train", "--features", str(out / "features.csv"), "--out", str(out),
+            "--map-dims", "3x3", "--epochs", "30", "--seed", "7", "--no-pgm",
+        ]) == 0
+        assert not (out / "umatrix.pgm").exists()
 
     def test_cwt_colliding_file_stems_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
