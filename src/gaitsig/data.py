@@ -234,10 +234,14 @@ def _finish_subject(
     label: ClassLabel,
     parts: dict[tuple[Joint, Side], np.ndarray],
     meta: Mapping[str, str],
+    where: str,
 ) -> Subject:
     trajectories = {}
     for (joint, side), samples in parts.items():
-        traj = GaitTrajectory(joint=joint, side=side, samples=samples)
+        try:
+            traj = GaitTrajectory(joint=joint, side=side, samples=samples)
+        except ValueError as exc:
+            raise SchemaError(f"{where} {joint.value}/{side.value} angle_deg: {exc}") from None
         if traj.grid_size != CANONICAL_GRID_SIZE:
             traj = resample(traj, CANONICAL_GRID_SIZE)
         trajectories[(joint, side)] = traj
@@ -307,11 +311,11 @@ def ingest_csv(path) -> list[Subject]:
 
     subjects = []
     for sid, label_text in subject_labels.items():
+        where = f"{path}: subject {sid!r}"
         parts = {}
         for key, pts in points[sid].items():
-            where = f"{path}: subject {sid!r} {key[0].value}/{key[1].value}"
-            parts[key] = _uniform_grid_samples(pts, where)
-        subjects.append(_finish_subject(sid, labels[label_text], parts, meta={}))
+            parts[key] = _uniform_grid_samples(pts, f"{where} {key[0].value}/{key[1].value}")
+        subjects.append(_finish_subject(sid, labels[label_text], parts, {}, where))
     if not subjects:
         raise SchemaError(f"{path}: no data rows")
     return subjects
@@ -346,42 +350,79 @@ def write_csv(subjects: Sequence[Subject], path) -> None:
                 )
 
 
+def _json_text(entry: dict, name: str, where: str) -> str:
+    """A required non-empty string field of a manifest entry that
+    dataset.csv can hold (UTF-8 encodable)."""
+    if name not in entry:
+        raise SchemaError(f"{where}: missing field {name!r}")
+    value = entry[name]
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: {name} must be a string, got {type(value).__name__}")
+    if not value:
+        raise SchemaError(f"{where}: empty {name}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{where}: {name} {value!r} is not valid UTF-8 text") from None
+    return value
+
+
+def _json_samples(value, where: str) -> np.ndarray:
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise SchemaError(f"{where}: angle_deg must be a flat list of numbers")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise SchemaError(f"{where}: angle_deg holds a number out of range") from None
+
+
 def ingest_json(path) -> list[Subject]:
     """Read the JSON manifest alternative: an array of subjects with inline
     sample arrays. Field names mirror the CSV columns:
 
     [{"subject_id": ..., "label": ..., "meta": {...},
       "trajectories": [{"joint": ..., "side": ..., "angle_deg": [...]}]}]
+
+    subject_id and label are non-empty strings, each subject_id used once;
+    angle_deg is a flat list of numbers. Errors name the file, the subject
+    index and the field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, list) or not doc:
         raise SchemaError(f"{path}: manifest must be a non-empty array")
     subjects = []
+    seen: set[str] = set()
     for i, entry in enumerate(doc):
         where = f"{path}: subject #{i}"
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: not an object")
-        try:
-            sid = entry["subject_id"]
-            label_text = entry["label"]
-            trajs = entry["trajectories"]
-        except KeyError as exc:
-            raise SchemaError(f"{where}: missing field {exc}") from None
-        if not label_text:
-            raise SchemaError(f"{where}: missing label")
+        sid = _json_text(entry, "subject_id", where)
+        if sid in seen:
+            raise SchemaError(f"{where}: duplicate subject_id {sid!r}")
+        seen.add(sid)
+        label_text = _json_text(entry, "label", where)
+        trajs = entry.get("trajectories")
+        if not isinstance(trajs, list) or not all(isinstance(t, dict) for t in trajs):
+            raise SchemaError(f"{where}: trajectories must be a list of objects")
         meta = entry.get("meta", {})
+        if not isinstance(meta, dict):
+            raise SchemaError(f"{where}: meta must be an object")
         parts: dict[tuple[Joint, Side], np.ndarray] = {}
-        for t in trajs:
+        for k, t in enumerate(trajs):
             joint = _parse_joint(t.get("joint", ""), where)
             side = _parse_side(t.get("side", ""), where)
-            samples = np.asarray(t.get("angle_deg", []), dtype=float)
+            samples = _json_samples(t.get("angle_deg", []), f"{where} trajectory #{k}")
             if (joint, side) in parts:
                 raise SchemaError(
                     f"{where}: duplicate trajectory {joint.value}/{side.value}"
                 )
             parts[(joint, side)] = samples
-        subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, meta))
+        if not parts:
+            raise SchemaError(f"{where}: no trajectories")
+        subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, meta, where))
     return subjects
 
 

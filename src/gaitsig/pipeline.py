@@ -27,6 +27,19 @@ from .config import ConfigError, RunConfig, write_resolved_config
 from .pool import fork_map
 
 
+# The files each of run_pipeline's stages writes, as glob patterns under its
+# output directory. A run deletes every match but its own input file before
+# its first stage, so a failed rerun leaves no artifact of an earlier run;
+# files that match none stay, since they may be the user's.
+RUN_ARTIFACTS = {
+    "dataset": ("dataset.csv",),
+    "cwt": ("scalograms/scalogram_*.csv", "scalograms/scalogram_*.pgm"),
+    "features": ("features.csv",),
+    "train": ("som.json", "umatrix.csv", "umatrix.pgm", "attraction.csv", "clusters.csv"),
+    "eval": ("eval.json", "eval.txt", "confusion.csv"),
+}
+
+
 class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
@@ -234,9 +247,16 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
             raise ConfigError(f"input file not found: {path}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # artifacts this run may not write: none survives from an earlier run
-    for name in ("FAILED", "eval.json", "eval.txt", "confusion.csv"):
-        (out_dir / name).unlink(missing_ok=True)
+    (out_dir / "FAILED").unlink(missing_ok=True)
+    inputs = {Path(p).resolve() for p in (cfg.input_csv, cfg.input_json) if p is not None}
+    for patterns in RUN_ARTIFACTS.values():
+        for pattern in patterns:
+            for path in out_dir.glob(pattern):
+                if path.resolve() not in inputs:  # e.g. an earlier run's dataset.csv
+                    path.unlink()
+    scalogram_dir = out_dir / "scalograms"
+    if scalogram_dir.is_dir() and not any(scalogram_dir.iterdir()):
+        scalogram_dir.rmdir()
     write_resolved_config(cfg, out_dir / "resolved_config.json")
 
     with _stage("dataset", out_dir):

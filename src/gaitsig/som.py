@@ -193,17 +193,38 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
     W = som.weights.copy()
     rng = np.random.default_rng([schedule.rng_seed, _TRAIN_STREAM])
     dist2 = som.grid_dist2()
+    # Each presentation sets w <- (1-c)*w + c*x with 0 <= c <= 1. The
+    # einsum outer product sums each c*x onto +0.0, so a -0.0 product comes
+    # out +0.0 where the broadcast product keeps it; the new w differs only
+    # where (1-c)*w is -0.0 as well. By induction that never happens when
+    # W0 holds no -0.0 and X no -0.0 and no negative subnormal: the einsum
+    # path never makes a -0.0 (a sum is -0.0 only if both terms are), so up
+    # to a first difference no w is -0.0; c = 1 leaves c*x = x != -0.0;
+    # and c*x rounds to -0.0 from a normal x < 0 only if c <= 2**-53, when
+    # 1-c > 1/2 keeps (1-c)*w nonzero. The two paths then agree bit for
+    # bit; otherwise the broadcast product is used.
+    outer = not (
+        np.any(np.signbit(W) & (W == 0))
+        or np.any(np.signbit(X) & (np.abs(X) < np.finfo(float).tiny))
+    )
+    buf = np.empty_like(W)  # W - x, then the update c*x
+    d = np.empty(len(W))
     for t in range(schedule.epochs):
         coef_rows = schedule.alpha(t) * _kernel_values(
             dist2, schedule.sigma(t), schedule.kernel
         )
-        for idx in rng.permutation(len(X)):
+        keep3 = (1.0 - coef_rows)[:, :, None]
+        coef3 = coef_rows[:, :, None]
+        for idx in rng.permutation(len(X)).tolist():
             x = X[idx]
-            diff = W - x
-            bmu = int(np.argmin(np.einsum("nd,nd->n", diff, diff)))
-            coef = coef_rows[bmu]
-            W *= (1.0 - coef)[:, None]
-            W += coef[:, None] * x
+            np.subtract(W, x, out=buf)
+            bmu = np.einsum("nd,nd->n", buf, buf, out=d).argmin()
+            np.multiply(W, keep3[bmu], out=W)
+            if outer:
+                np.einsum("n,d->nd", coef_rows[bmu], x, out=buf)
+            else:
+                np.multiply(coef3[bmu], x, out=buf)
+            np.add(W, buf, out=W)
     return SomMap(rows=som.rows, cols=som.cols, weights=W, schedule=schedule, trained=True)
 
 
@@ -260,10 +281,9 @@ class AttractionField:
 
     d_row: np.ndarray
     d_col: np.ndarray
-    contour_levels: np.ndarray
 
 
-def attraction_field(um: UMatrix, n_levels: int = 10) -> AttractionField:
+def attraction_field(um: UMatrix) -> AttractionField:
     if um.heights.shape[0] > 1:
         g_row = np.gradient(um.heights, axis=0)
     else:
@@ -272,8 +292,7 @@ def attraction_field(um: UMatrix, n_levels: int = 10) -> AttractionField:
         g_col = np.gradient(um.heights, axis=1)
     else:
         g_col = np.zeros_like(um.heights)
-    levels = np.quantile(um.heights, np.linspace(0.0, 1.0, n_levels))
-    return AttractionField(d_row=-g_row, d_col=-g_col, contour_levels=levels)
+    return AttractionField(d_row=-g_row, d_col=-g_col)
 
 
 def clusters(um: UMatrix, threshold: float | None = None) -> np.ndarray:

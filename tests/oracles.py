@@ -2,8 +2,9 @@
 
 Nothing here imports from the package's transform/clustering code paths:
 the CWT oracle is a direct double-loop quadrature of the defining sum, the
-spectral oracle is a plain FFT over one period, and the component oracle
-is union-find rather than the BFS used by the implementation.
+spectral oracle is a plain FFT over one period, the component oracle is
+union-find rather than the BFS used by the implementation, and the training
+oracle is a frozen copy of the plain broadcast SOM update loop.
 """
 
 import numpy as np
@@ -28,6 +29,34 @@ def reference_cwt(x, dt, scales, nu0=1.0, radius=5.0):
             acc = np.sum(x[mask] * conj_psi[mask]) * dt / np.sqrt(s)
             out[si, j] = np.abs(acc)
     return out
+
+
+def reference_train(weights, cols, data, epochs, alpha0, sigma0, sigma_end, kernel, seed):
+    """Online SOM training as the plain broadcast loop: per epoch a fresh
+    permutation from default_rng([seed, 1]), per presentation the BMU by
+    squared distance (ties to the lowest index) and the convex update
+    w <- (1-c)*w + c*x with c = alpha(t) * h(grid distance, sigma(t)).
+    kernel is "Gaussian" or "Bubble"; sigma0 is already resolved."""
+    W = np.array(weights, dtype=float)
+    X = np.asarray(data, dtype=float)
+    r, c = np.divmod(np.arange(len(W)), cols)
+    dist2 = ((r[:, None] - r[None, :]) ** 2 + (c[:, None] - c[None, :]) ** 2).astype(float)
+    rng = np.random.default_rng([seed, 1])
+    for t in range(epochs):
+        alpha = alpha0 * (1.0 - t / epochs)
+        sigma = sigma0 if epochs == 1 else sigma0 + (sigma_end - sigma0) * (t / (epochs - 1))
+        if kernel == "Gaussian":
+            h = np.exp(-dist2 / (2.0 * sigma * sigma))
+        else:
+            h = (dist2 <= sigma * sigma).astype(float)
+        coef_rows = alpha * h
+        for idx in rng.permutation(len(X)):
+            x = X[idx]
+            diff = W - x
+            coef = coef_rows[int(np.argmin(np.einsum("nd,nd->n", diff, diff)))]
+            W *= (1.0 - coef)[:, None]
+            W += coef[:, None] * x
+    return W
 
 
 def band_energy_above(samples, harmonic):

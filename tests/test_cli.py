@@ -12,6 +12,7 @@ from gaitsig.cli import main
 from gaitsig.config import ConfigError, config_from_dict, load_config
 from gaitsig.data import ingest_csv, write_csv
 from gaitsig.features import read_features_csv
+from gaitsig.pipeline import RUN_ARTIFACTS
 
 
 def small_config(**overrides):
@@ -228,6 +229,35 @@ class TestRunPipeline:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["run", "--config", str(cfg_path), "--out", str(fresh)]) == 0
         assert tree_bytes(out) == tree_bytes(fresh)
+
+    def test_failed_rerun_leaves_no_artifact_of_the_earlier_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("mine\n")
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("subject_id,label,joint,side,pct,angle_deg\ns1,Normal,Hip,Left,0.0,nan\n")
+        cfg_path = write_config(tmp_path, {"seed": 1, "input_csv": str(bad_csv)}, "bad.json")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.rglob("*")) == ["FAILED", "notes.txt", "resolved_config.json"]
+        assert (out / "notes.txt").read_text() == "mine\n"
+
+    def test_rerun_from_its_own_dataset_csv(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
+        before = tree_bytes(out)
+        doc = {"seed": 7, "input_csv": str(out / "dataset.csv"), "joints": ["Hip"], "sides": ["Right"],
+               "som": {"rows": 4, "cols": 4, "epochs": 30}, "loocv": True}
+        assert main(["run", "--config", str(write_config(tmp_path, doc, "again.json")), "--out", str(out)]) == 0
+        after = tree_bytes(out)
+        del before["resolved_config.json"], after["resolved_config.json"]
+        assert after == before
+
+    def test_run_artifacts_declare_every_file_a_run_writes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
+        declared = {p for patterns in RUN_ARTIFACTS.values() for pattern in patterns for p in out.glob(pattern)}
+        written = {p for p in out.rglob("*") if p.is_file()}
+        assert written - declared == {out / "resolved_config.json"}
 
     def test_failing_cwt_task_marks_cwt_stage(self, tmp_path, monkeypatch, capsys):
         def no_transform(*args):

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -189,6 +190,14 @@ class TestIngestCsv:
         with pytest.raises(SchemaError, match="uniform"):
             ingest_csv(path)
 
+    def test_short_grid_error_names_file_subject_and_part(self, tmp_path):
+        rows = [f"s1,Normal,Hip,Left,{float(p)!r},0.0" for p in (0, 50, 100)]
+        path = tmp_path / "d.csv"
+        _write_rows(path, rows)
+        message = f"{path}: subject 's1' Hip/Left angle_deg: grid_size must be >= 21, got 3"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path)
+
     def test_bad_joint_is_parse_error(self, tmp_path):
         rows = ["s1,Normal,Elbow,Left,0.0,0.0"]
         path = tmp_path / "d.csv"
@@ -300,3 +309,104 @@ class TestRoundTrip:
         )
         with pytest.raises(SchemaError, match="label"):
             ingest_json(tmp_path / "bad.json")
+
+
+def _manifest_entry(**fields):
+    entry = {
+        "subject_id": "s1",
+        "label": "Normal",
+        "trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [0.0] * 21}],
+    }
+    entry.update(fields)
+    return entry
+
+
+_PARTS = [(j.value, s.value) for j in Joint for s in Side]
+
+
+@st.composite
+def manifests(draw):
+    """JSON manifests with any id and label text, and now and then an
+    invalid field: a non-string id or label, a short or nested angle list."""
+    text = st.text(st.characters(exclude_categories=()), min_size=1, max_size=6)
+    odd_value = st.sampled_from([7, ["a"], ""])
+    angle = st.floats(-180.0, 180.0) | st.integers(-180, 180)
+    odd_angles = st.sampled_from([[[0.0] * 21], [0.0] * 20, ["x"] * 21])
+
+    def value():
+        return draw(odd_value if draw(st.integers(0, 19)) == 5 else text)
+
+    doc = []
+    for _ in range(draw(st.integers(1, 3))):
+        trajectories = [
+            {
+                "joint": joint,
+                "side": side,
+                "angle_deg": draw(
+                    odd_angles if draw(st.integers(0, 19)) == 5
+                    else st.lists(angle, min_size=21, max_size=30)
+                ),
+            }
+            for joint, side in draw(st.lists(st.sampled_from(_PARTS), min_size=1, max_size=2, unique=True))
+        ]
+        doc.append({"subject_id": value(), "label": value(), "trajectories": trajectories})
+    return doc
+
+
+class TestJsonManifest:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"subject_id": 7}, "subject_id must be a string, got int"),
+            ({"subject_id": ["a"]}, "subject_id must be a string, got list"),
+            ({"label": 7}, "label must be a string, got int"),
+            ({"label": None}, "label must be a string, got NoneType"),
+            ({"label": "\ud800"}, re.escape("label '\\ud800' is not valid UTF-8 text")),
+            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [0.0] * 20 + ["x"]}]},
+             "trajectory #0: angle_deg must be a flat list of numbers"),
+            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [[0.0] * 21]}]},
+             "trajectory #0: angle_deg must be a flat list of numbers"),
+            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [True] * 21}]},
+             "trajectory #0: angle_deg must be a flat list of numbers"),
+            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [0.0] * 20}]},
+             "Hip/Right angle_deg: grid_size must be >= 21, got 20"),
+        ],
+        ids=["int-id", "list-id", "int-label", "null-label", "surrogate-label", "text-angle", "nested-angle",
+             "bool-angle", "short-angle"],
+    )
+    def test_field_errors_name_file_subject_and_field(self, tmp_path, fields, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_manifest_entry(subject_id="s0"), _manifest_entry(**fields)]))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: subject #1:? {message}$"):
+            ingest_json(path)
+
+    def test_duplicate_subject_id_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_manifest_entry(), _manifest_entry()]))
+        with pytest.raises(SchemaError, match=r"subject #1: duplicate subject_id 's1'$"):
+            ingest_json(path)
+
+    def test_cli_reports_int_id_without_traceback(self, tmp_path, capsys):
+        from gaitsig.cli import main
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_manifest_entry(subject_id=7)]))
+        assert main(["ingest", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "subject #0: subject_id must be a string, got int" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=manifests())
+    def test_accepted_manifest_round_trips_through_dataset_csv(self, tmp_path_factory, doc):
+        tmp = tmp_path_factory.mktemp("manifest")
+        (tmp / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            subjects = ingest_json(tmp / "m.json")
+        except SchemaError:
+            return
+        write_csv(subjects, tmp / "dataset.csv")
+        again = ingest_csv(tmp / "dataset.csv")
+        assert [(s.id, s.label) for s in again] == [(e["subject_id"], ClassLabel(e["label"])) for e in doc]
+        for a, b in zip(subjects, again):
+            assert a.sorted_parts() == b.sorted_parts()
+            for key in a.trajectories:
+                assert a.trajectories[key].samples.tobytes() == b.trajectories[key].samples.tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaitsig.som import (
     BORDER,
@@ -27,7 +28,7 @@ from gaitsig.som import (
     write_umatrix_csv,
 )
 
-from oracles import same_partition, union_find_components
+from oracles import reference_train, same_partition, union_find_components
 
 
 def make_map(rows, cols, weights, trained=True, schedule=None):
@@ -38,6 +39,42 @@ def make_map(rows, cols, weights, trained=True, schedule=None):
         schedule=schedule or TrainSchedule(epochs=10).resolve(rows, cols),
         trained=trained,
     )
+
+
+def reference_weights(m0, data):
+    s = m0.schedule
+    return reference_train(
+        m0.weights, m0.cols, data, s.epochs, s.alpha0, s.sigma0, s.sigma_end,
+        s.kernel.value, s.rng_seed,
+    )
+
+
+# negatives, signed zeros, tiny normals and subnormals
+_train_values = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, -3e-301, 5e-324, -5e-324]),
+    st.floats(-1e-299, 1e-299),
+)
+
+
+@st.composite
+def training_cases(draw):
+    rows = draw(st.integers(1, 10))
+    cols = draw(st.integers(2 if rows == 1 else 1, 10))
+    dim = draw(st.integers(1, 40))
+    data = draw(hnp.arrays(float, (draw(st.integers(1, 8)), dim), elements=_train_values))
+    for j in draw(st.sets(st.integers(0, dim - 1), max_size=3)):
+        data[:, j] = draw(_train_values)  # constant column
+    kernel = draw(st.sampled_from(Kernel))
+    schedule = TrainSchedule(
+        epochs=draw(st.integers(1, 4)),
+        alpha0=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        sigma_end=draw(st.sampled_from([0.3, 1.0] + ([0.0] if kernel is Kernel.BUBBLE else []))),
+        kernel=kernel,
+        rng_seed=draw(st.integers(0, 2**16)),
+        init=draw(st.sampled_from(InitMode)),
+    )
+    return init(rows, cols, dim, schedule, samples=data), data
 
 
 class TestSchedule:
@@ -256,6 +293,36 @@ class TestTrain:
         assert np.all(out.weights >= lo - slack)
         assert np.all(out.weights <= hi + slack)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=training_cases())
+    def test_matches_reference_loop_bit_for_bit(self, case):
+        m0, data = case
+        assert train(m0, data).weights.tobytes() == reference_weights(m0, data).tobytes()
+
+    def test_signed_zeros_of_random_small_init_kept(self):
+        # RandomSmall on one sample draws uniform * 0 per column, so the
+        # map starts with -0.0 weights; an update that summed c*x onto
+        # +0.0 would leave 98 of them +0.0
+        data = np.random.default_rng(0).normal(size=(1, 31))
+        schedule = TrainSchedule(
+            epochs=25, kernel=Kernel.BUBBLE, init=InitMode.RANDOM_SMALL, rng_seed=5
+        )
+        m0 = init(7, 3, 31, schedule, samples=data)
+        out = train(m0, data).weights
+        assert np.count_nonzero(np.signbit(out) & (out == 0)) == 98
+        assert out.tobytes() == reference_weights(m0, data).tobytes()
+
+    def test_negative_subnormal_input_kept(self):
+        # at c = 1/2, both halves of -5e-324 round to -0.0, so their sum
+        # is -0.0 even though neither the map nor the data holds one
+        data = np.random.default_rng(0).normal(size=(6, 4))
+        data[:, 1] = -5e-324
+        schedule = TrainSchedule(epochs=5, init=InitMode.SAMPLE_INIT, rng_seed=5)
+        m0 = init(2, 3, 4, schedule, samples=data)
+        out = train(m0, data).weights
+        assert np.count_nonzero(np.signbit(out) & (out == 0)) == 5
+        assert out.tobytes() == reference_weights(m0, data).tobytes()
+
     def test_bmu_invariant_under_common_scaling(self):
         # powers of two scale exactly in binary floating point, so even
         # exact ties survive the scaling
@@ -346,15 +413,6 @@ class TestAttractionField:
                     dc = (heights[i, j + 1] - heights[i, j - 1]) / 2.0
                 assert field.d_row[i, j] == pytest.approx(-dr, abs=1e-12)
                 assert field.d_col[i, j] == pytest.approx(-dc, abs=1e-12)
-
-    def test_contour_levels_are_quantiles(self):
-        rng = np.random.default_rng(16)
-        heights = rng.uniform(0, 3, (4, 4))
-        field = attraction_field(UMatrix(heights=heights, threshold=1.0), n_levels=10)
-        assert len(field.contour_levels) == 10
-        assert field.contour_levels[0] == heights.min()
-        assert field.contour_levels[-1] == heights.max()
-        assert np.all(np.diff(field.contour_levels) >= 0)
 
 
 class TestClusters:
