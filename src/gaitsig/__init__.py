@@ -23,7 +23,7 @@ from .data import (
     resample,
     write_csv,
 )
-from .evaluate import EvalReport, LabeledMap, classify, kappa, label_map, loocv
+from .evaluate import EvalReport, kappa, label_nodes, loocv
 from .features import (
     FeatureVector,
     Level,

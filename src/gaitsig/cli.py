@@ -1,12 +1,11 @@
-"""Command-line interface. Each stage subcommand parses its flags and calls
-that stage's function in `pipeline`, so each can be scripted
-independently; `run` executes every stage from one config."""
+"""Command-line interface. Every subcommand reads the run-config document
+of its --config (or an empty one), writes each setting flag given over its
+config key, and runs the stage functions of `pipeline` with the result."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import data as gd
@@ -15,55 +14,89 @@ from . import features as ft
 from . import pipeline as pl
 from . import som as sm
 from . import wavelet as wv
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, config_from_dict, load_document, settings_from_dict
 
 
-def _parse_map_dims(text: str) -> tuple[int, int]:
+def _map_dims(text: str) -> tuple[int, int]:
     try:
         rows, cols = text.lower().split("x")
         return int(rows), int(cols)
     except ValueError:
-        raise ConfigError(f"--map-dims expects ROWSxCOLS, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects ROWSxCOLS, got {text!r}") from None
 
 
-def _parse_scales(text: str) -> wv.ScaleGrid:
+def _scales(text: str) -> dict:
     try:
         lo, hi, count = text.split(":")
-        return wv.ScaleGrid.default(count=int(count), lo=float(lo), hi=float(hi))
+        return {"min": float(lo), "max": float(hi), "count": int(count)}
     except ValueError:
-        raise ConfigError(f"--scales expects MIN:MAX:COUNT, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects MIN:MAX:COUNT, got {text!r}") from None
 
 
-def _input_config(path: str, **settings) -> RunConfig:
-    """A RunConfig whose input source is the dataset file at `path`: a JSON
-    manifest if it ends in .json, else a dataset CSV."""
-    if path.endswith(".json"):
-        return RunConfig(input_json=path, **settings)
-    return RunConfig(input_csv=path, **settings)
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.scales:
-        cfg = replace(cfg, scales=_parse_scales(args.scales))
-    if args.map_dims:
-        rows, cols = _parse_map_dims(args.map_dims)
-        cfg = replace(cfg, som_rows=rows, som_cols=cols)
-    if args.level:
-        cfg = replace(cfg, level=ft.Level(args.level))
-    if args.threshold is not None:
-        cfg = replace(cfg, cluster_threshold=args.threshold)
-    return cfg
+# Each setting flag: the config keys its value replaces (--map-dims gives
+# one value per key) and its argparse options. None has a default, so a
+# flag left out keeps the config's value.
+SETTING_FLAGS = {
+    "--seed": (("seed",), {"type": int}),
+    "--joints": (("joints",), {"type": _comma_list, "help": (
+        "comma list, e.g. Hip,Knee; without --config, cwt takes every joint and "
+        "side a subject has, the one stage default not in config.py")}),
+    "--sides": (("sides",), {"type": _comma_list, "help": "comma list, e.g. Right,Left"}),
+    "--nu0": (("wavelet.nu0",), {"type": float}),
+    "--truncation-radius": (("wavelet.truncation_radius",), {"type": float}),
+    "--boundary": (("wavelet.boundary",), {"choices": [b.value for b in wv.Boundary]}),
+    "--scales": (("wavelet.scales",), {"type": _scales, "help": "MIN:MAX:COUNT, log-spaced"}),
+    "--level": (("features.level",), {"choices": [l.value for l in ft.Level]}),
+    "--map-dims": (("som.rows", "som.cols"), {"type": _map_dims, "help": "ROWSxCOLS"}),
+    "--epochs": (("som.epochs",), {"type": int}),
+    "--kernel": (("som.kernel",), {"choices": [k.value for k in sm.Kernel]}),
+    "--init": (("som.init",), {"choices": [i.value for i in sm.InitMode]}),
+    "--threshold": (("cluster_threshold",), {"type": float, "help": "cluster threshold"}),
+    "--pgm": (("write_pgm",), {"action": argparse.BooleanOptionalAction}),
+}
+
+
+def _apply_overrides(doc: dict, args) -> dict:
+    """doc with the value of each setting flag given in place of its config
+    keys, and --input in place of doc's input source."""
+    for flag, (keys, _) in SETTING_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        for key, v in zip(keys, value if len(keys) > 1 else (value,)):
+            section, _, name = key.rpartition(".")
+            node = doc
+            if section:
+                node = doc[section] = dict(doc.get(section) or {})
+            node[name] = v
+    if getattr(args, "input", None) is not None:
+        for source in ("input_csv", "input_json", "synth"):
+            doc.pop(source, None)
+        doc["input_json" if args.input.endswith(".json") else "input_csv"] = args.input
+    return doc
+
+
+def _config(args, parse=config_from_dict, doc=None):
+    """A subcommand's settings: its --config document, else `doc`, else an
+    empty one, with its flags applied, parsed by `parse`."""
+    if getattr(args, "config", None) is not None:
+        doc = load_document(args.config)
+    return parse(_apply_overrides(doc or {}, args))
 
 
 def cmd_ingest(args) -> int:
     out = Path(args.out)
-    subjects = pl.write_dataset(_input_config(args.input), out)
+    subjects = pl.write_dataset(_config(args), out)
     print(f"ingested {len(subjects)} subjects -> {out / 'dataset.csv'}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = _config(args)
     if cfg.synth is None:
         raise ConfigError("config has no synth section")
     out = Path(args.out)
@@ -73,57 +106,43 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cwt(args) -> int:
-    cfg = _input_config(
-        args.input,
-        joints=tuple(gd.Joint(j) for j in args.joints.split(",")) if args.joints else tuple(gd.Joint),
-        sides=tuple(gd.Side(s) for s in args.sides.split(",")) if args.sides else tuple(gd.Side),
-        morlet=wv.MorletParams(nu0=args.nu0, truncation_radius=args.truncation_radius),
-        scales=_parse_scales(args.scales) if args.scales else wv.ScaleGrid.default(),
-        boundary=wv.Boundary(args.boundary),
-        write_pgm=args.pgm,
-    )
-    out = Path(args.out) / "scalograms"
+    every_part = {"joints": [j.value for j in gd.Joint], "sides": [s.value for s in gd.Side]}
+    cfg = _config(args, doc=every_part)
+    out = Path(args.out)
     count = pl.write_scalograms(pl.load_dataset(cfg), cfg, out)
-    print(f"wrote {count} scalograms -> {out}")
+    print(f"wrote {count} scalograms -> {out / 'scalograms'}")
     return 0
 
 
 def cmd_features(args) -> int:
+    cfg = _config(args, settings_from_dict)
     out = Path(args.out)
-    vectors = pl.write_features(args.scalograms, ft.Level(args.level), out)
+    vectors = pl.write_features(args.scalograms, cfg.level, out)
     print(f"wrote {len(vectors)} feature vectors -> {out / 'features.csv'}")
     return 0
 
 
-def _schedule_from_args(args) -> sm.TrainSchedule:
-    return sm.TrainSchedule(
-        epochs=args.epochs,
-        kernel=sm.Kernel(args.kernel),
-        init=sm.InitMode(args.init),
-        rng_seed=args.seed,
-    )
-
-
 def cmd_train(args) -> int:
+    cfg = _config(args, settings_from_dict)
     vectors = ft.read_features_csv(args.features)
-    rows, cols = _parse_map_dims(args.map_dims)
     out = Path(args.out)
-    _, ids = pl.write_map(vectors, rows, cols, _schedule_from_args(args), args.threshold, args.pgm, out)
-    print(f"trained {rows}x{cols} map on {len(vectors)} vectors; {pl.count_clusters(ids)} clusters -> {out}")
+    _, ids = pl.write_map(vectors, cfg, out)
+    print(
+        f"trained {cfg.som_rows}x{cfg.som_cols} map on {len(vectors)} vectors; "
+        f"{pl.count_clusters(ids)} clusters -> {out}"
+    )
     return 0
 
 
 def cmd_eval(args) -> int:
-    vectors = ft.read_features_csv(args.features)
-    rows, cols = _parse_map_dims(args.map_dims)
-    report = pl.write_eval(vectors, _schedule_from_args(args), rows, cols, Path(args.out))
+    cfg = _config(args, settings_from_dict)
+    report = pl.write_eval(ft.read_features_csv(args.features), cfg, Path(args.out))
     print(ev.format_report_table(report), end="")
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config, seed_override=args.seed), args)
-    result = pl.run_pipeline(cfg, args.out)
+    result = pl.run_pipeline(_config(args), args.out)
     if result.report is not None:
         print(
             f"recognition rate: {result.report.recognition_rate:.4f}  "
@@ -135,74 +154,46 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _subcommand(sub, name: str, func, help: str, paths: dict, settings=(), stage: bool = False) -> None:
+    """Add subcommand `name`, run by func: its path flags (flag: help), all
+    required, a stage's optional --config, and its setting flags."""
+    p = sub.add_parser(name, help=help)
+    for flag, text in paths.items():
+        p.add_argument(flag, required=True, help=text)
+    if stage:
+        p.add_argument("--config", help="run config JSON, as run reads it; the flags override it")
+    for flag in settings:
+        p.add_argument(flag, **SETTING_FLAGS[flag][1])
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaitsig",
         description="Gait signatures: Morlet scalograms of joint angles classified with a self-organizing map.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate a dataset and write it on the canonical grid")
-    p.add_argument("--input", required=True, help="dataset CSV or JSON manifest")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--config", required=True, help="run config JSON with a synth section")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("cwt", help="compute Morlet scalograms for a dataset")
-    p.add_argument("--input", required=True, help="dataset CSV or JSON manifest")
-    p.add_argument("--out", required=True)
-    p.add_argument("--scales", default=None, help="MIN:MAX:COUNT (default 1:25:12, log-spaced)")
-    p.add_argument("--nu0", type=float, default=1.0)
-    p.add_argument("--truncation-radius", type=float, default=5.0)
-    p.add_argument("--boundary", choices=[b.value for b in wv.Boundary], default="zero")
-    p.add_argument("--joints", default=None, help="comma list, e.g. Hip,Knee")
-    p.add_argument("--sides", default=None, help="comma list, e.g. Right,Left")
-    p.add_argument("--pgm", action=argparse.BooleanOptionalAction, default=True)
-    p.set_defaults(func=cmd_cwt)
-
-    p = sub.add_parser("features", help="extract feature vectors from scalogram CSVs")
-    p.add_argument("--scalograms", required=True, help="directory of scalogram_*.csv files")
-    p.add_argument("--out", required=True)
-    p.add_argument("--level", choices=[l.value for l in ft.Level], default="HighScale")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="train a SOM on a feature matrix")
-    p.add_argument("--features", required=True, help="features.csv path")
-    p.add_argument("--out", required=True)
-    p.add_argument("--map-dims", default="10x10", help="ROWSxCOLS")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--kernel", choices=[k.value for k in sm.Kernel], default="Gaussian")
-    p.add_argument("--init", choices=[i.value for i in sm.InitMode], default="SampleInit")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=None, help="cluster threshold (default: 60th percentile)")
-    p.add_argument("--pgm", action=argparse.BooleanOptionalAction, default=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="leave-one-out evaluation of a feature matrix")
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--map-dims", default="10x10")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--kernel", choices=[k.value for k in sm.Kernel], default="Gaussian")
-    p.add_argument("--init", choices=[i.value for i in sm.InitMode], default="SampleInit")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("run", help="run the whole pipeline from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scales", default=None, help="MIN:MAX:COUNT override")
-    p.add_argument("--map-dims", default=None, help="ROWSxCOLS override")
-    p.add_argument("--level", choices=[l.value for l in ft.Level], default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.set_defaults(func=cmd_run)
-
+    dataset = "dataset CSV or JSON manifest"
+    som = ("--map-dims", "--epochs", "--kernel", "--init", "--seed")
+    _subcommand(sub, "ingest", cmd_ingest, "validate a dataset and write it on the canonical grid",
+                {"--input": dataset, "--out": None})
+    _subcommand(sub, "synth", cmd_synth, "generate a synthetic labeled dataset",
+                {"--config": "run config JSON with a synth section", "--out": None}, ["--seed"])
+    _subcommand(sub, "cwt", cmd_cwt, "compute Morlet scalograms for a dataset",
+                {"--input": dataset + "; replaces the config's input", "--out": None},
+                ["--scales", "--nu0", "--truncation-radius", "--boundary", "--joints", "--sides", "--pgm"],
+                stage=True)
+    _subcommand(sub, "features", cmd_features, "extract feature vectors from scalogram CSVs",
+                {"--scalograms": "directory of scalogram_*.csv files", "--out": None},
+                ["--level"], stage=True)
+    _subcommand(sub, "train", cmd_train, "train a SOM on a feature matrix",
+                {"--features": "features.csv path", "--out": None},
+                [*som, "--threshold", "--pgm"], stage=True)
+    _subcommand(sub, "eval", cmd_eval, "leave-one-out evaluation of a feature matrix",
+                {"--features": "features.csv path", "--out": None}, som, stage=True)
+    _subcommand(sub, "run", cmd_run, "run the whole pipeline from a config file",
+                {"--config": "run config JSON", "--out": None},
+                ["--seed", "--scales", "--map-dims", "--level", "--threshold"])
     return parser
 
 

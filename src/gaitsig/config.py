@@ -4,7 +4,10 @@ A single JSON document holds every stage's parameters. Everything is
 validated up front (each parameter object enforces its own invariants), so
 a bad config fails before any computation starts, and the fully resolved
 form (all defaults and derived seeds filled in) is echoed back as JSON
-into the output directory for reproducibility checks.
+into the output directory for reproducibility checks. `config_from_dict`
+gives a RunConfig, which names exactly one input source;
+`settings_from_dict` gives its Settings alone, for a stage that reads no
+dataset.
 """
 
 from __future__ import annotations
@@ -79,11 +82,11 @@ class SynthSection:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class Settings:
+    """Every setting of a run but its input source: what the stage
+    subcommands that read no dataset (features, train, eval) run with."""
+
     seed: int = 0
-    input_csv: str | None = None
-    input_json: str | None = None
-    synth: SynthSection | None = None
     joints: tuple[Joint, ...] = (Joint.HIP,)
     sides: tuple[Side, ...] = (Side.RIGHT, Side.LEFT)
     morlet: MorletParams = field(default_factory=MorletParams)
@@ -99,11 +102,6 @@ class RunConfig:
     loocv: bool = True
 
     def __post_init__(self) -> None:
-        sources = sum(x is not None for x in (self.input_csv, self.input_json, self.synth))
-        if sources == 0:
-            raise ConfigError("config needs an input: input_csv, input_json, or synth")
-        if sources > 1:
-            raise ConfigError("config must name exactly one input source")
         if not self.joints or not self.sides:
             raise ConfigError("joints and sides must be non-empty")
         if self.som_rows * self.som_cols < 2:
@@ -112,6 +110,23 @@ class RunConfig:
             object.__setattr__(
                 self, "schedule", self.schedule.resolve(self.som_rows, self.som_cols)
             )
+
+
+@dataclass(frozen=True)
+class RunConfig(Settings):
+    """The settings of a run and its one input source."""
+
+    input_csv: str | None = None
+    input_json: str | None = None
+    synth: SynthSection | None = None
+
+    def __post_init__(self) -> None:
+        sources = sum(x is not None for x in (self.input_csv, self.input_json, self.synth))
+        if sources == 0:
+            raise ConfigError("config needs an input: input_csv, input_json, or synth")
+        if sources > 1:
+            raise ConfigError("config must name exactly one input source")
+        super().__post_init__()
 
 
 def _template_from_doc(doc, where: str):
@@ -177,7 +192,9 @@ def _scales_from_doc(doc, where: str) -> ScaleGrid:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
+def _parse(doc: Mapping[str, Any]) -> tuple[dict, dict]:
+    """A run-config document, every key checked and every default filled
+    in, as Settings and input-source keyword arguments."""
     _require_keys(
         doc,
         {"seed", "input_csv", "input_json", "synth", "joints", "sides", "wavelet",
@@ -225,11 +242,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         )
 
         threshold = doc.get("cluster_threshold")
-        return RunConfig(
+        settings = dict(
             seed=seed,
-            input_csv=doc.get("input_csv"),
-            input_json=doc.get("input_json"),
-            synth=synth,
             joints=tuple(Joint(j) for j in doc.get("joints", ["Hip"])),
             sides=tuple(Side(s) for s in doc.get("sides", ["Right", "Left"])),
             morlet=morlet,
@@ -244,10 +258,24 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
             write_pgm=bool(doc.get("write_pgm", True)),
             loocv=bool(doc.get("loocv", True)),
         )
+        sources = dict(input_csv=doc.get("input_csv"), input_json=doc.get("input_json"), synth=synth)
+        return settings, sources
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def settings_from_dict(doc: Mapping[str, Any]) -> Settings:
+    """The settings of a run-config document, which is validated in full
+    but need not name an input source."""
+    settings, _ = _parse(doc)
+    return Settings(**settings)
+
+
+def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
+    settings, sources = _parse(doc)
+    return RunConfig(**settings, **sources)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -304,7 +332,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
-def load_config(path, seed_override: int | None = None) -> RunConfig:
+def load_document(path) -> dict:
+    """The JSON object of a run-config file, not yet validated."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -312,9 +341,13 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    return doc
+
+
+def load_config(path, seed_override: int | None = None) -> RunConfig:
+    doc = load_document(path)
     if seed_override is not None:
         # sections with rng_seed: null derive their seed from this value
-        doc = dict(doc)
         doc["seed"] = seed_override
     return config_from_dict(doc)
 

@@ -424,25 +424,3 @@ def ingest_json(path) -> list[Subject]:
             raise SchemaError(f"{where}: no trajectories")
         subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, meta, where))
     return subjects
-
-
-def write_json(subjects: Sequence[Subject], path) -> None:
-    doc = [
-        {
-            "subject_id": subj.id,
-            "label": subj.label.value,
-            "meta": dict(subj.meta),
-            "trajectories": [
-                {
-                    "joint": joint.value,
-                    "side": side.value,
-                    "angle_deg": [float(v) for v in subj.trajectories[(joint, side)].samples],
-                }
-                for joint, side in subj.sorted_parts()
-            ],
-        }
-        for subj in subjects
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

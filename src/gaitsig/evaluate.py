@@ -20,27 +20,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import ClassLabel
 from .features import FeatureVector
 from .pool import fork_map
-from .som import SomMap, TrainSchedule, best_match, clusters, init, train, umatrix
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledMap:
-    som: SomMap
-    node_labels: tuple[ClassLabel, ...]
-    cluster_ids: np.ndarray  # node -> cluster id (BORDER for ridge nodes)
-    cluster_labels: Mapping[int, ClassLabel]
-
-    def __post_init__(self) -> None:
-        if len(self.node_labels) != self.som.n_nodes:
-            raise ValueError("need one label per node")
-        object.__setattr__(self, "cluster_labels", dict(self.cluster_labels))
+from .som import SomMap, TrainSchedule, best_match, init, train
 
 
 def _majority(labels: Sequence[ClassLabel]) -> ClassLabel:
@@ -49,11 +36,10 @@ def _majority(labels: Sequence[ClassLabel]) -> ClassLabel:
     return min(lab for lab, c in counts.items() if c == top)
 
 
-def _label_nodes(
-    som: SomMap, training: Sequence[FeatureVector]
-) -> tuple[tuple[ClassLabel, ...], list[int]]:
-    """Node labels (majority vote per node, nearest-labeled-node
-    inheritance for empty nodes) and each training vector's best match."""
+def label_nodes(som: SomMap, training: Sequence[FeatureVector]) -> tuple[ClassLabel, ...]:
+    """Node labels: the majority label of the training vectors each node
+    best matches, and for a node that matches none, the label of the
+    nearest labeled node."""
     if not som.trained:
         raise RuntimeError("cannot label an untrained map")
     if not training:
@@ -62,11 +48,8 @@ def _label_nodes(
         raise ValueError("training vectors must be labeled")
 
     hits: dict[int, list[ClassLabel]] = {}
-    bmus = []
     for fv in training:
-        node = best_match(som, fv.values)
-        bmus.append(node)
-        hits.setdefault(node, []).append(fv.label)
+        hits.setdefault(best_match(som, fv.values), []).append(fv.label)
 
     node_labels: list[ClassLabel | None] = [None] * som.n_nodes
     for node, labs in hits.items():
@@ -80,35 +63,7 @@ def _label_nodes(
             # argmin takes the first minimum; `labeled` is sorted row-major,
             # so grid-distance ties resolve to the lowest node index
             node_labels[i] = node_labels[labeled[int(np.argmin(d2))]]
-    return tuple(node_labels), bmus
-
-
-def label_map(som: SomMap, training: Sequence[FeatureVector]) -> LabeledMap:
-    """Label every node from the training set (majority vote per node,
-    nearest-labeled-node inheritance for empty nodes) and give each
-    U-Matrix cluster its majority label."""
-    node_labels, bmus = _label_nodes(som, training)
-
-    ids = clusters(umatrix(som))
-    flat_ids = ids.reshape(-1)
-    cluster_hits: dict[int, list[ClassLabel]] = {}
-    for fv, node in zip(training, bmus):
-        cid = int(flat_ids[node])
-        if cid >= 0:
-            cluster_hits.setdefault(cid, []).append(fv.label)
-    cluster_labels = {cid: _majority(labs) for cid, labs in sorted(cluster_hits.items())}
-
-    return LabeledMap(
-        som=som,
-        node_labels=node_labels,
-        cluster_ids=ids,
-        cluster_labels=cluster_labels,
-    )
-
-
-def classify(lm: LabeledMap, x: FeatureVector | np.ndarray) -> ClassLabel:
-    values = np.asarray(getattr(x, "values", x), dtype=float)
-    return lm.node_labels[best_match(lm.som, values)]
+    return tuple(node_labels)
 
 
 def kappa(confusion: np.ndarray) -> float:
@@ -166,8 +121,7 @@ def _fold(
     fold_schedule = replace(schedule, rng_seed=schedule.rng_seed + i)
     som = init(rows, cols, x_train.shape[1], fold_schedule, samples=x_train)
     som = train(som, x_train)
-    node_labels, _ = _label_nodes(som, training)
-    return node_labels[best_match(som, data[i].values)]
+    return label_nodes(som, training)[best_match(som, data[i].values)]
 
 
 def loocv(

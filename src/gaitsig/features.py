@@ -61,9 +61,6 @@ class Regions:
     col_split: int           # last stance column index (inclusive)
     row_split: int           # first high-scale row index
 
-    def numbered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.stance_low, self.swing_low, self.swing_high, self.stance_high)
-
 
 def split_regions(sc: Scalogram, split: RegionSplit | None = None) -> Regions:
     """Partition the scalogram into the four regions (exact tiling)."""

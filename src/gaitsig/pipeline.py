@@ -23,14 +23,15 @@ from . import pgm
 from . import som as sm
 from . import synth
 from . import wavelet as wv
-from .config import ConfigError, RunConfig, write_resolved_config
+from .config import ConfigError, RunConfig, Settings, write_resolved_config
 from .pool import fork_map
 
 
-# The files each of run_pipeline's stages writes, as glob patterns under its
-# output directory. A run deletes every match but its own input file before
-# its first stage, so a failed rerun leaves no artifact of an earlier run;
-# files that match none stay, since they may be the user's.
+# The files each stage writes, as glob patterns under its output directory.
+# A stage deletes every match but its own input file before it starts, and
+# a run does so for every stage before its first, so a failed rerun leaves
+# no artifact of an earlier run; files that match none stay, since they may
+# be the user's.
 RUN_ARTIFACTS = {
     "dataset": ("dataset.csv",),
     "cwt": ("scalograms/scalogram_*.csv", "scalograms/scalogram_*.pgm"),
@@ -38,6 +39,16 @@ RUN_ARTIFACTS = {
     "train": ("som.json", "umatrix.csv", "umatrix.pgm", "attraction.csv", "clusters.csv"),
     "eval": ("eval.json", "eval.txt", "confusion.csv"),
 }
+
+
+def remove_artifacts(stage: str, out_dir: Path, inputs=()) -> None:
+    """Delete the files under out_dir that `stage` writes, except the
+    input files named in `inputs` (None names none)."""
+    keep = {Path(p).resolve() for p in inputs if p is not None}
+    for pattern in RUN_ARTIFACTS[stage]:
+        for path in out_dir.glob(pattern):
+            if path.resolve() not in keep:
+                path.unlink()
 
 
 class StageError(RuntimeError):
@@ -66,6 +77,7 @@ def load_dataset(cfg: RunConfig) -> list[gd.Subject]:
 def write_dataset(cfg: RunConfig, out_dir: Path) -> list[gd.Subject]:
     """The dataset stage: load cfg's input source and write it on the
     canonical grid as out_dir/dataset.csv."""
+    remove_artifacts("dataset", out_dir, (cfg.input_csv, cfg.input_json))
     subjects = load_dataset(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     gd.write_csv(subjects, out_dir / "dataset.csv")
@@ -88,7 +100,7 @@ def scalogram_stems(subjects: list[gd.Subject]) -> dict[str, str]:
 
 
 def _cwt_subject(
-    cfg: RunConfig,
+    cfg: Settings,
     out_dir: Path,
     job: tuple[gd.Subject, str, list[tuple[gd.Joint, gd.Side]]],
 ) -> int:
@@ -106,11 +118,11 @@ def _cwt_subject(
     return len(parts)
 
 
-def write_scalograms(subjects: list[gd.Subject], cfg: RunConfig, out_dir: Path) -> int:
+def write_scalograms(subjects: list[gd.Subject], cfg: Settings, out_dir: Path) -> int:
     """The cwt stage: the scalograms of each subject's parts among
     cfg.joints x cfg.sides, one pool task per subject, written under
-    out_dir. Scalogram files there that this stage does not write are
-    deleted first. Returns the number of scalograms."""
+    out_dir/scalograms. Returns the number of scalograms."""
+    remove_artifacts("cwt", out_dir)
     stems = scalogram_stems(subjects)
     jobs = [
         (
@@ -120,18 +132,9 @@ def write_scalograms(subjects: list[gd.Subject], cfg: RunConfig, out_dir: Path) 
         )
         for subj in subjects
     ]
-    suffixes = (".csv", ".pgm") if cfg.write_pgm else (".csv",)
-    written = {
-        f"scalogram_{stem}_{joint.value}_{side.value}{suffix}"
-        for _, stem, parts in jobs
-        for joint, side in parts
-        for suffix in suffixes
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in out_dir.glob("scalogram_*"):
-        if path.suffix in (".csv", ".pgm") and path.name not in written:
-            path.unlink()
-    return sum(fork_map(partial(_cwt_subject, cfg, out_dir), jobs))
+    scalogram_dir = out_dir / "scalograms"
+    scalogram_dir.mkdir(parents=True, exist_ok=True)
+    return sum(fork_map(partial(_cwt_subject, cfg, scalogram_dir), jobs))
 
 
 def _part_vector(split: ft.RegionSplit, path: Path) -> ft.FeatureVector:
@@ -149,6 +152,7 @@ def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> list[ft.Fea
     scalogram CSVs under scalogram_dir, one pool task per file, its parts
     combined in canonical order. Every subject must have the same parts.
     Writes out_dir/features.csv in subject-id order and returns its rows."""
+    remove_artifacts("features", out_dir)
     paths = sorted(Path(scalogram_dir).glob("scalogram_*.csv"))
     if not paths:
         raise ConfigError(f"no scalogram_*.csv files under {scalogram_dir}")
@@ -167,31 +171,26 @@ def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> list[ft.Fea
     return vectors
 
 
-def write_map(
-    vectors,
-    rows: int,
-    cols: int,
-    schedule: sm.TrainSchedule,
-    threshold: float | None,
-    write_pgm: bool,
-    out_dir: Path,
-) -> tuple[sm.SomMap, np.ndarray]:
-    """The train stage: a rows x cols SOM trained on the vectors' values,
-    written with its U-Matrix, attraction field and clusters under
-    out_dir. Without write_pgm an earlier umatrix.pgm is deleted. Returns
-    the map and the per-node cluster ids."""
-    x = np.stack([v.values for v in vectors])
-    som_map = sm.train(sm.init(rows, cols, x.shape[1], schedule, samples=x), x)
+def _som_input(vectors, cfg: Settings):
+    return ft.standardize(vectors) if cfg.zscore else vectors
+
+
+def write_map(vectors, cfg: Settings, out_dir: Path) -> tuple[sm.SomMap, np.ndarray]:
+    """The train stage: a cfg.som_rows x cfg.som_cols SOM trained on the
+    vectors' values (z-scored with cfg.zscore), written with its U-Matrix,
+    attraction field and clusters under out_dir. Returns the map and the
+    per-node cluster ids."""
+    remove_artifacts("train", out_dir)
+    x = np.stack([v.values for v in _som_input(vectors, cfg)])
+    som_map = sm.train(sm.init(cfg.som_rows, cfg.som_cols, x.shape[1], cfg.schedule, samples=x), x)
     out_dir.mkdir(parents=True, exist_ok=True)
     sm.save_map_json(som_map, out_dir / "som.json")
     um = sm.umatrix(som_map)
     sm.write_umatrix_csv(um, out_dir / "umatrix.csv")
-    if write_pgm:
+    if cfg.write_pgm:
         pgm.write_pgm(um.heights, out_dir / "umatrix.pgm")
-    else:
-        (out_dir / "umatrix.pgm").unlink(missing_ok=True)
     sm.write_attraction_csv(sm.attraction_field(um), out_dir / "attraction.csv")
-    cluster_ids = sm.clusters(um, threshold)
+    cluster_ids = sm.clusters(um, cfg.cluster_threshold)
     sm.write_clusters_csv(cluster_ids, out_dir / "clusters.csv")
     return som_map, cluster_ids
 
@@ -201,12 +200,12 @@ def count_clusters(cluster_ids: np.ndarray) -> int:
     return len(set(cluster_ids[cluster_ids >= 0].tolist()))
 
 
-def write_eval(
-    vectors, schedule: sm.TrainSchedule, rows: int, cols: int, out_dir: Path
-) -> ev.EvalReport:
-    """The eval stage: leave-one-out validation of rows x cols maps,
-    written as eval.json, eval.txt and confusion.csv under out_dir."""
-    report = ev.loocv(vectors, schedule, rows=rows, cols=cols)
+def write_eval(vectors, cfg: Settings, out_dir: Path) -> ev.EvalReport:
+    """The eval stage: leave-one-out validation of cfg.som_rows x
+    cfg.som_cols maps on the vectors (z-scored with cfg.zscore), written
+    as eval.json, eval.txt and confusion.csv under out_dir."""
+    remove_artifacts("eval", out_dir)
+    report = ev.loocv(_som_input(vectors, cfg), cfg.schedule, rows=cfg.som_rows, cols=cfg.som_cols)
     out_dir.mkdir(parents=True, exist_ok=True)
     ev.write_report_json(report, out_dir / "eval.json")
     ev.write_report_table(report, out_dir / "eval.txt")
@@ -248,12 +247,9 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "FAILED").unlink(missing_ok=True)
-    inputs = {Path(p).resolve() for p in (cfg.input_csv, cfg.input_json) if p is not None}
-    for patterns in RUN_ARTIFACTS.values():
-        for pattern in patterns:
-            for path in out_dir.glob(pattern):
-                if path.resolve() not in inputs:  # e.g. an earlier run's dataset.csv
-                    path.unlink()
+    for stage in RUN_ARTIFACTS:
+        # keeps the run's input, e.g. an earlier run's dataset.csv
+        remove_artifacts(stage, out_dir, (cfg.input_csv, cfg.input_json))
     scalogram_dir = out_dir / "scalograms"
     if scalogram_dir.is_dir() and not any(scalogram_dir.iterdir()):
         scalogram_dir.rmdir()
@@ -270,21 +266,17 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
                         raise ValueError(
                             f"subject {subj.id!r} lacks a {joint.value}/{side.value} trajectory"
                         )
-        write_scalograms(subjects, cfg, out_dir / "scalograms")
+        write_scalograms(subjects, cfg, out_dir)
 
     with _stage("features", out_dir):
         vectors = write_features(out_dir / "scalograms", cfg.level, out_dir)
 
     with _stage("train", out_dir):
-        classifier_input = ft.standardize(vectors) if cfg.zscore else vectors
-        som_map, cluster_ids = write_map(
-            classifier_input, cfg.som_rows, cfg.som_cols, cfg.schedule,
-            cfg.cluster_threshold, cfg.write_pgm, out_dir,
-        )
+        som_map, cluster_ids = write_map(vectors, cfg, out_dir)
 
     report = None
     if cfg.loocv:
         with _stage("eval", out_dir):
-            report = write_eval(classifier_input, cfg.schedule, cfg.som_rows, cfg.som_cols, out_dir)
+            report = write_eval(vectors, cfg, out_dir)
 
     return PipelineResult(vectors=vectors, som=som_map, cluster_ids=cluster_ids, report=report)

@@ -121,15 +121,6 @@ class Scalogram:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time_axis", taxis)
 
-    def interior_mask(self, n_sigma: float = 2.0) -> np.ndarray:
-        """Boolean (scale x time) mask of the region unaffected by the
-        record boundaries: True where the wavelet envelope out to n_sigma
-        scaled standard deviations lies inside [0, 100]. The complement is
-        the boundary cone."""
-        half = n_sigma * self.scale_axis.scales[:, None]
-        t = self.time_axis[None, :]
-        return (t - half >= self.time_axis[0]) & (t + half <= self.time_axis[-1])
-
 
 def morlet(t, params: MorletParams | None = None):
     """Evaluate the Morlet mother wavelet; complex, vectorized over t."""

@@ -3,8 +3,9 @@
 Nothing here imports from the package's transform/clustering code paths:
 the CWT oracle is a direct double-loop quadrature of the defining sum, the
 spectral oracle is a plain FFT over one period, the component oracle is
-union-find rather than the BFS used by the implementation, and the training
-oracle is a frozen copy of the plain broadcast SOM update loop.
+union-find rather than the BFS used by the implementation, the training
+oracle is a frozen copy of the plain broadcast SOM update loop, and the
+node-labelling oracle is a per-node loop over plain Python sums.
 """
 
 import numpy as np
@@ -122,3 +123,35 @@ def same_partition(a, b):
         if fwd.setdefault(int(x), int(y)) != y or bwd.setdefault(int(y), int(x)) != x:
             return False
     return True
+
+
+def reference_best_match(weights, x):
+    """Index of the row of weights nearest x; the first one on ties."""
+    dists = [
+        sum((float(w) - float(v)) * (float(w) - float(v)) for w, v in zip(row, x))
+        for row in weights
+    ]
+    return dists.index(min(dists))
+
+
+def reference_label_nodes(weights, cols, data, labels):
+    """Node labels of a map with these (row-major) node weights: each node
+    the most frequent label among the vectors it best matches (the lowest
+    label on ties); a node none matches takes the label of the matched node
+    nearest on the grid (the lowest index on ties)."""
+    hits = {}
+    for x, label in zip(data, labels):
+        hits.setdefault(reference_best_match(weights, x), []).append(label)
+
+    def majority(labs):
+        return min(labs, key=lambda lab: (-labs.count(lab), lab))
+
+    def grid_dist2(a, b):
+        (ra, ca), (rb, cb) = divmod(a, cols), divmod(b, cols)
+        return (ra - rb) ** 2 + (ca - cb) ** 2
+
+    return [
+        majority(hits[node]) if node in hits
+        else majority(hits[min(sorted(hits), key=lambda k: grid_dist2(k, node))])
+        for node in range(len(weights))
+    ]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from gaitsig import features, wavelet
-from gaitsig.cli import main
+from gaitsig.cli import SETTING_FLAGS, build_parser, main
 from gaitsig.config import ConfigError, config_from_dict, load_config
 from gaitsig.data import ingest_csv, write_csv
 from gaitsig.features import read_features_csv
@@ -35,6 +36,17 @@ def small_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# Settings the stagewise chain must reproduce; None runs it on flags alone.
+STAGEWISE_CASES = {
+    "flags": None,
+    "default": {},
+    "zscore": {"features": {"zscore": True}},
+    "bubble": {"som": {"kernel": "Bubble"}},
+    "random_small": {"som": {"init": "RandomSmall"}},
+    "alpha_sigma": {"som": {"alpha0": 0.3, "sigma0": 3.0, "sigma_end": 1.0}},
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -313,31 +325,75 @@ class TestSubcommandChain:
         report = json.loads((d / "eval.json").read_text())
         assert report["recognition_rate"] >= 0.9
 
-    def test_stagewise_matches_run_artifacts(self, tmp_path):
-        # the chained stages and the all-in-one run produce identical
-        # features, map, and report
-        cfg_path = write_config(tmp_path, small_config())
-        run_dir, stage_dir = tmp_path / "run", tmp_path / "stage"
+    @pytest.mark.parametrize("case", list(STAGEWISE_CASES))
+    def test_stagewise_matches_run_artifacts(self, tmp_path, case):
+        # the chained stages and the all-in-one run write identical
+        # artifacts, whether the stages read run's config or only flags
+        doc = small_config()
+        for section, values in (STAGEWISE_CASES[case] or {}).items():
+            doc[section] = {**doc.get(section, {}), **values}
+        cfg_path = write_config(tmp_path, doc)
+        run_dir, d = tmp_path / "run", tmp_path / "stage"
+        if STAGEWISE_CASES[case] is None:
+            cwt_flags, feature_flags = ["--joints", "Hip", "--sides", "Right"], []
+            som_flags = ["--map-dims", "4x4", "--epochs", "30", "--seed", "7"]
+        else:
+            cwt_flags = feature_flags = som_flags = ["--config", str(cfg_path)]
         assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
-        assert main(["synth", "--config", str(cfg_path), "--out", str(stage_dir)]) == 0
-        assert main([
-            "cwt", "--input", str(stage_dir / "dataset.csv"), "--out", str(stage_dir),
-            "--joints", "Hip", "--sides", "Right",
-        ]) == 0
-        assert main([
-            "features", "--scalograms", str(stage_dir / "scalograms"), "--out", str(stage_dir),
-        ]) == 0
-        assert main([
-            "train", "--features", str(stage_dir / "features.csv"), "--out", str(stage_dir),
-            "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
-        ]) == 0
-        assert main([
-            "eval", "--features", str(stage_dir / "features.csv"), "--out", str(stage_dir),
-            "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
-        ]) == 0
-        for name in ("features.csv", "som.json", "umatrix.csv", "umatrix.pgm", "attraction.csv",
-                     "clusters.csv", "eval.json", "eval.txt", "confusion.csv"):
-            assert (run_dir / name).read_bytes() == (stage_dir / name).read_bytes(), name
+        assert main(["synth", "--config", str(cfg_path), "--out", str(d)]) == 0
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), *cwt_flags]) == 0
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d), *feature_flags]) == 0
+        for stage in ("train", "eval"):
+            assert main([stage, "--features", str(d / "features.csv"), "--out", str(d), *som_flags]) == 0
+        expected = tree_bytes(run_dir)
+        del expected["resolved_config.json"]
+        assert tree_bytes(d) == expected
+        som = json.loads((d / "som.json").read_text())
+        for key, value in doc["som"].items():
+            assert som.get(key, som["schedule"].get(key)) == value, key
+        if doc.get("features", {}).get("zscore"):
+            # every node is a blend of z-scored vectors, each of mean 0
+            assert np.abs(np.reshape(som["weights"], (-1, som["dim"])).mean(axis=1)).max() < 1e-9
+
+    def test_cwt_input_replaces_config_source(self, tmp_path):
+        cfg_path = write_config(tmp_path, small_config())
+        d = tmp_path / "stage"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(d)]) == 0
+        missing = write_config(tmp_path, {"input_json": str(tmp_path / "none.json"), "joints": ["Knee"]}, "m.json")
+        for config, part, count in ((cfg_path, "_Hip_Right", 8), (missing, "_Knee_", 16)):
+            assert main(["cwt", "--config", str(config), "--input", str(d / "dataset.csv"), "--out", str(d)]) == 0
+            names = [p.name for p in (d / "scalograms").glob("scalogram_*.csv")]
+            assert len(names) == count and all(part in n for n in names)
+
+    def test_stage_config_validated_in_full(self, tmp_path, capsys):
+        doc = small_config()
+        doc["synth"]["typo"] = 1
+        cfg_path = str(write_config(tmp_path, doc))
+        for stage, path_flag in (("features", "--scalograms"), ("train", "--features"), ("eval", "--features")):
+            assert main([stage, path_flag, str(tmp_path), "--out", str(tmp_path), "--config", cfg_path]) == 1
+            assert "synth: unknown keys ['typo']" in capsys.readouterr().err
+
+    def test_failed_eval_leaves_no_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
+        som_flags = ["--map-dims", "4x4", "--epochs", "30", "--seed", "7"]
+        assert main(["eval", "--features", str(out / "features.csv"), "--out", str(out), *som_flags]) == 0
+        normal = [v for v in read_features_csv(out / "features.csv") if v.label.value == "Normal"]
+        features.write_features_csv(normal, tmp_path / "normal.csv")
+        assert main(["eval", "--features", str(tmp_path / "normal.csv"), "--out", str(out), *som_flags]) == 1
+        assert "single-class" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in ("eval.json", "eval.txt", "confusion.csv"))
+
+    def test_setting_flags_default_to_none(self):
+        # a default lives only in config.py, and every setting flag
+        # reaches the config through SETTING_FLAGS
+        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        paths = {"-h", "--out", "--input", "--features", "--scalograms", "--config"}
+        for name, parser in subcommands.choices.items():
+            for action in parser._actions:
+                flag = action.option_strings[0]
+                if flag not in paths:
+                    assert action.default is None and flag in SETTING_FLAGS, (name, flag)
 
     def test_train_without_pgm_removes_old_umatrix_pgm(self, tmp_path):
         out = tmp_path / "out"
@@ -416,6 +472,9 @@ class TestSubcommandChain:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         main(["synth", "--config", str(cfg_path), "--out", str(d1)])
         assert main(["ingest", "--input", str(d1 / "dataset.csv"), "--out", str(d2)]) == 0
+        assert (d1 / "dataset.csv").read_bytes() == (d2 / "dataset.csv").read_bytes()
+        # in place: the dataset stage never deletes its own input
+        assert main(["ingest", "--input", str(d2 / "dataset.csv"), "--out", str(d2)]) == 0
         assert (d1 / "dataset.csv").read_bytes() == (d2 / "dataset.csv").read_bytes()
 
     def test_unknown_option_usage_error(self, capsys):

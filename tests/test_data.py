@@ -21,10 +21,32 @@ from gaitsig.data import (
     ingest_json,
     resample,
     write_csv,
-    write_json,
 )
 
 from conftest import make_traj
+
+
+def write_json(subjects, path) -> None:
+    """Write subjects as a JSON manifest, the form ingest_json reads."""
+    doc = [
+        {
+            "subject_id": subj.id,
+            "label": subj.label.value,
+            "meta": dict(subj.meta),
+            "trajectories": [
+                {
+                    "joint": joint.value,
+                    "side": side.value,
+                    "angle_deg": [float(v) for v in subj.trajectories[(joint, side)].samples],
+                }
+                for joint, side in subj.sorted_parts()
+            ],
+        }
+        for subj in subjects
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class TestGaitTrajectory:

@@ -11,15 +11,16 @@ from gaitsig.data import ClassLabel, NORMAL, POLIO
 from gaitsig.evaluate import (
     EvalReport,
     FoldRecord,
-    classify,
     format_report_table,
     kappa,
-    label_map,
+    label_nodes,
     loocv,
     write_confusion_csv,
     write_report_json,
 )
-from gaitsig.som import InitMode, SomMap, TrainSchedule, init, train
+from gaitsig.som import InitMode, SomMap, TrainSchedule, best_match, init, train
+
+from oracles import reference_best_match, reference_label_nodes
 
 A = ClassLabel("Normal")
 B = ClassLabel("Polio")
@@ -102,8 +103,8 @@ class TestKappa:
 class TestLabelMap:
     def test_single_label_covers_all_nodes(self):
         m = make_map(2, 2, np.array([[0.0], [1.0], [2.0], [3.0]]))
-        lm = label_map(m, [Vec(np.array([0.1]), "a", A), Vec(np.array([2.9]), "b", A)])
-        assert all(lab == A for lab in lm.node_labels)
+        labels = label_nodes(m, [Vec(np.array([0.1]), "a", A), Vec(np.array([2.9]), "b", A)])
+        assert all(lab == A for lab in labels)
 
     def test_one_vector_per_node_keeps_own_label(self):
         labels = [ClassLabel(v) for v in ("Normal", "CP-dp", "Polio", "SpinaBifida")]
@@ -111,8 +112,7 @@ class TestLabelMap:
         training = [
             Vec(np.array([10.0 * i]), f"s{i}", lab) for i, lab in enumerate(labels)
         ]
-        lm = label_map(m, training)
-        assert list(lm.node_labels) == labels
+        assert list(label_nodes(m, training)) == labels
 
     def test_majority_tie_takes_lowest_class_order(self):
         m = make_map(1, 2, np.array([[0.0], [100.0]]))
@@ -122,8 +122,7 @@ class TestLabelMap:
             Vec(np.array([-0.1]), "c", NORMAL),
             Vec(np.array([0.2]), "d", NORMAL),
         ]
-        lm = label_map(m, training)
-        assert lm.node_labels[0] == NORMAL  # Normal sorts before Polio
+        assert label_nodes(m, training)[0] == NORMAL  # Normal sorts before Polio
 
     def test_empty_node_inherits_nearest_by_row_major_tie(self):
         # node 1 is grid-equidistant from labeled nodes 0 and 2: the lower
@@ -133,61 +132,46 @@ class TestLabelMap:
             Vec(np.array([0.0]), "a", POLIO),
             Vec(np.array([100.0]), "b", NORMAL),
         ]
-        lm = label_map(m, training)
-        assert lm.node_labels[0] == POLIO
-        assert lm.node_labels[1] == POLIO  # inherited from node 0
-        assert lm.node_labels[2] == NORMAL
+        labels = label_nodes(m, training)
+        assert labels[0] == POLIO
+        assert labels[1] == POLIO  # inherited from node 0
+        assert labels[2] == NORMAL
 
     def test_untrained_map_is_state_error(self):
         m = make_map(1, 2, np.array([[0.0], [1.0]]), trained=False)
         with pytest.raises(RuntimeError, match="untrained"):
-            label_map(m, [Vec(np.array([0.0]), "a", A)])
+            label_nodes(m, [Vec(np.array([0.0]), "a", A)])
 
     def test_unlabeled_vectors_rejected(self):
         m = make_map(1, 2, np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError, match="labeled"):
-            label_map(m, [Vec(np.array([0.0]), "a", None)])
-
-    def test_cluster_labels_match_umatrix_partition(self):
-        # two tight weight groups: singleton valleys at the end nodes,
-        # ridge nodes in between; cluster labels follow the training labels
-        m = make_map(1, 4, np.array([[0.0], [1.0], [9.0], [10.0]]))
-        training = [
-            Vec(np.array([0.0]), "a", A),
-            Vec(np.array([1.0]), "b", A),
-            Vec(np.array([9.0]), "c", B),
-            Vec(np.array([10.0]), "d", B),
-        ]
-        lm = label_map(m, training)
-        ids = lm.cluster_ids.reshape(-1)
-        assert ids[0] >= 0 and ids[3] >= 0 and ids[0] != ids[3]
-        assert lm.cluster_labels[int(ids[0])] == A
-        assert lm.cluster_labels[int(ids[3])] == B
+            label_nodes(m, [Vec(np.array([0.0]), "a", None)])
 
 
 class TestClassify:
+    """A vector's class is the label of its best-matching node, as each
+    leave-one-out fold predicts it."""
+
     def test_training_vector_gets_its_node_label(self):
         m = make_map(1, 2, np.array([[0.0, 0.0], [5.0, 5.0]]))
         training = [
             Vec(np.array([0.0, 0.0]), "a", A),
             Vec(np.array([5.0, 5.0]), "b", B),
         ]
-        lm = label_map(m, training)
-        assert classify(lm, np.array([0.0, 0.0])) == A
-        assert classify(lm, np.array([5.0, 5.0])) == B
+        labels = label_nodes(m, training)
+        assert labels[best_match(m, np.array([0.0, 0.0]))] == A
+        assert labels[best_match(m, np.array([5.0, 5.0]))] == B
 
     def test_total_function_far_from_weights(self):
         m = make_map(1, 2, np.array([[0.0, 0.0], [5.0, 5.0]]))
-        lm = label_map(m, [Vec(np.array([0.0, 0.0]), "a", A),
-                           Vec(np.array([5.0, 5.0]), "b", B)])
-        assert classify(lm, np.array([1e6, -1e6])) in (A, B)
+        labels = label_nodes(m, [Vec(np.array([0.0, 0.0]), "a", A),
+                                 Vec(np.array([5.0, 5.0]), "b", B)])
+        assert labels[best_match(m, np.array([1e6, -1e6]))] in (A, B)
 
     def test_dimension_mismatch(self):
         m = make_map(1, 2, np.array([[0.0, 0.0], [5.0, 5.0]]))
-        lm = label_map(m, [Vec(np.array([0.0, 0.0]), "a", A),
-                           Vec(np.array([5.0, 5.0]), "b", B)])
         with pytest.raises(ValueError, match="dimension"):
-            classify(lm, np.zeros(3))
+            label_nodes(m, [Vec(np.zeros(3), "a", A)])
 
 
 def separable_vectors(n_per_class=5, dim=2, spread=0.0, seed=0):
@@ -279,7 +263,8 @@ def three_class_vectors(n_per_class=5, spread=4.0, seed=4):
 
 
 def serial_loocv(data, schedule, rows, cols):
-    """Reference: the folds one after another through the public API."""
+    """Reference: the folds one after another, each map trained through the
+    public API and labelled by the oracle."""
     classes = sorted({v.label for v in data})
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     folds = []
@@ -287,7 +272,9 @@ def serial_loocv(data, schedule, rows, cols):
         training = data[:i] + data[i + 1:]
         x = np.stack([v.values for v in training])
         som = init(rows, cols, x.shape[1], replace(schedule, rng_seed=schedule.rng_seed + i), samples=x)
-        predicted = classify(label_map(train(som, x), training), held_out)
+        weights = train(som, x).weights
+        node_labels = reference_label_nodes(weights, cols, x, [v.label for v in training])
+        predicted = node_labels[reference_best_match(weights, held_out.values)]
         confusion[classes.index(held_out.label), classes.index(predicted)] += 1
         folds.append(FoldRecord(held_out.subject_id, held_out.label, predicted))
     correct = sum(f.true == f.predicted for f in folds)
