@@ -71,7 +71,10 @@ def _apply_overrides(doc: dict, args) -> dict:
             section, _, name = key.rpartition(".")
             node = doc
             if section:
-                node = doc[section] = dict(doc.get(section) or {})
+                current = doc.get(section)
+                if not isinstance(current, (dict, type(None))):
+                    continue  # the config parser names the section
+                node = doc[section] = dict(current or {})
             node[name] = v
     if getattr(args, "input", None) is not None:
         for source in ("input_csv", "input_json", "synth"):

@@ -33,7 +33,50 @@ def _require_keys(doc: Mapping[str, Any], allowed: set[str], where: str) -> None
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+_JSON_TYPES = ((bool, "a boolean"), (dict, "an object"), (list, "an array"),
+               (str, "a string"), ((int, float), "a number"))
+
+
+def _json_type(value: Any) -> str:
+    if value is None:
+        return "null"
+    return next(name for kind, name in _JSON_TYPES if isinstance(value, kind))
+
+
+def _object(value: Any, where: str) -> Mapping[str, Any]:
+    """value, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be an object, got {_json_type(value)}")
+    return value
+
+
+def _section(doc: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    """The object doc[key]; {} when it is absent or null."""
+    value = doc.get(key)
+    return {} if value is None else _object(value, key)
+
+
+def _typed(doc: Mapping[str, Any], key: str, default: Any, kind: type, where: str) -> Any:
+    """doc[key], which must be of type `kind` (bool: true or false)."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}: must be {_json_type(kind())}, got {json.dumps(value)}")
+    return value
+
+
+def _names(doc: Mapping[str, Any], key: str, default: list[str], kind) -> tuple:
+    """doc[key], a list of strings, as members of the enum `kind`."""
+    value = doc.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key}: must be a list of strings, got {json.dumps(value)}")
+    try:
+        return tuple(kind(v) for v in value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _perturbation_from_dict(doc: Mapping[str, Any], where: str) -> PerturbationSpec:
+    _object(doc, where)
     _require_keys(
         doc,
         {"hf_amplitude", "hf_phase_region", "asymmetry_gain", "timing_shift", "jitter_sd"},
@@ -133,19 +176,25 @@ def _template_from_doc(doc, where: str):
     if doc is None:
         return dict(DEFAULT_TEMPLATE)
     template = {}
-    for joint_name, harmonics in doc.items():
+    for joint_name, harmonics in _object(doc, where).items():
         try:
             joint = Joint(joint_name)
         except ValueError:
             raise ConfigError(f"{where}: unknown joint {joint_name!r}") from None
-        template[joint] = tuple(
-            (int(h), float(a), float(p)) for h, a, p in harmonics
-        )
+        try:
+            template[joint] = tuple(
+                (int(h), float(a), float(p)) for h, a, p in harmonics
+            )
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where}.{joint_name}: must be a list of [harmonic, amplitude, phase]"
+            ) from None
     return template
 
 
 def _synth_from_dict(doc: Mapping[str, Any], seed: int) -> SynthSection:
     where = "synth"
+    _object(doc, where)
     _require_keys(
         doc,
         {"n_subjects", "rng_seed", "template", "pathology", "pathology_label",
@@ -156,15 +205,15 @@ def _synth_from_dict(doc: Mapping[str, Any], seed: int) -> SynthSection:
         raise ConfigError(f"{where}: give either pathology or groups, not both")
     groups: dict[ClassLabel, PerturbationSpec] = {}
     if doc.get("groups") is not None:
-        for label_text, pdoc in doc["groups"].items():
+        for label_text, pdoc in _object(doc["groups"], f"{where}.groups").items():
             groups[ClassLabel(label_text)] = _perturbation_from_dict(
                 pdoc, f"{where}.groups[{label_text}]"
             )
     elif doc.get("pathology") is not None:
-        label = ClassLabel(doc.get("pathology_label", "CP-dp"))
+        label = ClassLabel(_typed(doc, "pathology_label", "CP-dp", str, f"{where}.pathology_label"))
         groups[label] = _perturbation_from_dict(doc["pathology"], f"{where}.pathology")
     rng_seed = doc.get("rng_seed")
-    include_normal = bool(doc.get("include_normal", True))
+    include_normal = _typed(doc, "include_normal", True, bool, f"{where}.include_normal")
     normal_jitter = doc.get("normal_jitter_sd")
     return SynthSection(
         n_subjects=int(doc.get("n_subjects", 10)),
@@ -207,7 +256,7 @@ def _parse(doc: Mapping[str, Any]) -> tuple[dict, dict]:
         if doc.get("synth") is not None:
             synth = _synth_from_dict(doc["synth"], seed)
 
-        wdoc = doc.get("wavelet") or {}
+        wdoc = _section(doc, "wavelet")
         _require_keys(wdoc, {"nu0", "truncation_radius", "boundary", "scales"}, "wavelet")
         morlet = MorletParams(
             nu0=float(wdoc.get("nu0", 1.0)),
@@ -216,12 +265,12 @@ def _parse(doc: Mapping[str, Any]) -> tuple[dict, dict]:
         boundary = Boundary(wdoc.get("boundary", "zero"))
         scales = _scales_from_doc(wdoc.get("scales"), "wavelet.scales")
 
-        fdoc = doc.get("features") or {}
+        fdoc = _section(doc, "features")
         _require_keys(fdoc, {"level", "zscore"}, "features")
         level = Level(fdoc.get("level", "HighScale"))
-        zscore = bool(fdoc.get("zscore", False))
+        zscore = _typed(fdoc, "zscore", False, bool, "features.zscore")
 
-        sdoc = doc.get("som") or {}
+        sdoc = _section(doc, "som")
         _require_keys(
             sdoc,
             {"rows", "cols", "epochs", "alpha0", "sigma0", "sigma_end", "kernel",
@@ -244,8 +293,8 @@ def _parse(doc: Mapping[str, Any]) -> tuple[dict, dict]:
         threshold = doc.get("cluster_threshold")
         settings = dict(
             seed=seed,
-            joints=tuple(Joint(j) for j in doc.get("joints", ["Hip"])),
-            sides=tuple(Side(s) for s in doc.get("sides", ["Right", "Left"])),
+            joints=_names(doc, "joints", ["Hip"], Joint),
+            sides=_names(doc, "sides", ["Right", "Left"], Side),
             morlet=morlet,
             scales=scales,
             boundary=boundary,
@@ -255,14 +304,14 @@ def _parse(doc: Mapping[str, Any]) -> tuple[dict, dict]:
             som_cols=cols,
             schedule=schedule,
             cluster_threshold=None if threshold is None else float(threshold),
-            write_pgm=bool(doc.get("write_pgm", True)),
-            loocv=bool(doc.get("loocv", True)),
+            write_pgm=_typed(doc, "write_pgm", True, bool, "write_pgm"),
+            loocv=_typed(doc, "loocv", True, bool, "loocv"),
         )
         sources = dict(input_csv=doc.get("input_csv"), input_json=doc.get("input_json"), synth=synth)
         return settings, sources
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or range
         raise ConfigError(str(exc)) from None
 
 

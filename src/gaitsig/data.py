@@ -9,8 +9,8 @@ resampled onto it at ingest time.
 from __future__ import annotations
 
 import csv
+import io
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -208,25 +208,22 @@ def _parse_side(text: str, where: str) -> Side:
         raise ParseError(f"{where}: unknown side {text!r}") from None
 
 
-def _uniform_grid_samples(
-    points: list[tuple[float, float]], where: str
-) -> np.ndarray:
-    """Validate that (pct, angle) points form a complete uniform grid over
-    [0, 100] and return the angles in grid order."""
-    points = sorted(points)
-    pct = np.array([p for p, _ in points])
-    ang = np.array([a for _, a in points])
+def _uniform_grid_samples(pct: np.ndarray, angle: np.ndarray, where: str) -> np.ndarray:
+    """Validate that the (pct, angle) points form a complete uniform grid
+    over [0, 100] and return the angles in grid order."""
+    order = np.argsort(pct, kind="stable")
+    pct = pct[order]
     n = len(pct)
     if n < 2:
         raise SchemaError(f"{where}: trajectory has only {n} grid point(s)")
-    if len(np.unique(pct)) != n:
+    if (pct[1:] == pct[:-1]).any():
         raise SchemaError(f"{where}: duplicate pct values")
-    expected = np.linspace(0.0, 100.0, n)
-    if not np.allclose(pct, expected, rtol=0.0, atol=1e-6):
+    # every pct is in [0, 100], so this is allclose(rtol=0, atol=1e-6)
+    if np.abs(pct - np.linspace(0.0, 100.0, n)).max() > 1e-6:
         raise SchemaError(
             f"{where}: pct values do not form a uniform grid over [0, 100]"
         )
-    return ang
+    return angle[order]
 
 
 def _finish_subject(
@@ -248,8 +245,100 @@ def _finish_subject(
     return Subject(id=sid, label=label, trajectories=trajectories, meta=meta)
 
 
+def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
+    """The numbers of texts up to the first that is not one, and how many
+    there are (len(texts) when all are)."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), len(texts)
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(float(text))
+            except ValueError:
+                break
+        return np.array(values, dtype=float), len(values)
+
+
+def _first(mask: np.ndarray, none: int) -> int:
+    """Index of the first True in mask, or `none`."""
+    return int(mask.argmax()) if mask.any() else none
+
+
+def _run_numbers(
+    pct_text: list[str], angle_text: list[str]
+) -> tuple[np.ndarray, np.ndarray, int, str | None]:
+    """The pct and angle values of a run's rows, the first row that fails a
+    number check (len of the run if none does) and that check's message.
+    A row's checks run in the order: pct number, pct range, angle number,
+    finite, magnitude."""
+    n = len(pct_text)
+    pct, n_pct = _floats(pct_text)
+    angle, n_angle = _floats(angle_text)
+    row, check = min(
+        (n_pct, 0),
+        (_first(~((pct >= 0.0) & (pct <= 100.0)), n), 1),  # NaN is out of range
+        (n_angle, 2),
+        (_first(~np.isfinite(angle), n), 3),
+        (_first(np.abs(angle) > MAX_ABS_ANGLE_DEG, n), 4),
+    )
+    if row == n:
+        message = None
+    elif check == 0:
+        message = f"pct {pct_text[row]!r} is not a number"
+    elif check == 1:
+        message = f"pct {float(pct[row])} outside [0, 100]"
+    elif check == 2:
+        message = f"angle_deg {angle_text[row]!r} is not a number"
+    elif check == 3:
+        message = f"angle_deg {angle_text[row]!r} is not finite"
+    else:
+        message = f"|angle_deg| exceeds {MAX_ABS_ANGLE_DEG}"
+    return pct, angle, row, message
+
+
+def _check_run(
+    path, key: tuple[str, str, str, str], pct_text: list[str], angle_text: list[str],
+    lines: list[int], subject_labels: dict[str, str],
+) -> tuple[Joint, Side, np.ndarray, np.ndarray]:
+    """Check a run of rows that share (subject_id, label, joint, side), as
+    if row by row: the text fields once, at its first row, the numbers in
+    bulk. Records the subject's label; returns the run's part and values."""
+    sid, label_text, joint_text, side_text = key
+    if not sid:
+        raise ParseError(f"{path}:{lines[0]}: empty subject_id")
+    if not label_text:
+        raise SchemaError(f"{path}:{lines[0]}: missing label")
+    joint = _JOINTS.get(joint_text)
+    if joint is None:
+        raise ParseError(f"{path}:{lines[0]}: unknown joint {joint_text!r}")
+    side = _SIDES.get(side_text)
+    if side is None:
+        raise ParseError(f"{path}:{lines[0]}: unknown side {side_text!r}")
+    pct, angle, row, message = _run_numbers(pct_text, angle_text)
+    known = subject_labels.setdefault(sid, label_text)
+    # a row's last check; it fails at the run's first row if at any, so a
+    # number check failing there comes first
+    if known != label_text and row > 0:
+        raise SchemaError(
+            f"{path}:{lines[0]}: subject {sid!r} has conflicting labels "
+            f"{known} and {label_text}"
+        )
+    if message is not None:
+        raise ParseError(f"{path}:{lines[row]}: {message}")
+    return joint, side, pct, angle
+
+
 def ingest_csv(path) -> list[Subject]:
-    """Read a dataset CSV, resampling trajectories to the canonical grid."""
+    """Read a dataset CSV, resampling trajectories to the canonical grid.
+
+    Rows are read one trajectory at a time: consecutive rows that share
+    (subject_id, label, joint, side) form a run, checked and converted when
+    it ends, and the runs of one part merge in file order. An error is that
+    of the first failing row and, within it, of its first failing check,
+    as if the file were checked row by row; it names the physical line on
+    which that row ends, so a quoted line break in an id counts.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -260,94 +349,93 @@ def ingest_csv(path) -> list[Subject]:
             raise SchemaError(
                 f"{path}: header must contain exactly {','.join(CSV_COLUMNS)}"
             )
-        fields = operator.itemgetter(*(header.index(name) for name in CSV_COLUMNS))
+        key_of = operator.itemgetter(*(header.index(name) for name in CSV_COLUMNS[:4]))
+        i_pct, i_angle = header.index("pct"), header.index("angle_deg")
 
-        labels: dict[str, ClassLabel] = {}  # label text -> one shared label
         subject_labels: dict[str, str] = {}  # subject id -> label text, in file order
-        points: dict[str, dict[tuple[Joint, Side], list[tuple[float, float]]]] = {}
-        # every error names the row; the "file:line" text is built only then
-        for lineno, row in enumerate(reader, start=2):
+        runs: dict[str, dict[tuple[Joint, Side], list[tuple[np.ndarray, np.ndarray]]]] = {}
+
+        def finish(key, pct_text, angle_text, lines) -> None:
+            joint, side, pct, angle = _check_run(
+                path, key, pct_text, angle_text, lines, subject_labels
+            )
+            runs.setdefault(key[0], {}).setdefault((joint, side), []).append((pct, angle))
+
+        key, pct_text, angle_text, lines = None, [], [], []
+        for row in reader:
+            if len(row) == len(CSV_COLUMNS) and key_of(row) == key:
+                pct_text.append(row[i_pct])
+                angle_text.append(row[i_angle])
+                lines.append(reader.line_num)
+                continue
             if not row:
                 continue
+            if key is not None:
+                finish(key, pct_text, angle_text, lines)
             if len(row) != len(CSV_COLUMNS):
-                raise ParseError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields")
-            sid, label_text, joint_text, side_text, pct_text, angle_text = fields(row)
-            if not sid:
-                raise ParseError(f"{path}:{lineno}: empty subject_id")
-            if not label_text:
-                raise SchemaError(f"{path}:{lineno}: missing label")
-            joint = _JOINTS.get(joint_text)
-            if joint is None:
-                raise ParseError(f"{path}:{lineno}: unknown joint {joint_text!r}")
-            side = _SIDES.get(side_text)
-            if side is None:
-                raise ParseError(f"{path}:{lineno}: unknown side {side_text!r}")
-            try:
-                pct = float(pct_text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: pct {pct_text!r} is not a number") from None
-            if not 0.0 <= pct <= 100.0:
-                raise ParseError(f"{path}:{lineno}: pct {pct} outside [0, 100]")
-            try:
-                angle = float(angle_text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: angle_deg {angle_text!r} is not a number"
-                ) from None
-            if not math.isfinite(angle):
-                raise ParseError(f"{path}:{lineno}: angle_deg {angle_text!r} is not finite")
-            if abs(angle) > MAX_ABS_ANGLE_DEG:
-                raise ParseError(f"{path}:{lineno}: |angle_deg| exceeds {MAX_ABS_ANGLE_DEG}")
+                raise ParseError(f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} fields")
+            key = key_of(row)
+            pct_text, angle_text, lines = [row[i_pct]], [row[i_angle]], [reader.line_num]
+        if key is not None:
+            finish(key, pct_text, angle_text, lines)
 
-            known = subject_labels.setdefault(sid, label_text)
-            if known != label_text:
-                raise SchemaError(
-                    f"{path}:{lineno}: subject {sid!r} has conflicting labels "
-                    f"{known} and {label_text}"
-                )
-            if label_text not in labels:
-                labels[label_text] = ClassLabel(label_text)
-            points.setdefault(sid, {}).setdefault((joint, side), []).append((pct, angle))
-
+    labels: dict[str, ClassLabel] = {}  # label text -> one shared label
     subjects = []
     for sid, label_text in subject_labels.items():
         where = f"{path}: subject {sid!r}"
         parts = {}
-        for key, pts in points[sid].items():
-            parts[key] = _uniform_grid_samples(pts, f"{where} {key[0].value}/{key[1].value}")
-        subjects.append(_finish_subject(sid, labels[label_text], parts, {}, where))
+        for (joint, side), part_runs in runs[sid].items():
+            parts[(joint, side)] = _uniform_grid_samples(
+                np.concatenate([pct for pct, _ in part_runs]),
+                np.concatenate([angle for _, angle in part_runs]),
+                f"{where} {joint.value}/{side.value}",
+            )
+        label = labels.setdefault(label_text, ClassLabel(label_text))
+        subjects.append(_finish_subject(sid, label, parts, {}, where))
     if not subjects:
         raise SchemaError(f"{path}: no data rows")
     return subjects
 
 
+def csv_fields(fields: Sequence[str], quote_all: bool) -> str:
+    """fields as the csv module writes them in one row, without the line
+    end: quoted where needed, or every one quoted when quote_all is set."""
+    line = io.StringIO()
+    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    csv.writer(line, lineterminator="\n", quoting=quoting).writerow(fields)
+    return line.getvalue()[:-1]
+
+
+def needs_quote_all(*texts: str) -> bool:
+    """Whether a row holding these texts must quote every field: the csv
+    writer may leave a lone "\\r" unquoted (Python 3.11 does), and a reader
+    would end the row there."""
+    return any("\r" in text for text in texts)
+
+
 def write_csv(subjects: Sequence[Subject], path) -> None:
     """Write subjects in the dataset CSV schema (canonical column order;
-    trajectories in canonical part order), one row at a time. Floats use
-    repr so that ingest -> write -> ingest round-trips bit-identically.
-    Any subject id and label text reads back unchanged; rows of ids
-    without a comma, quote or line break are plain comma-joined text."""
+    trajectories in canonical part order), one trajectory at a time.
+    Floats use repr so that ingest -> write -> ingest round-trips
+    bit-identically. Any subject id and label text reads back unchanged;
+    rows of ids without a comma, quote or line break are plain
+    comma-joined text, as the csv module writes them."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        plain = csv.writer(fh, lineterminator="\n")
-        # the writer may leave a lone "\r" unquoted (Python 3.11 does), and
-        # a reader would end the row there
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        plain.writerow(CSV_COLUMNS)
-        pct_text: dict[int, list[str]] = {}  # grid size -> formatted pct axis
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        # (grid size, quote) -> each row's text between the part and the angle
+        pct_cells: dict[tuple[int, str], list[str]] = {}
         for subj in subjects:
-            text = [subj.id, subj.label.value]
-            writer = quoted if any("\r" in t for t in text) else plain
+            quote_all = needs_quote_all(subj.id, subj.label.value)
+            q = '"' if quote_all else ""
             for joint, side in subj.sorted_parts():
                 traj = subj.trajectories[(joint, side)]
-                if traj.grid_size not in pct_text:
-                    pct_text[traj.grid_size] = list(map(repr, traj.pct_axis.tolist()))
-                lead = text + [joint.value, side.value]
-                writer.writerows(
-                    lead + [pct, angle]
-                    for pct, angle in zip(
-                        pct_text[traj.grid_size], map(repr, traj.samples.tolist())
-                    )
-                )
+                cells = pct_cells.get((traj.grid_size, q))
+                if cells is None:
+                    cells = [f",{q}{p!r}{q},{q}" for p in traj.pct_axis.tolist()]
+                    pct_cells[(traj.grid_size, q)] = cells
+                lead = csv_fields([subj.id, subj.label.value, joint.value, side.value], quote_all)
+                rows = map(str.__add__, cells, map(float.__repr__, traj.samples.tolist()))
+                fh.write(lead + f"{q}\n{lead}".join(rows) + q + "\n")
 
 
 def _json_text(entry: dict, name: str, where: str) -> str:

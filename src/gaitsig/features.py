@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClassLabel, Joint, Side, part_sort_key
+from .data import ClassLabel, Joint, Side, csv_fields, needs_quote_all, part_sort_key
 from .wavelet import Scalogram
 
 N_TIME_SAMPLES = 20
@@ -222,10 +222,13 @@ def _parse_parts_token(token: str) -> tuple[tuple[Joint, Side], ...]:
     return tuple(out)
 
 
+TEXT_COLUMNS = ("subject_id", "label", "level", "parts")
+
+
 def write_features_csv(vectors: Sequence[FeatureVector], path) -> None:
-    """Write the feature matrix with the csv module, so any subject id and
-    label text reads back unchanged; ids without a comma, quote or line
-    break give plain comma-joined rows."""
+    """Write the feature matrix as the csv module writes it, one row at a
+    time, so any subject id and label text reads back unchanged; ids
+    without a comma, quote or line break give plain comma-joined rows."""
     if not vectors:
         raise ValueError("no feature vectors to write")
     width = len(vectors[0].values)
@@ -234,22 +237,63 @@ def write_features_csv(vectors: Sequence[FeatureVector], path) -> None:
             f"# layout: n_time={N_TIME_SAMPLES} n_scale={N_SCALE_SAMPLES} "
             "per part, time-major, parts concatenated in canonical order\n"
         )
-        plain = csv.writer(fh, lineterminator="\n")
-        # the writer may leave a lone "\r" unquoted (Python 3.11 does), and
-        # a reader would end the row there
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        plain.writerow(["subject_id", "label", "level", "parts"] + [f"f{i:03d}" for i in range(width)])
+        fh.write(",".join([*TEXT_COLUMNS, *(f"f{i:03d}" for i in range(width))]) + "\n")
         for v in vectors:
             if len(v.values) != width:
                 raise ValueError("feature vectors have mixed lengths")
-            text = [v.subject_id, v.label.value if v.label is not None else ""]
-            writer = quoted if any("\r" in t for t in text) else plain
-            writer.writerow(
-                text + [v.level.value, _parts_token(v.parts)] + list(map(repr, v.values.tolist()))
-            )
+            label = v.label.value if v.label is not None else ""
+            quote_all = needs_quote_all(v.subject_id, label)
+            lead = csv_fields([v.subject_id, label, v.level.value, _parts_token(v.parts)], quote_all)
+            cells = map(float.__repr__, v.values.tolist())
+            if quote_all:
+                cells = map('"{}"'.format, cells)
+            fh.write(",".join([lead, *cells]) + "\n")
+
+
+def _feature_row(row: list[str]) -> FeatureVector:
+    """One features.csv row as a vector; a ValueError names the column."""
+    if len(row) < len(TEXT_COLUMNS):
+        raise ValueError(f"row has {len(row)} fields, needs {', '.join(TEXT_COLUMNS)} and the values")
+    sid, label_text, level_text, parts_token = row[: len(TEXT_COLUMNS)]
+    texts = row[len(TEXT_COLUMNS) :]
+    try:
+        values = np.array(list(map(float, texts)))
+    except ValueError:
+        for i, text in enumerate(texts):
+            try:
+                float(text)
+            except ValueError:
+                raise ValueError(f"f{i:03d} {text!r} is not a number") from None
+    try:
+        parts = _parse_parts_token(parts_token)
+    except ValueError:
+        raise ValueError(f"parts {parts_token!r} is not a |-list of Joint:Side") from None
+    try:
+        level = Level(level_text)
+    except ValueError:
+        raise ValueError(f"level {level_text!r} is not one of {[l.value for l in Level]}") from None
+    expected = SINGLE_JOINT_LENGTH * len(parts)
+    if len(values) != expected:
+        raise ValueError(
+            f"parts {parts_token!r}: feature vector must have length {expected} "
+            f"(160 x {len(parts)} parts), got {len(values)}"
+        )
+    bad = ~np.isfinite(values) | (values < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"f{i:03d} {texts[i]!r}: feature values must be finite and >= 0")
+    return FeatureVector(
+        values=values,
+        subject_id=sid,
+        parts=parts,
+        level=level,
+        label=ClassLabel(label_text) if label_text else None,
+    )
 
 
 def read_features_csv(path) -> list[FeatureVector]:
+    """Read a feature matrix; an error names the file, the line on which
+    the row ends and the column."""
     vectors = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
@@ -259,16 +303,10 @@ def read_features_csv(path) -> list[FeatureVector]:
         for row in rows:
             if not row:
                 continue
-            sid, label_text, level_text, parts_token, *vals = row
-            vectors.append(
-                FeatureVector(
-                    values=np.array([float(v) for v in vals]),
-                    subject_id=sid,
-                    parts=_parse_parts_token(parts_token),
-                    level=Level(level_text),
-                    label=ClassLabel(label_text) if label_text else None,
-                )
-            )
+            try:
+                vectors.append(_feature_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{rows.line_num}: {exc}") from None
     if not vectors:
         raise ValueError(f"{path}: no feature rows")
     return vectors

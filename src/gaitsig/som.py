@@ -354,17 +354,26 @@ def _schedule_from_dict(d: dict) -> TrainSchedule:
 
 
 def save_map_json(som: SomMap, path) -> None:
+    """Write the map as json.dump(doc, indent=2, sort_keys=True) does, with
+    the flat weights streamed one node at a time (the weights are finite,
+    so each is its float repr)."""
     doc = {
         "rows": som.rows,
         "cols": som.cols,
         "dim": som.dim,
         "trained": som.trained,
         "schedule": _schedule_to_dict(som.schedule),
-        "weights": [float(v) for v in som.weights.reshape(-1)],
+        "weights": [],
     }
+    text = json.dumps(doc, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text[: -len("[]\n}")])  # "weights" sorts last: the text ends '[]\n}'
+        opener = "[\n    "
+        for node in som.weights:
+            if node.size:
+                fh.write(opener + ",\n    ".join(map(float.__repr__, node.tolist())))
+                opener = ",\n    "
+        fh.write("\n  ]\n}\n" if som.weights.size else "[]\n}\n")
 
 
 def load_map_json(path) -> SomMap:

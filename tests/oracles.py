@@ -4,9 +4,14 @@ Nothing here imports from the package's transform/clustering code paths:
 the CWT oracle is a direct double-loop quadrature of the defining sum, the
 spectral oracle is a plain FFT over one period, the component oracle is
 union-find rather than the BFS used by the implementation, the training
-oracle is a frozen copy of the plain broadcast SOM update loop, and the
-node-labelling oracle is a per-node loop over plain Python sums.
+oracle is a frozen copy of the plain broadcast SOM update loop, the
+node-labelling oracle is a per-node loop over plain Python sums, and the
+artifact writers are frozen copies of the row-by-row csv.writer and
+json.dump writers, taking plain text and arrays.
 """
+
+import csv
+import json
 
 import numpy as np
 
@@ -155,3 +160,57 @@ def reference_label_nodes(weights, cols, data, labels):
         else majority(hits[min(sorted(hits), key=lambda k: grid_dist2(k, node))])
         for node in range(len(weights))
     ]
+
+
+JOINT_ORDER = ("Hip", "Knee", "Ankle")
+SIDE_ORDER = ("Right", "Left")
+
+
+def reference_write_csv(subjects, path):
+    """The dataset CSV, one csv.writer row per sample. subjects: (id,
+    label, {(joint, side): samples}) with the part names as text; parts
+    go Hip < Knee < Ankle, Right < Left, on the pct grid linspace(0, 100)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(("subject_id", "label", "joint", "side", "pct", "angle_deg"))
+        for sid, label, parts in subjects:
+            writer = quoted if "\r" in sid or "\r" in label else plain
+            for joint, side in sorted(parts, key=lambda p: (JOINT_ORDER.index(p[0]), SIDE_ORDER.index(p[1]))):
+                samples = np.asarray(parts[(joint, side)], dtype=float)
+                pct = np.linspace(0.0, 100.0, len(samples))
+                for p, a in zip(pct.tolist(), samples.tolist()):
+                    writer.writerow([sid, label, joint, side, repr(p), repr(a)])
+
+
+def reference_write_features_csv(vectors, path):
+    """features.csv, one csv.writer row per vector. vectors: (subject_id,
+    label text or "", level text, [(joint, side), ...], values)."""
+    width = len(vectors[0][4])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# layout: n_time=20 n_scale=8 per part, time-major, "
+                 "parts concatenated in canonical order\n")
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(["subject_id", "label", "level", "parts"] + [f"f{i:03d}" for i in range(width)])
+        for sid, label, level, parts, values in vectors:
+            writer = quoted if "\r" in sid or "\r" in label else plain
+            token = "|".join(f"{j}:{s}" for j, s in parts)
+            writer.writerow([sid, label, level, token] + [repr(float(v)) for v in values])
+
+
+def reference_save_map_json(rows, cols, weights, trained, schedule, path):
+    """som.json as one json.dump of the whole document; schedule is the
+    dict of the map's training schedule."""
+    weights = np.asarray(weights, dtype=float)
+    doc = {
+        "rows": rows,
+        "cols": cols,
+        "dim": weights.shape[1],
+        "trained": trained,
+        "schedule": schedule,
+        "weights": [float(v) for v in weights.reshape(-1)],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

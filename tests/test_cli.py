@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -107,6 +108,43 @@ class TestRunConfig:
         doc["synth"]["pathology"]["asymmetry_gain"] = -2.0
         with pytest.raises(ConfigError, match="asymmetry_gain"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"som": 5}, "som: must be an object, got a number"),
+            ({"wavelet": []}, "wavelet: must be an object, got an array"),
+            ({"features": "HighScale"}, "features: must be an object, got a string"),
+            ({"synth": 3}, "synth: must be an object, got a number"),
+            ({"synth": {"n_subjects": 2, "pathology": [1]}}, "synth.pathology: must be an object, got an array"),
+            ({"synth": {"n_subjects": 2, "groups": ["Polio"]}}, "synth.groups: must be an object, got an array"),
+            ({"synth": {"n_subjects": 2, "groups": {"Polio": True}}}, r"synth.groups\[Polio\]: must be an object, got a boolean"),
+            ({"synth": {"n_subjects": 2, "template": "flat"}}, "synth.template: must be an object, got a string"),
+            ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 2.0]]}}},
+             r"synth.template.Hip: must be a list of \[harmonic, amplitude, phase\]"),
+            ({"joints": "Hip"}, 'joints: must be a list of strings, got "Hip"'),
+            ({"joints": ["Hip", None]}, r'joints: must be a list of strings, got \["Hip", null\]'),
+            ({"sides": {"Right": 1}}, r'sides: must be a list of strings, got \{"Right": 1\}'),
+            ({"sides": ["Up"]}, "sides: 'Up' is not a valid Side"),
+            ({"write_pgm": "no"}, 'write_pgm: must be a boolean, got "no"'),
+            ({"loocv": 0}, "loocv: must be a boolean, got 0"),
+            ({"features": {"zscore": "false"}}, 'features.zscore: must be a boolean, got "false"'),
+            ({"synth": {"n_subjects": 2, "include_normal": None}}, "synth.include_normal: must be a boolean, got null"),
+            ({"synth": {"n_subjects": 2, "pathology": {}, "pathology_label": 5}},
+             "synth.pathology_label: must be a string, got 5"),
+        ],
+        ids=["som", "wavelet", "features", "synth", "pathology", "groups", "group", "template", "harmonics",
+             "joints-text", "joints-null", "sides-object", "sides-value", "write-pgm", "loocv", "zscore",
+             "include-normal", "pathology-label"],
+    )
+    @pytest.mark.parametrize("stage", ["run", "train"])
+    def test_wrong_json_type_names_the_key(self, tmp_path, capsys, stage, edit, message):
+        cfg_path = str(write_config(tmp_path, small_config(**edit)))
+        argv = ["run", "--config", cfg_path] if stage == "run" else [
+            "train", "--features", str(tmp_path / "features.csv"), "--config", cfg_path, "--epochs", "3"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
 
     def test_seed_override_propagates(self, tmp_path):
         path = write_config(tmp_path, small_config())

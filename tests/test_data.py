@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitsig.data import (
     CANONICAL_GRID_SIZE,
+    CSV_COLUMNS,
     ClassLabel,
     GaitTrajectory,
     Joint,
@@ -24,6 +25,7 @@ from gaitsig.data import (
 )
 
 from conftest import make_traj
+from oracles import reference_write_csv
 
 
 def write_json(subjects, path) -> None:
@@ -268,6 +270,157 @@ class TestIngestCsv:
         _write_rows(path, ["s1,Normal,Hip,Left,0.0,0.0", "", row])
         with pytest.raises(error, match=f"^{re.escape(str(path))}:4: {message}$"):
             ingest_csv(path)
+
+
+def _run_rows(joint="Hip", side="Left", label="Normal", sid="s1", n=21):
+    """The rows of one complete trajectory on an n-point grid, as fields."""
+    return [[sid, label, joint, side, repr(100.0 * k / (n - 1)), repr(float(k))] for k in range(n)]
+
+
+def _edit(rows, i, **fields):
+    """rows with the named fields of row i replaced; `fields=k` cuts or
+    pads the row to k fields."""
+    row = list(rows[i])
+    for name, value in fields.items():
+        if name == "fields":
+            row = (row + ["0"] * value)[:value]
+        else:
+            row[CSV_COLUMNS.index(name)] = value
+    return rows[:i] + [row] + rows[i + 1 :]
+
+
+A = _run_rows()  # lines 2-22 when it comes first
+B = _run_rows(side="Right")  # lines 23-43 after A
+POLIO_B = _run_rows(side="Right", label="Polio")
+
+# rows, error class, line, message: the first failing row in file order
+# wins, and within it the first failing check in the order field count,
+# subject_id, label, joint, side, pct number, pct range, angle number,
+# finite, magnitude, label conflict
+ROW_ERRORS = {
+    "pct-number-mid-run": (_edit(A, 5, pct="x") + B, ParseError, 7, "pct 'x' is not a number"),
+    "pct-range-mid-run": (_edit(A, 5, pct="100.5") + B, ParseError, 7, r"pct 100.5 outside [0, 100]"),
+    "angle-number-mid-run": (_edit(A, 5, angle_deg="ten") + B, ParseError, 7, "angle_deg 'ten' is not a number"),
+    "finite-mid-run": (_edit(A, 5, angle_deg="nan") + B, ParseError, 7, "angle_deg 'nan' is not finite"),
+    "magnitude-mid-run": (_edit(A, 5, angle_deg="-180.5") + B, ParseError, 7, "|angle_deg| exceeds 180.0"),
+    "last-row-of-run": (_edit(A, 20, angle_deg="nan") + B, ParseError, 22, "angle_deg 'nan' is not finite"),
+    "field-count-first": (A + _edit(B, 0, fields=5), ParseError, 23, "expected 6 fields"),
+    "field-count-mid-run": (_edit(A, 5, fields=7) + B, ParseError, 7, "expected 6 fields"),
+    "empty-id-first": (A + _edit(B, 0, subject_id=""), ParseError, 23, "empty subject_id"),
+    "label-first": (A + _edit(B, 0, label=""), SchemaError, 23, "missing label"),
+    "joint-first": (A + _edit(B, 0, joint="Elbow"), ParseError, 23, "unknown joint 'Elbow'"),
+    "side-first": (A + _edit(B, 0, side="Up"), ParseError, 23, "unknown side 'Up'"),
+    "pct-number-first": (A + _edit(B, 0, pct=" "), ParseError, 23, "pct ' ' is not a number"),
+    "pct-range-first": (A + _edit(B, 0, pct="-1"), ParseError, 23, "pct -1.0 outside [0, 100]"),
+    "angle-number-first": (A + _edit(B, 0, angle_deg=""), ParseError, 23, "angle_deg '' is not a number"),
+    "finite-first": (A + _edit(B, 0, angle_deg="-inf"), ParseError, 23, "angle_deg '-inf' is not finite"),
+    "magnitude-first": (A + _edit(B, 0, angle_deg="1e3"), ParseError, 23, "|angle_deg| exceeds 180.0"),
+    "conflict-first": (A + POLIO_B, SchemaError, 23, "subject 's1' has conflicting labels Normal and Polio"),
+    "pct-number-before-angle": (_edit(A, 5, pct="x", angle_deg="ten"), ParseError, 7, "pct 'x' is not a number"),
+    "pct-range-before-finite": (_edit(A, 5, pct="101", angle_deg="nan"), ParseError, 7, "pct 101.0 outside [0, 100]"),
+    "finite-before-magnitude": (_edit(A, 5, angle_deg="inf"), ParseError, 7, "angle_deg 'inf' is not finite"),
+    "id-before-joint": (A + _edit(B, 0, subject_id="", joint="Elbow"), ParseError, 23, "empty subject_id"),
+    "label-before-joint": (A + _edit(B, 0, label="", joint="Elbow"), SchemaError, 23, "missing label"),
+    "joint-before-side": (A + _edit(B, 0, joint="Elbow", side="Up"), ParseError, 23, "unknown joint 'Elbow'"),
+    "number-before-conflict": (A + _edit(POLIO_B, 0, angle_deg="nan"), ParseError, 23, "angle_deg 'nan' is not finite"),
+    "conflict-before-later-row": (A + _edit(POLIO_B, 4, angle_deg="nan"), SchemaError, 23,
+                                  "subject 's1' has conflicting labels Normal and Polio"),
+    "earlier-row-before-earlier-check": (_edit(_edit(A, 3, angle_deg="200"), 6, pct="x"), ParseError, 5,
+                                         "|angle_deg| exceeds 180.0"),
+    "pending-run-before-field-count": (_edit(A, 10, angle_deg="nan") + _edit(B, 0, fields=5), ParseError, 12,
+                                       "angle_deg 'nan' is not finite"),
+    "pending-rows-before-field-count": (_edit(_edit(A, 3, pct="x"), 10, fields=5), ParseError, 5,
+                                        "pct 'x' is not a number"),
+    "blank-lines-counted": (A[:4] + ["", ""] + A[4:] + _edit(B, 2, angle_deg="nan"), ParseError, 27,
+                            "angle_deg 'nan' is not finite"),
+}
+
+
+class TestIngestRuns:
+    """ingest_csv checks a run of rows that share (subject_id, label, joint,
+    side) at once; its errors must be those of a row-by-row check."""
+
+    def _write(self, path, rows):
+        _write_rows(path, [row if isinstance(row, str) else ",".join(row) for row in rows])
+
+    @pytest.mark.parametrize("rows, error, line, message", ROW_ERRORS.values(), ids=list(ROW_ERRORS))
+    def test_first_failing_row_and_check(self, tmp_path, rows, error, line, message):
+        path = tmp_path / "d.csv"
+        self._write(path, rows)
+        with pytest.raises(error, match=f"^{re.escape(f'{path}:{line}: {message}')}$") as info:
+            ingest_csv(path)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize(
+        "rows",
+        [A[:8] + B + A[8:], A[::-1] + B[::-1], A[:4] + ["", ""] + A[4:] + [""] + B, A[:10] + B[:3] + A[10:] + B[3:]],
+        ids=["non-adjacent", "unsorted", "blank-lines", "interleaved"],
+    )
+    def test_rows_of_one_part_merge_in_grid_order(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        self._write(path, rows)
+        (subj,) = ingest_csv(path)
+        expected = np.interp(np.linspace(0.0, 100.0, 101), np.linspace(0.0, 100.0, 21), np.arange(21.0))
+        assert subj.id == "s1" and subj.label == NORMAL
+        assert list(subj.trajectories) == [(Joint.HIP, Side.LEFT), (Joint.HIP, Side.RIGHT)]
+        for traj in subj.trajectories.values():
+            assert traj.samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows", [_edit(A, 5, pct=A[4][4]) + B, A + B + A[:1]], ids=["within-run", "across-runs"]
+    )
+    def test_duplicate_pct_rejected(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        self._write(path, rows)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: subject 's1' Hip/Left: duplicate pct values$"):
+            ingest_csv(path)
+
+    def test_error_names_physical_line_after_multiline_id(self, tmp_path):
+        # each row of "a<newline>b" takes two lines: rows 2-3, 4-5, ..., 42-43
+        multi = [['"a\nb"', *row[1:]] for row in A]
+        path = tmp_path / "d.csv"
+        self._write(path, multi + _edit(B, 3, angle_deg="nan"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:47: angle_deg 'nan' is not finite$"):
+            ingest_csv(path)
+        self._write(path, _edit(multi, 4, angle_deg="x"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:11: angle_deg 'x' is not a number$"):
+            ingest_csv(path)
+
+
+# dataset text: UTF-8 encodable, so no surrogates
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "é", "λ", "a", "0"]) | st.characters(exclude_categories=("Cs",)),
+                min_size=1, max_size=8)
+_ANGLES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 3.0, -180.0, 180.0]) | \
+    st.floats(-180.0, 180.0)
+
+
+@st.composite
+def subject_specs(draw):
+    """Subjects as (id, label, {(joint, side): samples}) on one grid size."""
+    n = draw(st.sampled_from([21, 22, 51, 101]))
+    parts = st.lists(st.sampled_from(_PARTS), min_size=1, max_size=3, unique=True)
+    return [
+        (draw(_TEXT), draw(_TEXT), {part: draw(st.lists(_ANGLES, min_size=n, max_size=n)) for part in draw(parts)})
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+class TestWriteCsv:
+    @settings(max_examples=120, deadline=None)
+    @given(specs=subject_specs())
+    @example(specs=[("a,b", "x\ry", {("Hip", "Left"): [-0.0] * 21}), ('a"b', "a\nb", {("Ankle", "Right"): [5e-324] * 21})])
+    def test_bytes_equal_row_by_row_writer(self, tmp_path_factory, specs):
+        tmp = tmp_path_factory.mktemp("write_csv")
+        subjects = [
+            Subject(id=sid, label=ClassLabel(label), trajectories={
+                (Joint(j), Side(s)): make_traj(samples, joint=Joint(j), side=Side(s))
+                for (j, s), samples in parts.items()
+            })
+            for sid, label, parts in specs
+        ]
+        write_csv(subjects, tmp / "dataset.csv")
+        reference_write_csv(specs, tmp / "reference.csv")
+        assert (tmp / "dataset.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
 
 class TestRoundTrip:

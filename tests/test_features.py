@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from gaitsig.features import (
 from gaitsig.wavelet import ScaleGrid, Scalogram, cwt
 
 from conftest import harmonic_signal, make_traj
+from oracles import reference_write_features_csv
 
 
 def make_scalogram(values, subject_id="s1", label=NORMAL, joint=Joint.HIP, side=Side.RIGHT):
@@ -280,6 +282,14 @@ class TestStandardize:
         assert np.any(sv.values < 0)  # lives outside the FeatureVector invariant
 
 
+_PARTS = [(j, s) for j in Joint for s in Side]
+# features.csv text: UTF-8 encodable, so no surrogates
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "é", "λ", "a"]) | st.characters(exclude_categories=("Cs",)),
+                min_size=1, max_size=8)
+_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, 3.0, 160.0]) | \
+    st.floats(0.0, 1e308, allow_infinity=False)
+
+
 class TestFeaturesCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -347,3 +357,84 @@ class TestFeaturesCsv:
         write_features_csv(v, p1)
         write_features_csv(v, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        texts=st.lists(st.tuples(_TEXT, st.none() | _TEXT), min_size=1, max_size=3),
+        parts=st.lists(st.sampled_from(_PARTS), min_size=1, max_size=2, unique=True),
+        level=st.sampled_from(Level),
+        data=st.data(),
+    )
+    @example(texts=[("a,b", 'a"b'), ("a\rb", None), ("a\nb", " é")], parts=[(Joint.HIP, Side.LEFT)],
+             level=Level.HIGH_SCALE, data=None)
+    def test_bytes_equal_row_by_row_writer(self, texts, parts, level, data):
+        width = SINGLE_JOINT_LENGTH * len(parts)
+        rows = []
+        for i, (sid, label) in enumerate(texts):
+            values = data.draw(st.lists(_VALUES, min_size=width, max_size=width)) if data else [5e-324 * i] * width
+            rows.append((sid, label, values))
+        vectors = [
+            FeatureVector(values=np.array(values), subject_id=sid, parts=tuple(parts), level=level,
+                          label=None if label is None else ClassLabel(label))
+            for sid, label, values in rows
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = Path(tmp) / "features.csv", Path(tmp) / "reference.csv"
+            write_features_csv(vectors, path)
+            reference_write_features_csv(
+                [(sid, label or "", level.value, [(j.value, s.value) for j, s in parts], values)
+                 for sid, label, values in rows],
+                reference,
+            )
+            assert path.read_bytes() == reference.read_bytes()
+
+
+def _features_file(path, rows):
+    """A features.csv of one-part vectors with these (field, text) edits,
+    one dict per row: e.g. {"f010": "nan?"}."""
+    names = ["subject_id", "label", "level", "parts"] + [f"f{i:03d}" for i in range(160)]
+    lines = ["# layout", ",".join(names)]
+    for edits in rows:
+        row = dict(zip(names, ["s", "Normal", "HighScale", "Hip:Right"] + ["1.5"] * 160))
+        row.update(edits)
+        lines.append(",".join(v for v in row.values() if v is not None))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestFeaturesCsvErrors:
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"f010": "nan?"}, "f010 'nan?' is not a number"),
+            ({"f159": ""}, "f159 '' is not a number"),
+            ({"f010": "nan"}, "f010 'nan': feature values must be finite and >= 0"),
+            ({"f003": "-1e-300"}, "f003 '-1e-300': feature values must be finite and >= 0"),
+            ({"f003": "inf", "f004": "x"}, "f004 'x' is not a number"),
+            ({"f157": None, "f158": None, "f159": None},
+             "parts 'Hip:Right': feature vector must have length 160 (160 x 1 parts), got 157"),
+            ({"parts": "Hip:Right|Knee:Left"},
+             "parts 'Hip:Right|Knee:Left': feature vector must have length 320 (160 x 2 parts), got 160"),
+            ({"parts": "Elbow:Right"}, "parts 'Elbow:Right' is not a |-list of Joint:Side"),
+            ({"level": "MidScale"}, "level 'MidScale' is not one of ['HighScale', 'LowScale']"),
+        ],
+        ids=["text", "empty", "nan", "negative", "first-bad-number", "short", "long-parts", "parts", "level"],
+    )
+    def test_error_names_file_line_and_column(self, tmp_path, edits, message):
+        path = tmp_path / "features.csv"
+        _features_file(path, [{}, {}, edits])
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:5: {message}')}$"):
+            read_features_csv(path)
+
+    def test_line_is_physical_after_multiline_id(self, tmp_path):
+        path = tmp_path / "features.csv"
+        _features_file(path, [{"subject_id": '"a\nb"'}, {"f000": "?"}])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: f000 '\\?' is not a number$"):
+            read_features_csv(path)
+
+    def test_train_reports_the_field(self, tmp_path, capsys):
+        from gaitsig.cli import main
+
+        path = tmp_path / "features.csv"
+        _features_file(path, [{}, {"f010": "nan?"}])
+        assert main(["train", "--features", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"gaitsig: error: {path}:4: f010 'nan?' is not a number\n"

@@ -28,7 +28,7 @@ from gaitsig.som import (
     write_umatrix_csv,
 )
 
-from oracles import reference_train, same_partition, union_find_components
+from oracles import reference_save_map_json, reference_train, same_partition, union_find_components
 
 
 def make_map(rows, cols, weights, trained=True, schedule=None):
@@ -481,6 +481,28 @@ class TestSerialization:
         save_map_json(m, p1)
         save_map_json(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 5)).filter(lambda d: d[0] * d[1] >= 2),
+        trained=st.booleans(),
+        kernel=st.sampled_from(Kernel),
+        data=st.data(),
+    )
+    def test_bytes_equal_one_json_dump(self, tmp_path_factory, dims, trained, kernel, data):
+        rows, cols, dim = dims
+        values = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0]) | \
+            st.floats(allow_nan=False, allow_infinity=False)
+        weights = data.draw(hnp.arrays(float, (rows * cols, dim), elements=values))
+        schedule = TrainSchedule(epochs=7, alpha0=0.25, sigma_end=0.5, kernel=kernel, rng_seed=3).resolve(rows, cols)
+        m = make_map(rows, cols, weights, trained=trained, schedule=schedule)
+        tmp = tmp_path_factory.mktemp("som_json")
+        save_map_json(m, tmp / "som.json")
+        reference_save_map_json(rows, cols, weights, trained, {
+            "epochs": 7, "alpha0": 0.25, "sigma0": schedule.sigma0, "sigma_end": 0.5,
+            "kernel": kernel.value, "rng_seed": 3, "init": schedule.init.value,
+        }, tmp / "reference.json")
+        assert (tmp / "som.json").read_bytes() == (tmp / "reference.json").read_bytes()
 
     def test_artifact_csv_writers(self, tmp_path):
         m = make_map(2, 2, np.array([[0.0], [2.0], [6.0], [9.0]]))
