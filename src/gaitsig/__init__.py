@@ -46,7 +46,7 @@ from .som import (
     train,
     umatrix,
 )
-from .synth import GaitRegion, PerturbationSpec, SynthSpec, generate, generate_groups
+from .synth import GaitRegion, PerturbationSpec, SynthSpec, generate
 from .wavelet import Boundary, MorletParams, ScaleGrid, Scalogram, cwt, morlet
 
 __version__ = "0.1.0"

@@ -1,127 +1,221 @@
 """Declarative run configuration.
 
-A single JSON document holds every stage's parameters. Everything is
-validated up front (each parameter object enforces its own invariants), so
-a bad config fails before any computation starts, and the fully resolved
-form (all defaults and derived seeds filled in) is echoed back as JSON
-into the output directory for reproducibility checks. `config_from_dict`
-gives a RunConfig, which names exactly one input source;
-`settings_from_dict` gives its Settings alone, for a stage that reads no
-dataset.
+A single JSON document holds every stage's parameters. Each section of it
+is declared once below, as a table of key -> (JSON kind, default); one
+reader checks a section against its table, so a bad config fails before
+any computation starts and the error names the dotted key. The fully
+resolved form (all defaults and derived seeds filled in) is echoed back as
+JSON into the output directory for reproducibility checks.
+`config_from_dict` gives a RunConfig, which names exactly one input
+source; `settings_from_dict` gives its Settings alone, for a stage that
+reads no dataset.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .data import ClassLabel, Joint, Side
-from .features import Level
-from .som import InitMode, Kernel, TrainSchedule
-from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec
-from .wavelet import Boundary, MorletParams, ScaleGrid
+from .data import CP_DP, ClassLabel, Joint, Side
+from .features import Level, RegionSplit
+from .som import InitMode, Kernel, TrainSchedule, _schedule_to_dict
+from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
+from .wavelet import (
+    DEFAULT_SCALE_COUNT,
+    DEFAULT_SCALE_MAX,
+    DEFAULT_SCALE_MIN,
+    Boundary,
+    MorletParams,
+    ScaleGrid,
+)
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _require_keys(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-_JSON_TYPES = ((bool, "a boolean"), (dict, "an object"), (list, "an array"),
-               (str, "a string"), ((int, float), "a number"))
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON kinds a key can take, as error messages name them.
+INTEGER, NUMBER, STRING, BOOLEAN = "an integer", "a number", "a string", "a boolean"
+STRINGS, OBJECT = "a list of strings", "an object"
+SCALES = "an object or a list of numbers"
+_IS_KIND = {
+    INTEGER: _is_int,
+    NUMBER: _is_number,
+    STRING: lambda v: isinstance(v, str),
+    BOOLEAN: lambda v: isinstance(v, bool),
+    STRINGS: lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    OBJECT: lambda v: isinstance(v, dict),
+    SCALES: lambda v: isinstance(v, dict) or (isinstance(v, list) and all(map(_is_number, v))),
+}
+
+# Each section: key -> (kind, default). A null default means the value is
+# derived (the comment says from what) and is the only place null is
+# accepted. A key that maps onto a field of a library type takes that
+# field's default.
+CONFIG = {
+    "seed": (INTEGER, 0),
+    "input_csv": (STRING, None),
+    "input_json": (STRING, None),
+    "synth": (OBJECT, None),           # no synthetic input
+    "joints": (STRINGS, ["Hip"]),
+    "sides": (STRINGS, ["Right", "Left"]),
+    "wavelet": (OBJECT, None),         # every wavelet default
+    "features": (OBJECT, None),        # every features default
+    "som": (OBJECT, None),             # every som default
+    "cluster_threshold": (NUMBER, None),  # 60th percentile of the U-Matrix heights
+    "write_pgm": (BOOLEAN, True),
+    "loocv": (BOOLEAN, True),
+}
+SYNTH = {
+    "n_subjects": (INTEGER, 10),
+    "rng_seed": (INTEGER, None),       # seed
+    "template": (OBJECT, None),        # synth.DEFAULT_TEMPLATE
+    "pathology": (OBJECT, None),       # shorthand for a one-entry groups
+    "pathology_label": (STRING, None),  # CP-dp, the label of pathology
+    "groups": (OBJECT, None),          # no groups
+    "include_normal": (BOOLEAN, SynthSpec.include_normal),
+    "normal_jitter_sd": (NUMBER, None),  # jitter_sd of the first group
+}
+PERTURBATION = {
+    "hf_amplitude": (NUMBER, PerturbationSpec.hf_amplitude),
+    "hf_phase_region": (STRING, PerturbationSpec.hf_phase_region.value),
+    "asymmetry_gain": (NUMBER, PerturbationSpec.asymmetry_gain),
+    "timing_shift": (NUMBER, PerturbationSpec.timing_shift),
+    "jitter_sd": (NUMBER, PerturbationSpec.jitter_sd),
+}
+WAVELET = {
+    "nu0": (NUMBER, MorletParams.nu0),
+    "truncation_radius": (NUMBER, MorletParams.truncation_radius),
+    "boundary": (STRING, Boundary.ZERO.value),
+    "scales": (SCALES, None),          # the object's defaults
+}
+SCALE_RANGE = {
+    "count": (INTEGER, DEFAULT_SCALE_COUNT),
+    "min": (NUMBER, DEFAULT_SCALE_MIN),
+    "max": (NUMBER, DEFAULT_SCALE_MAX),
+}
+FEATURES = {
+    "level": (STRING, RegionSplit.level.value),
+    "zscore": (BOOLEAN, False),
+}
+SOM = {
+    "rows": (INTEGER, 10),
+    "cols": (INTEGER, 10),
+    "epochs": (INTEGER, TrainSchedule.epochs),
+    "alpha0": (NUMBER, TrainSchedule.alpha0),
+    "sigma0": (NUMBER, None),          # max(rows, cols) / 2
+    "sigma_end": (NUMBER, TrainSchedule.sigma_end),
+    "kernel": (STRING, TrainSchedule.kernel.value),
+    "init": (STRING, InitMode.SAMPLE_INIT.value),
+    "rng_seed": (INTEGER, None),       # seed
+}
 
 
 def _json_type(value: Any) -> str:
     if value is None:
         return "null"
-    return next(name for kind, name in _JSON_TYPES if isinstance(value, kind))
+    if isinstance(value, list):
+        return "an array"
+    return next(kind for kind in (BOOLEAN, OBJECT, STRING, NUMBER) if _IS_KIND[kind](value))
 
 
-def _object(value: Any, where: str) -> Mapping[str, Any]:
-    """value, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: must be an object, got {_json_type(value)}")
-    return value
+def _read(doc: Any, schema: Mapping[str, tuple[str, Any]], where: str) -> dict:
+    """doc, which must be a JSON object with no key outside schema, as a
+    dict of every schema key: its value, checked against its kind (a
+    number converted with float), or its default. where is the dotted
+    path of doc, "" at the top level."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config'}: must be an object, got {_json_type(doc)}")
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where or 'config'}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in schema.items():
+        value = doc.get(key, default)
+        if value is None and default is None:
+            out[key] = None
+            continue
+        if not _IS_KIND[kind](value):
+            got = _json_type(value) if kind is OBJECT else json.dumps(value)
+            raise ConfigError(f"{where}{'.' if where else ''}{key}: must be {kind}, got {got}")
+        out[key] = float(value) if kind is NUMBER else value
+    return out
 
 
-def _section(doc: Mapping[str, Any], key: str) -> Mapping[str, Any]:
-    """The object doc[key]; {} when it is absent or null."""
-    value = doc.get(key)
-    return {} if value is None else _object(value, key)
-
-
-def _typed(doc: Mapping[str, Any], key: str, default: Any, kind: type, where: str) -> Any:
-    """doc[key], which must be of type `kind` (bool: true or false)."""
-    value = doc.get(key, default)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where}: must be {_json_type(kind())}, got {json.dumps(value)}")
-    return value
-
-
-def _names(doc: Mapping[str, Any], key: str, default: list[str], kind) -> tuple:
-    """doc[key], a list of strings, as members of the enum `kind`."""
-    value = doc.get(key, default)
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{key}: must be a list of strings, got {json.dumps(value)}")
+def _member(kind, value: str, key: str):
+    """The member of the enum (or value class) `kind` named by value."""
     try:
-        return tuple(kind(v) for v in value)
+        return kind(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _perturbation_from_dict(doc: Mapping[str, Any], where: str) -> PerturbationSpec:
-    _object(doc, where)
-    _require_keys(
-        doc,
-        {"hf_amplitude", "hf_phase_region", "asymmetry_gain", "timing_shift", "jitter_sd"},
-        where,
-    )
+def _build(cls, prefix: str, **kwargs):
+    """cls(**kwargs), its range errors prefixed with prefix."""
     try:
-        return PerturbationSpec(
-            hf_amplitude=float(doc.get("hf_amplitude", 0.0)),
-            hf_phase_region=GaitRegion(doc.get("hf_phase_region", "Stance")),
-            asymmetry_gain=float(doc.get("asymmetry_gain", 1.0)),
-            timing_shift=float(doc.get("timing_shift", 0.0)),
-            jitter_sd=float(doc.get("jitter_sd", 0.0)),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _perturbation_to_dict(p: PerturbationSpec) -> dict:
-    return {
-        "hf_amplitude": p.hf_amplitude,
-        "hf_phase_region": p.hf_phase_region.value,
-        "asymmetry_gain": p.asymmetry_gain,
-        "timing_shift": p.timing_shift,
-        "jitter_sd": p.jitter_sd,
-    }
+def _perturbation(doc: Any, where: str) -> PerturbationSpec:
+    p = _read(doc, PERTURBATION, where)
+    p["hf_phase_region"] = _member(GaitRegion, p["hf_phase_region"], f"{where}.hf_phase_region")
+    return _build(PerturbationSpec, f"{where}: ", **p)
 
 
-@dataclass(frozen=True)
-class SynthSection:
-    """Resolved synthetic-dataset portion of a run config."""
+def _template(doc: Mapping[str, Any], where: str) -> dict:
+    template = {}
+    for joint_name, harmonics in doc.items():
+        joint = _member(Joint, joint_name, where)
+        if not isinstance(harmonics, list) or not all(
+            isinstance(t, list) and len(t) == 3 and _is_int(t[0]) and all(map(_is_number, t[1:]))
+            for t in harmonics
+        ):
+            raise ConfigError(f"{where}.{joint_name}: must be a list of [harmonic, amplitude, phase]")
+        template[joint] = tuple((h, float(a), float(p)) for h, a, p in harmonics)
+    return template
 
-    n_subjects: int
-    rng_seed: int
-    template: Mapping[Joint, tuple[tuple[int, float, float], ...]]
-    groups: Mapping[ClassLabel, PerturbationSpec]
-    include_normal: bool = True
-    normal_jitter_sd: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.n_subjects < 1:
-            raise ConfigError("synth.n_subjects must be >= 1")
-        if not self.include_normal and not self.groups:
-            raise ConfigError("synth generates nothing: no Normal class, no groups")
-        object.__setattr__(self, "template", dict(self.template))
-        object.__setattr__(self, "groups", dict(self.groups))
+def _synth(doc: Any, seed: int) -> SynthSpec:
+    s = _read(doc, SYNTH, "synth")
+    if s["pathology"] is not None and s["groups"] is not None:
+        raise ConfigError("synth: give either pathology or groups, not both")
+    groups = {}
+    if s["groups"] is not None:
+        for label_text, pdoc in s["groups"].items():
+            where = f"synth.groups[{label_text}]"
+            groups[_member(ClassLabel, label_text, where)] = _perturbation(pdoc, where)
+    elif s["pathology"] is not None:
+        label = CP_DP if s["pathology_label"] is None else _member(
+            ClassLabel, s["pathology_label"], "synth.pathology_label")
+        groups[label] = _perturbation(s["pathology"], "synth.pathology")
+    return _build(
+        SynthSpec,
+        "synth.",
+        n_subjects=s["n_subjects"],
+        rng_seed=seed if s["rng_seed"] is None else s["rng_seed"],
+        template=DEFAULT_TEMPLATE if s["template"] is None else _template(s["template"], "synth.template"),
+        groups=groups,
+        include_normal=s["include_normal"],
+        normal_jitter_sd=s["normal_jitter_sd"],
+    )
+
+
+def _scales(value: Any) -> ScaleGrid:
+    if value is None or isinstance(value, dict):
+        r = _read(value or {}, SCALE_RANGE, "wavelet.scales")
+        return _build(ScaleGrid.default, "wavelet.scales: ", count=r["count"], lo=r["min"], hi=r["max"])
+    return _build(ScaleGrid, "wavelet.scales: ", scales=value)
 
 
 @dataclass(frozen=True)
@@ -129,202 +223,92 @@ class Settings:
     """Every setting of a run but its input source: what the stage
     subcommands that read no dataset (features, train, eval) run with."""
 
-    seed: int = 0
-    joints: tuple[Joint, ...] = (Joint.HIP,)
-    sides: tuple[Side, ...] = (Side.RIGHT, Side.LEFT)
-    morlet: MorletParams = field(default_factory=MorletParams)
-    scales: ScaleGrid = field(default_factory=ScaleGrid.default)
-    boundary: Boundary = Boundary.ZERO
-    level: Level = Level.HIGH_SCALE
-    zscore: bool = False
-    som_rows: int = 10
-    som_cols: int = 10
-    schedule: TrainSchedule = field(default_factory=TrainSchedule)
-    cluster_threshold: float | None = None
-    write_pgm: bool = True
-    loocv: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.joints or not self.sides:
-            raise ConfigError("joints and sides must be non-empty")
-        if self.som_rows * self.som_cols < 2:
-            raise ConfigError("SOM needs at least 2 nodes")
-        if self.schedule.sigma0 is None:
-            object.__setattr__(
-                self, "schedule", self.schedule.resolve(self.som_rows, self.som_cols)
-            )
+    seed: int
+    joints: tuple[Joint, ...]
+    sides: tuple[Side, ...]
+    morlet: MorletParams
+    scales: ScaleGrid
+    boundary: Boundary
+    level: Level
+    zscore: bool
+    som_rows: int
+    som_cols: int
+    schedule: TrainSchedule
+    cluster_threshold: float | None
+    write_pgm: bool
+    loocv: bool
 
 
 @dataclass(frozen=True)
 class RunConfig(Settings):
     """The settings of a run and its one input source."""
 
-    input_csv: str | None = None
-    input_json: str | None = None
-    synth: SynthSection | None = None
-
-    def __post_init__(self) -> None:
-        sources = sum(x is not None for x in (self.input_csv, self.input_json, self.synth))
-        if sources == 0:
-            raise ConfigError("config needs an input: input_csv, input_json, or synth")
-        if sources > 1:
-            raise ConfigError("config must name exactly one input source")
-        super().__post_init__()
+    input_csv: str | None
+    input_json: str | None
+    synth: SynthSpec | None
 
 
-def _template_from_doc(doc, where: str):
-    if doc is None:
-        return dict(DEFAULT_TEMPLATE)
-    template = {}
-    for joint_name, harmonics in _object(doc, where).items():
-        try:
-            joint = Joint(joint_name)
-        except ValueError:
-            raise ConfigError(f"{where}: unknown joint {joint_name!r}") from None
-        try:
-            template[joint] = tuple(
-                (int(h), float(a), float(p)) for h, a, p in harmonics
-            )
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{where}.{joint_name}: must be a list of [harmonic, amplitude, phase]"
-            ) from None
-    return template
-
-
-def _synth_from_dict(doc: Mapping[str, Any], seed: int) -> SynthSection:
-    where = "synth"
-    _object(doc, where)
-    _require_keys(
-        doc,
-        {"n_subjects", "rng_seed", "template", "pathology", "pathology_label",
-         "groups", "include_normal", "normal_jitter_sd"},
-        where,
+def _settings(top: dict) -> Settings:
+    """The Settings of a document whose top level _read has checked."""
+    seed = top["seed"]
+    w = _read(top["wavelet"] or {}, WAVELET, "wavelet")
+    f = _read(top["features"] or {}, FEATURES, "features")
+    s = _read(top["som"] or {}, SOM, "som")
+    if not top["joints"] or not top["sides"]:
+        raise ConfigError("joints and sides must be non-empty")
+    if s["rows"] < 1 or s["cols"] < 1 or s["rows"] * s["cols"] < 2:
+        raise ConfigError("SOM needs at least 2 nodes")
+    schedule = _build(
+        TrainSchedule,
+        "som: ",
+        epochs=s["epochs"],
+        alpha0=s["alpha0"],
+        sigma0=s["sigma0"],
+        sigma_end=s["sigma_end"],
+        kernel=_member(Kernel, s["kernel"], "som.kernel"),
+        rng_seed=seed if s["rng_seed"] is None else s["rng_seed"],
+        init=_member(InitMode, s["init"], "som.init"),
     )
-    if doc.get("pathology") is not None and doc.get("groups") is not None:
-        raise ConfigError(f"{where}: give either pathology or groups, not both")
-    groups: dict[ClassLabel, PerturbationSpec] = {}
-    if doc.get("groups") is not None:
-        for label_text, pdoc in _object(doc["groups"], f"{where}.groups").items():
-            groups[ClassLabel(label_text)] = _perturbation_from_dict(
-                pdoc, f"{where}.groups[{label_text}]"
-            )
-    elif doc.get("pathology") is not None:
-        label = ClassLabel(_typed(doc, "pathology_label", "CP-dp", str, f"{where}.pathology_label"))
-        groups[label] = _perturbation_from_dict(doc["pathology"], f"{where}.pathology")
-    rng_seed = doc.get("rng_seed")
-    include_normal = _typed(doc, "include_normal", True, bool, f"{where}.include_normal")
-    normal_jitter = doc.get("normal_jitter_sd")
-    return SynthSection(
-        n_subjects=int(doc.get("n_subjects", 10)),
-        rng_seed=seed if rng_seed is None else int(rng_seed),
-        template=_template_from_doc(doc.get("template"), f"{where}.template"),
-        groups=groups,
-        include_normal=include_normal,
-        normal_jitter_sd=None if normal_jitter is None else float(normal_jitter),
+    return Settings(
+        seed=seed,
+        joints=tuple(_member(Joint, v, "joints") for v in top["joints"]),
+        sides=tuple(_member(Side, v, "sides") for v in top["sides"]),
+        morlet=_build(MorletParams, "wavelet: ", nu0=w["nu0"], truncation_radius=w["truncation_radius"]),
+        scales=_scales(w["scales"]),
+        boundary=_member(Boundary, w["boundary"], "wavelet.boundary"),
+        level=_member(Level, f["level"], "features.level"),
+        zscore=f["zscore"],
+        som_rows=s["rows"],
+        som_cols=s["cols"],
+        schedule=_build(schedule.resolve, "som: ", rows=s["rows"], cols=s["cols"]),
+        cluster_threshold=top["cluster_threshold"],
+        write_pgm=top["write_pgm"],
+        loocv=top["loocv"],
     )
 
 
-def _scales_from_doc(doc, where: str) -> ScaleGrid:
-    if doc is None:
-        return ScaleGrid.default()
-    try:
-        if isinstance(doc, dict):
-            _require_keys(doc, {"count", "min", "max"}, where)
-            return ScaleGrid.default(
-                count=int(doc.get("count", 12)),
-                lo=float(doc.get("min", 1.0)),
-                hi=float(doc.get("max", 25.0)),
-            )
-        return ScaleGrid(doc)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _parse(doc: Mapping[str, Any]) -> tuple[dict, dict]:
-    """A run-config document, every key checked and every default filled
-    in, as Settings and input-source keyword arguments."""
-    _require_keys(
-        doc,
-        {"seed", "input_csv", "input_json", "synth", "joints", "sides", "wavelet",
-         "features", "som", "cluster_threshold", "write_pgm", "loocv"},
-        "config",
-    )
-    try:
-        seed = int(doc.get("seed", 0))
-        synth = None
-        if doc.get("synth") is not None:
-            synth = _synth_from_dict(doc["synth"], seed)
-
-        wdoc = _section(doc, "wavelet")
-        _require_keys(wdoc, {"nu0", "truncation_radius", "boundary", "scales"}, "wavelet")
-        morlet = MorletParams(
-            nu0=float(wdoc.get("nu0", 1.0)),
-            truncation_radius=float(wdoc.get("truncation_radius", 5.0)),
-        )
-        boundary = Boundary(wdoc.get("boundary", "zero"))
-        scales = _scales_from_doc(wdoc.get("scales"), "wavelet.scales")
-
-        fdoc = _section(doc, "features")
-        _require_keys(fdoc, {"level", "zscore"}, "features")
-        level = Level(fdoc.get("level", "HighScale"))
-        zscore = _typed(fdoc, "zscore", False, bool, "features.zscore")
-
-        sdoc = _section(doc, "som")
-        _require_keys(
-            sdoc,
-            {"rows", "cols", "epochs", "alpha0", "sigma0", "sigma_end", "kernel",
-             "init", "rng_seed"},
-            "som",
-        )
-        rows = int(sdoc.get("rows", 10))
-        cols = int(sdoc.get("cols", 10))
-        som_seed = sdoc.get("rng_seed")
-        schedule = TrainSchedule(
-            epochs=int(sdoc.get("epochs", 200)),
-            alpha0=float(sdoc.get("alpha0", 0.5)),
-            sigma0=None if sdoc.get("sigma0") is None else float(sdoc["sigma0"]),
-            sigma_end=float(sdoc.get("sigma_end", 0.3)),
-            kernel=Kernel(sdoc.get("kernel", "Gaussian")),
-            rng_seed=seed if som_seed is None else int(som_seed),
-            init=InitMode(sdoc.get("init", "SampleInit")),
-        )
-
-        threshold = doc.get("cluster_threshold")
-        settings = dict(
-            seed=seed,
-            joints=_names(doc, "joints", ["Hip"], Joint),
-            sides=_names(doc, "sides", ["Right", "Left"], Side),
-            morlet=morlet,
-            scales=scales,
-            boundary=boundary,
-            level=level,
-            zscore=zscore,
-            som_rows=rows,
-            som_cols=cols,
-            schedule=schedule,
-            cluster_threshold=None if threshold is None else float(threshold),
-            write_pgm=_typed(doc, "write_pgm", True, bool, "write_pgm"),
-            loocv=_typed(doc, "loocv", True, bool, "loocv"),
-        )
-        sources = dict(input_csv=doc.get("input_csv"), input_json=doc.get("input_json"), synth=synth)
-        return settings, sources
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # a value of the wrong type or range
-        raise ConfigError(str(exc)) from None
+def _parse(doc: Mapping[str, Any]) -> tuple[Settings, dict, SynthSpec | None]:
+    """A run-config document, validated in full: its settings, its checked
+    top level and its synth spec."""
+    top = _read(doc, CONFIG, "")
+    synth = None if top["synth"] is None else _synth(top["synth"], top["seed"])
+    return _settings(top), top, synth
 
 
 def settings_from_dict(doc: Mapping[str, Any]) -> Settings:
     """The settings of a run-config document, which is validated in full
     but need not name an input source."""
-    settings, _ = _parse(doc)
-    return Settings(**settings)
+    return _parse(doc)[0]
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
-    settings, sources = _parse(doc)
-    return RunConfig(**settings, **sources)
+    settings, top, synth = _parse(doc)
+    sources = sum(x is not None for x in (top["input_csv"], top["input_json"], synth))
+    if sources == 0:
+        raise ConfigError("config needs an input: input_csv, input_json, or synth")
+    if sources > 1:
+        raise ConfigError("config must name exactly one input source")
+    return RunConfig(**vars(settings), input_csv=top["input_csv"], input_json=top["input_json"], synth=synth)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -341,7 +325,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "pathology": None,
             "pathology_label": None,
             "groups": {
-                lab.value: _perturbation_to_dict(p)
+                lab.value: dict(vars(p), hf_phase_region=p.hf_phase_region.value)
                 for lab, p in sorted(cfg.synth.groups.items())
             },
             "include_normal": cfg.synth.include_normal,
@@ -364,17 +348,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "level": cfg.level.value,
             "zscore": cfg.zscore,
         },
-        "som": {
-            "rows": cfg.som_rows,
-            "cols": cfg.som_cols,
-            "epochs": cfg.schedule.epochs,
-            "alpha0": cfg.schedule.alpha0,
-            "sigma0": cfg.schedule.sigma0,
-            "sigma_end": cfg.schedule.sigma_end,
-            "kernel": cfg.schedule.kernel.value,
-            "init": cfg.schedule.init.value,
-            "rng_seed": cfg.schedule.rng_seed,
-        },
+        "som": {"rows": cfg.som_rows, "cols": cfg.som_cols, **_schedule_to_dict(cfg.schedule)},
         "cluster_threshold": cfg.cluster_threshold,
         "write_pgm": cfg.write_pgm,
         "loocv": cfg.loocv,

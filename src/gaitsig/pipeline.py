@@ -61,14 +61,7 @@ def load_dataset(cfg: RunConfig) -> list[gd.Subject]:
     """The subjects of cfg's one input source: generated from its synth
     section, or read from its dataset CSV or JSON manifest."""
     if cfg.synth is not None:
-        return synth.generate_groups(
-            cfg.synth.template,
-            cfg.synth.n_subjects,
-            cfg.synth.groups,
-            cfg.synth.rng_seed,
-            include_normal=cfg.synth.include_normal,
-            normal_jitter_sd=cfg.synth.normal_jitter_sd,
-        )
+        return synth.generate(cfg.synth)
     if cfg.input_csv is not None:
         return gd.ingest_csv(cfg.input_csv)
     return gd.ingest_json(cfg.input_json)

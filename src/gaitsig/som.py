@@ -228,13 +228,6 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
     return SomMap(rows=som.rows, cols=som.cols, weights=W, schedule=schedule, trained=True)
 
 
-def quantization_error(som: SomMap, data: np.ndarray) -> float:
-    """Mean distance from each vector to its best-matching weight."""
-    X = np.asarray(data, dtype=float)
-    dists = [float(np.linalg.norm(X[i] - som.weights[best_match(som, X[i])])) for i in range(len(X))]
-    return float(np.mean(dists))
-
-
 @dataclass(frozen=True, eq=False)
 class UMatrix:
     """Per-node mean distance to adjacent nodes, plus the default cluster

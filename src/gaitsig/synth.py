@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import CANONICAL_GRID_SIZE, CP_DP, ClassLabel, GaitTrajectory, Joint, NORMAL, Side, Subject
+from .data import CANONICAL_GRID_SIZE, ClassLabel, GaitTrajectory, Joint, NORMAL, Side, Subject
 
 MAX_TEMPLATE_HARMONIC = 15
 HF_HARMONICS = tuple(range(10, 21))
@@ -72,33 +72,39 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for one two-class dataset: n_subjects per class, Normal plus
-    (when pathology is given) one pathological class."""
+    """Recipe for one dataset: n_subjects per class, for the Normal class
+    (unless include_normal is false) and each pathological group.
+
+    normal_jitter_sd None gives the Normal class the jitter_sd of the
+    first group in label order (0 without groups). Each error names the
+    field it is about.
+    """
 
     n_subjects: int
-    harmonic_amplitudes: Mapping[Joint, tuple[tuple[int, float, float], ...]] = field(
+    rng_seed: int
+    template: Mapping[Joint, tuple[tuple[int, float, float], ...]] = field(
         default_factory=lambda: dict(DEFAULT_TEMPLATE)
     )
-    pathology: PerturbationSpec | None = None
-    pathology_label: ClassLabel = CP_DP
-    rng_seed: int = 0
-    grid_size: int = CANONICAL_GRID_SIZE
+    groups: Mapping[ClassLabel, PerturbationSpec] = field(default_factory=dict)
+    include_normal: bool = True
+    normal_jitter_sd: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_subjects < 1:
-            raise ValueError("n_subjects must be >= 1")
-        for joint, harmonics in self.harmonic_amplitudes.items():
+            raise ValueError(f"n_subjects: must be >= 1, got {self.n_subjects}")
+        if not self.include_normal and not self.groups:
+            raise ValueError("include_normal: false with no groups generates nothing")
+        for joint, harmonics in self.template.items():
             for h, _amp, _phase in harmonics:
                 if not 0 <= h <= MAX_TEMPLATE_HARMONIC:
                     raise ValueError(
-                        f"{joint.value}: template harmonic index {h} outside "
+                        f"template.{joint.value}: harmonic index {h} outside "
                         f"[0, {MAX_TEMPLATE_HARMONIC}]"
                     )
         object.__setattr__(
-            self,
-            "harmonic_amplitudes",
-            {j: tuple(tuple(t) for t in hs) for j, hs in self.harmonic_amplitudes.items()},
+            self, "template", {j: tuple(tuple(t) for t in hs) for j, hs in self.template.items()}
         )
+        object.__setattr__(self, "groups", dict(self.groups))
 
 
 def _hf_components(amplitude: float) -> tuple[tuple[int, float, float], ...]:
@@ -148,9 +154,8 @@ def _make_subject(
     perturbation: PerturbationSpec | None,
     jitter_sd: float,
     rng: np.random.Generator,
-    grid_size: int,
 ) -> Subject:
-    pct = np.linspace(0.0, 100.0, grid_size)
+    pct = np.linspace(0.0, 100.0, CANONICAL_GRID_SIZE)
     if perturbation is None:
         hf_base: tuple[tuple[int, float, float], ...] = ()
         region = GaitRegion.BOTH
@@ -194,61 +199,25 @@ def _class_stream(label: ClassLabel) -> int:
     return int.from_bytes(label.value.encode("utf-8"), "big")
 
 
-def generate_groups(
-    template: Mapping[Joint, tuple[tuple[int, float, float], ...]],
-    n_subjects: int,
-    groups: Mapping[ClassLabel, PerturbationSpec],
-    rng_seed: int,
-    include_normal: bool = True,
-    normal_jitter_sd: float | None = None,
-    grid_size: int = CANONICAL_GRID_SIZE,
-) -> list[Subject]:
-    """Generate n_subjects per class for an arbitrary set of pathological
-    groups (emitted in sorted label order), optionally preceded by a
-    Normal class.
+def generate(spec: SynthSpec) -> list[Subject]:
+    """The dataset described by spec: n_subjects per class, the Normal
+    class first and then each group in sorted label order.
 
     Per-class RNG streams key on the class label itself, so a class's
     subjects are identical regardless of which other classes are generated
     alongside it.
     """
-    if n_subjects < 1:
-        raise ValueError("n_subjects must be >= 1")
-    subjects: list[Subject] = []
-    ordered = sorted(groups)
-    if include_normal:
-        if normal_jitter_sd is None:
-            normal_jitter_sd = groups[ordered[0]].jitter_sd if ordered else 0.0
-        for k in range(n_subjects):
-            rng = np.random.default_rng([rng_seed, _class_stream(NORMAL), k])
-            subjects.append(
-                _make_subject(
-                    f"{_slug(NORMAL)}-{k:03d}", NORMAL, template, None,
-                    normal_jitter_sd, rng, grid_size,
-                )
-            )
-    for label in ordered:
-        pert = groups[label]
-        for k in range(n_subjects):
-            rng = np.random.default_rng([rng_seed, _class_stream(label), k])
-            subjects.append(
-                _make_subject(
-                    f"{_slug(label)}-{k:03d}", label, template, pert,
-                    pert.jitter_sd, rng, grid_size,
-                )
-            )
-    return subjects
-
-
-def generate(spec: SynthSpec) -> list[Subject]:
-    """Generate the dataset described by spec: n_subjects Normal subjects,
-    plus n_subjects pathological ones when spec.pathology is given."""
-    groups = {} if spec.pathology is None else {spec.pathology_label: spec.pathology}
-    return generate_groups(
-        spec.harmonic_amplitudes,
-        spec.n_subjects,
-        groups,
-        spec.rng_seed,
-        include_normal=True,
-        normal_jitter_sd=spec.pathology.jitter_sd if spec.pathology else 0.0,
-        grid_size=spec.grid_size,
-    )
+    groups = sorted(spec.groups.items())
+    normal_jitter = spec.normal_jitter_sd
+    if normal_jitter is None:
+        normal_jitter = groups[0][1].jitter_sd if groups else 0.0
+    classes = [(NORMAL, None, normal_jitter)] if spec.include_normal else []
+    classes += [(label, pert, pert.jitter_sd) for label, pert in groups]
+    return [
+        _make_subject(
+            f"{_slug(label)}-{k:03d}", label, spec.template, pert, jitter,
+            np.random.default_rng([spec.rng_seed, _class_stream(label), k]),
+        )
+        for label, pert, jitter in classes
+        for k in range(spec.n_subjects)
+    ]

@@ -27,7 +27,7 @@ from gaitsig.som import (
     train,
     umatrix,
 )
-from gaitsig.synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec, generate, generate_groups
+from gaitsig.synth import GaitRegion, PerturbationSpec, SynthSpec, generate
 from gaitsig.wavelet import MorletParams, ScaleGrid, cwt, morlet
 
 from oracles import band_energy_above, reference_cwt
@@ -197,15 +197,15 @@ def _hip_vectors(subjects, sides, level=Level.HIGH_SCALE):
 def test_c09_end_to_end_discrimination():
     spec = SynthSpec(
         n_subjects=20,
-        pathology=PerturbationSpec(
+        groups={CP_DP: PerturbationSpec(
             hf_amplitude=5.0, hf_phase_region=GaitRegion.STANCE, jitter_sd=0.5
-        ),
+        )},
         rng_seed=42,
     )
     subjects = generate(spec)
     # hf amplitude calibrated so class spectra differ >= 10x above harmonic 10
-    spastic = next(s for s in subjects if s.label == spec.pathology_label)
-    normal = next(s for s in subjects if s.label != spec.pathology_label)
+    spastic = next(s for s in subjects if s.label == CP_DP)
+    normal = next(s for s in subjects if s.label != CP_DP)
     e_sp = band_energy_above(spastic.trajectories[(Joint.HIP, Side.RIGHT)].samples, 10)
     e_no = band_energy_above(normal.trajectories[(Joint.HIP, Side.RIGHT)].samples, 10)
     assert e_sp >= 10.0 * e_no
@@ -230,7 +230,7 @@ def test_c10_laterality_separation():
         CP_RH: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=1.0 / gain, jitter_sd=0.3),
         CP_DP: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=1.0, jitter_sd=0.3),
     }
-    subjects = generate_groups(DEFAULT_TEMPLATE, 12, groups, rng_seed=21, include_normal=False)
+    subjects = generate(SynthSpec(n_subjects=12, rng_seed=21, groups=groups, include_normal=False))
     vectors = _hip_vectors(subjects, sides=(Side.RIGHT, Side.LEFT))
     x = np.stack([v.values for v in vectors])
     schedule = TrainSchedule(epochs=200, rng_seed=21, init=InitMode.SAMPLE_INIT)

@@ -132,16 +132,33 @@ class TestRunConfig:
             ({"synth": {"n_subjects": 2, "include_normal": None}}, "synth.include_normal: must be a boolean, got null"),
             ({"synth": {"n_subjects": 2, "pathology": {}, "pathology_label": 5}},
              "synth.pathology_label: must be a string, got 5"),
+            ({"som": {"epochs": 1.7}}, "som.epochs: must be an integer, got 1.7"),
+            ({"som": {"epochs": True}}, "som.epochs: must be an integer, got true"),
+            ({"som": {"epochs": [1]}}, r"som.epochs: must be an integer, got \[1\]"),
+            ({"seed": "3"}, 'seed: must be an integer, got "3"'),
+            ({"seed": 2.9}, "seed: must be an integer, got 2.9"),
+            ({"som": {"rows": "10"}}, 'som.rows: must be an integer, got "10"'),
+            ({"som": {"alpha0": "0.5"}}, 'som.alpha0: must be a number, got "0.5"'),
+            ({"synth": {"n_subjects": 2.5}}, "synth.n_subjects: must be an integer, got 2.5"),
+            ({"wavelet": {"scales": {"count": 12.9}}}, "wavelet.scales.count: must be an integer, got 12.9"),
+            ({"input_csv": 5}, "input_csv: must be a string, got 5"),
+            ({"som": {"kernel": "x"}}, "som.kernel: 'x' is not a valid Kernel"),
+            ({"synth": {"n_subjects": 2, "template": {"Hip": [[40, 1.0, 0.0]]}}},
+             r"synth.template.Hip: harmonic index 40 outside \[0, 15\]"),
+            ({"synth": {"n_subjects": 2, "template": {"Hip": [[-3, 1.0, 0.0]]}}},
+             r"synth.template.Hip: harmonic index -3 outside \[0, 15\]"),
         ],
         ids=["som", "wavelet", "features", "synth", "pathology", "groups", "group", "template", "harmonics",
              "joints-text", "joints-null", "sides-object", "sides-value", "write-pgm", "loocv", "zscore",
-             "include-normal", "pathology-label"],
+             "include-normal", "pathology-label", "epochs-float", "epochs-bool", "epochs-list", "seed-text",
+             "seed-float", "rows-text", "alpha0-text", "n-subjects-float", "scale-count-float",
+             "input-csv-number", "kernel-value", "harmonic-40", "harmonic-negative"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_wrong_json_type_names_the_key(self, tmp_path, capsys, stage, edit, message):
         cfg_path = str(write_config(tmp_path, small_config(**edit)))
         argv = ["run", "--config", cfg_path] if stage == "run" else [
-            "train", "--features", str(tmp_path / "features.csv"), "--config", cfg_path, "--epochs", "3"]
+            "train", "--features", str(tmp_path / "features.csv"), "--config", cfg_path]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(f"gaitsig: error: {message}\n", err), err

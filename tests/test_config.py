@@ -1,0 +1,172 @@
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaitsig.config import (
+    CONFIG,
+    FEATURES,
+    NUMBER,
+    OBJECT,
+    PERTURBATION,
+    SOM,
+    WAVELET,
+    config_from_dict,
+    config_to_dict,
+)
+from gaitsig.data import Joint
+from gaitsig.features import Level
+from gaitsig.som import InitMode, Kernel
+from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion
+from gaitsig.wavelet import Boundary
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def numbers(lo, hi):
+    """JSON numbers in [lo, hi]: integers and floats."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+def names(enum):
+    return st.sampled_from([m.value for m in enum])
+
+
+seeds = st.integers(0, 2**32 - 1)
+labels = st.one_of(st.sampled_from(["CP-dp", "CP-lh", "Polio"]), st.text(min_size=1, max_size=6))
+perturbations = st.fixed_dictionaries({}, optional={
+    "hf_amplitude": numbers(0, 10),
+    "hf_phase_region": names(GaitRegion),
+    "asymmetry_gain": numbers(0.1, 10),
+    "timing_shift": numbers(0, 20),
+    "jitter_sd": numbers(0, 2),
+})
+templates = st.dictionaries(
+    names(Joint),
+    st.lists(st.tuples(st.integers(0, MAX_TEMPLATE_HARMONIC), numbers(-30, 30), numbers(-4, 4)).map(list),
+             max_size=3),
+)
+scales = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({}, optional={"count": st.integers(2, 30), "min": numbers(0.5, 2), "max": numbers(3, 40)}),
+    st.lists(numbers(0.1, 50), min_size=1, max_size=12, unique=True).map(sorted),
+)
+
+
+@st.composite
+def synth_sections(draw):
+    doc = draw(st.fixed_dictionaries({"n_subjects": st.integers(1, 50)}, optional={
+        "rng_seed": st.one_of(st.none(), seeds),
+        "template": st.one_of(st.none(), templates),
+        "include_normal": st.booleans(),
+        "normal_jitter_sd": st.one_of(st.none(), numbers(0, 2)),
+    }))
+    form = draw(st.sampled_from(["pathology", "groups", "normal"]))
+    if form == "pathology":
+        doc["pathology"] = draw(perturbations)
+        if draw(st.booleans()):
+            doc["pathology_label"] = draw(labels)
+    elif form == "groups":
+        doc["groups"] = draw(st.dictionaries(labels, perturbations, min_size=1, max_size=3))
+    else:
+        doc["include_normal"] = True
+    return doc
+
+
+@st.composite
+def som_sections(draw):
+    doc = draw(st.fixed_dictionaries({}, optional={
+        "rows": st.integers(1, 12),
+        "cols": st.integers(1, 12),
+        "epochs": st.integers(1, 500),
+        "alpha0": numbers(0, 1),
+        "kernel": names(Kernel),
+        "init": names(InitMode),
+        "rng_seed": st.one_of(st.none(), seeds),
+    }))
+    rows, cols = doc.get("rows", SOM["rows"][1]), doc.get("cols", SOM["cols"][1])
+    if rows * cols < 2:
+        doc["cols"] = cols = 2
+    if draw(st.booleans()):
+        doc["sigma_end"] = draw(numbers(0.01, 1))
+    if draw(st.booleans()):
+        doc["sigma0"] = doc.get("sigma_end", SOM["sigma_end"][1]) + draw(numbers(0, 5))
+    return doc
+
+
+@st.composite
+def documents(draw):
+    """Correctly typed run-config documents with values in range."""
+    doc = draw(st.fixed_dictionaries({}, optional={
+        "seed": seeds,
+        "joints": st.lists(names(Joint), min_size=1, max_size=3),
+        "sides": st.lists(st.sampled_from(["Right", "Left"]), min_size=1, max_size=2),
+        "wavelet": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
+            "nu0": numbers(0.81, 3),
+            "truncation_radius": numbers(3, 8),
+            "boundary": names(Boundary),
+            "scales": scales,
+        })),
+        "features": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
+            "level": names(Level), "zscore": st.booleans()})),
+        "som": st.one_of(st.none(), som_sections()),
+        "cluster_threshold": st.one_of(st.none(), numbers(0, 10)),
+        "write_pgm": st.booleans(),
+        "loocv": st.booleans(),
+    }))
+    source = draw(st.sampled_from(["input_csv", "input_json", "synth"]))
+    doc[source] = draw(synth_sections()) if source == "synth" else "data." + source[6:]
+    return doc
+
+
+def number_keys_hold_floats(values, table):
+    # an integer given for a number key is echoed as a float: 1 as 1.0
+    for key, (kind, _) in table.items():
+        assert kind is not NUMBER or values[key] is None or type(values[key]) is float, key
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents())
+def test_resolved_config_is_a_fixed_point(doc):
+    resolved = config_to_dict(config_from_dict(doc))
+    echoed = json.loads(json.dumps(resolved, sort_keys=True))  # as resolved_config.json holds it
+    assert config_to_dict(config_from_dict(echoed)) == resolved
+    for section, table in ((None, CONFIG), ("wavelet", WAVELET), ("som", SOM)):
+        number_keys_hold_floats(resolved if section is None else resolved[section], table)
+    for group in (resolved["synth"] or {"groups": {}})["groups"].values():
+        number_keys_hold_floats(group, PERTURBATION)
+
+
+def test_omitted_keys_resolve_to_the_table_defaults():
+    resolved = config_to_dict(config_from_dict({"input_csv": "data.csv"}))
+    for section, table in ((None, CONFIG), ("wavelet", WAVELET), ("features", FEATURES), ("som", SOM)):
+        values = resolved if section is None else resolved[section]
+        for key, (kind, default) in table.items():
+            if default is not None and kind is not OBJECT:
+                assert values[key] == default, (section, key)
+    pathology = config_to_dict(config_from_dict({"synth": {"pathology": {}}}))["synth"]["groups"]
+    assert pathology == {"CP-dp": {key: default for key, (_, default) in PERTURBATION.items()}}
+
+
+# build_config's arguments for each script: its seed and, for laterality,
+# the gain its --gain defaults to
+SCRIPT_ARGS = {"run_normal_vs_spastic": (42,), "run_laterality": (21, 1.6)}
+
+
+def test_script_args_cover_every_script():
+    assert {p.stem for p in SCRIPTS.glob("*.py")} == set(SCRIPT_ARGS)
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_ARGS))
+def test_script_configs_parse(script):
+    spec = importlib.util.spec_from_file_location(script, SCRIPTS / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    cfg = module.build_config(*SCRIPT_ARGS[script])
+    assert cfg.synth is not None and cfg.seed == SCRIPT_ARGS[script][0]
+    resolved = config_to_dict(cfg)
+    assert config_to_dict(config_from_dict(resolved)) == resolved

@@ -19,7 +19,6 @@ from gaitsig.som import (
     clusters,
     init,
     load_map_json,
-    quantization_error,
     save_map_json,
     train,
     umatrix,
@@ -248,17 +247,6 @@ class TestTrain:
             max(np.linalg.norm(m.weights[0] - mu_b), np.linalg.norm(m.weights[1] - mu_a)),
         )
         assert err <= 0.10 * sep
-
-    def test_quantization_error_improves(self):
-        rng = np.random.default_rng(11)
-        data = np.vstack([
-            rng.normal(0, 0.3, (20, 4)),
-            rng.normal(5, 0.3, (20, 4)) * np.array([1, -1, 1, -1]),
-        ])
-        schedule = TrainSchedule(epochs=50, rng_seed=12)
-        m0 = init(4, 4, 4, schedule, samples=data)
-        m1 = train(m0, data)
-        assert quantization_error(m1, data) <= quantization_error(m0, data)
 
     def test_empty_data_rejected(self):
         m = init(2, 2, 2, TrainSchedule())

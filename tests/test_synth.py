@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitsig.data import CP_LH, CP_RH, Joint, NORMAL, Side
-from gaitsig.synth import (
-    DEFAULT_TEMPLATE,
-    GaitRegion,
-    PerturbationSpec,
-    SynthSpec,
-    generate,
-    generate_groups,
-)
+from gaitsig.data import CP_DP, CP_LH, CP_RH, Joint, NORMAL, Side
+from gaitsig.synth import GaitRegion, PerturbationSpec, SynthSpec, generate
 
 from oracles import band_energy_above
 
@@ -31,11 +24,15 @@ def _identical_datasets(a, b):
 class TestSpecValidation:
     def test_template_harmonic_cap(self):
         with pytest.raises(ValueError, match="harmonic index"):
-            SynthSpec(n_subjects=1, harmonic_amplitudes={Joint.HIP: ((16, 1.0, 0.0),)})
+            SynthSpec(n_subjects=1, rng_seed=0, template={Joint.HIP: ((16, 1.0, 0.0),)})
 
     def test_n_subjects_positive(self):
         with pytest.raises(ValueError, match="n_subjects"):
-            SynthSpec(n_subjects=0)
+            SynthSpec(n_subjects=0, rng_seed=0)
+
+    def test_something_to_generate(self):
+        with pytest.raises(ValueError, match="generates nothing"):
+            SynthSpec(n_subjects=1, rng_seed=0, include_normal=False)
 
     def test_perturbation_validation(self):
         with pytest.raises(ValueError, match="asymmetry_gain"):
@@ -58,13 +55,13 @@ class TestGenerate:
     def test_same_seed_bit_identical(self):
         spec = SynthSpec(
             n_subjects=3,
-            pathology=PerturbationSpec(hf_amplitude=4.0, jitter_sd=0.8),
+            groups={CP_DP: PerturbationSpec(hf_amplitude=4.0, jitter_sd=0.8)},
             rng_seed=123,
         )
         _identical_datasets(generate(spec), generate(spec))
 
     def test_different_seed_differs(self):
-        base = dict(n_subjects=2, pathology=PerturbationSpec(jitter_sd=1.0))
+        base = dict(n_subjects=2, groups={CP_DP: PerturbationSpec(jitter_sd=1.0)})
         a = generate(SynthSpec(rng_seed=1, **base))
         b = generate(SynthSpec(rng_seed=2, **base))
         assert not np.array_equal(
@@ -73,12 +70,12 @@ class TestGenerate:
 
     def test_labels_and_counts(self):
         spec = SynthSpec(
-            n_subjects=4, pathology=PerturbationSpec(hf_amplitude=2.0), rng_seed=0
+            n_subjects=4, groups={CP_DP: PerturbationSpec(hf_amplitude=2.0)}, rng_seed=0
         )
         subjects = generate(spec)
         assert len(subjects) == 8
         assert sum(s.label == NORMAL for s in subjects) == 4
-        assert sum(s.label == spec.pathology_label for s in subjects) == 4
+        assert sum(s.label == CP_DP for s in subjects) == 4
         assert len({s.id for s in subjects}) == 8
 
     def test_stance_hf_energy_ratio_at_least_10x(self):
@@ -86,9 +83,7 @@ class TestGenerate:
         # high-frequency content, checked with the independent FFT oracle
         spec = SynthSpec(
             n_subjects=1,
-            pathology=PerturbationSpec(
-                hf_amplitude=5.0, hf_phase_region=GaitRegion.STANCE
-            ),
+            groups={CP_DP: PerturbationSpec(hf_amplitude=5.0, hf_phase_region=GaitRegion.STANCE)},
             rng_seed=9,
         )
         normal, spastic = generate(spec)
@@ -102,7 +97,7 @@ class TestGenerate:
         for amp in (1.0, 2.0, 4.0, 8.0):
             spec = SynthSpec(
                 n_subjects=1,
-                pathology=PerturbationSpec(hf_amplitude=amp, hf_phase_region=GaitRegion.BOTH),
+                groups={CP_DP: PerturbationSpec(hf_amplitude=amp, hf_phase_region=GaitRegion.BOTH)},
                 rng_seed=9,
             )
             _, path = generate(spec)
@@ -112,7 +107,7 @@ class TestGenerate:
     def test_swing_region_places_energy_in_swing(self):
         spec = SynthSpec(
             n_subjects=1,
-            pathology=PerturbationSpec(hf_amplitude=5.0, hf_phase_region=GaitRegion.SWING),
+            groups={CP_DP: PerturbationSpec(hf_amplitude=5.0, hf_phase_region=GaitRegion.SWING)},
             rng_seed=2,
         )
         _, path = generate(spec)
@@ -125,7 +120,7 @@ class TestGenerate:
     def test_symmetric_gain_means_equal_sides(self):
         spec = SynthSpec(
             n_subjects=2,
-            pathology=PerturbationSpec(hf_amplitude=3.0, asymmetry_gain=1.0, jitter_sd=0.7),
+            groups={CP_DP: PerturbationSpec(hf_amplitude=3.0, asymmetry_gain=1.0, jitter_sd=0.7)},
             rng_seed=4,
         )
         for subj in generate(spec):
@@ -137,7 +132,7 @@ class TestGenerate:
         gain = 1.8
         spec = SynthSpec(
             n_subjects=1,
-            pathology=PerturbationSpec(asymmetry_gain=gain),
+            groups={CP_DP: PerturbationSpec(asymmetry_gain=gain)},
             rng_seed=4,
         )
         _, path = generate(spec)
@@ -149,10 +144,10 @@ class TestGenerate:
     def test_timing_shift_is_circular_shift(self):
         # a 5% shift on the canonical grid moves samples by 5 columns
         spec0 = SynthSpec(
-            n_subjects=1, pathology=PerturbationSpec(timing_shift=0.0), rng_seed=6
+            n_subjects=1, groups={CP_DP: PerturbationSpec(timing_shift=0.0)}, rng_seed=6
         )
         spec5 = SynthSpec(
-            n_subjects=1, pathology=PerturbationSpec(timing_shift=5.0), rng_seed=6
+            n_subjects=1, groups={CP_DP: PerturbationSpec(timing_shift=5.0)}, rng_seed=6
         )
         _, p0 = generate(spec0)
         _, p5 = generate(spec5)
@@ -165,7 +160,7 @@ class TestGenerate:
     def test_determinism_property(self, seed):
         spec = SynthSpec(
             n_subjects=2,
-            pathology=PerturbationSpec(hf_amplitude=2.0, jitter_sd=0.5),
+            groups={CP_DP: PerturbationSpec(hf_amplitude=2.0, jitter_sd=0.5)},
             rng_seed=seed,
         )
         _identical_datasets(generate(spec), generate(spec))
@@ -177,16 +172,16 @@ class TestGenerateGroups:
             CP_LH: PerturbationSpec(asymmetry_gain=1.5, jitter_sd=0.2),
             CP_RH: PerturbationSpec(asymmetry_gain=1 / 1.5, jitter_sd=0.2),
         }
-        both = generate_groups(DEFAULT_TEMPLATE, 2, groups_all, rng_seed=7, include_normal=False)
-        only_lh = generate_groups(
-            DEFAULT_TEMPLATE, 2, {CP_LH: groups_all[CP_LH]}, rng_seed=7, include_normal=False
+        both = generate(SynthSpec(n_subjects=2, rng_seed=7, groups=groups_all, include_normal=False))
+        only_lh = generate(
+            SynthSpec(n_subjects=2, rng_seed=7, groups={CP_LH: groups_all[CP_LH]}, include_normal=False)
         )
         lh_from_both = [s for s in both if s.label == CP_LH]
         _identical_datasets(lh_from_both, only_lh)
 
     def test_empty_generation_rejected(self):
         with pytest.raises(ValueError):
-            generate_groups(DEFAULT_TEMPLATE, 0, {}, rng_seed=0)
+            generate(SynthSpec(n_subjects=0, rng_seed=0))
 
     def test_mirror_gains_are_side_swaps(self):
         g = 1.6
@@ -194,7 +189,7 @@ class TestGenerateGroups:
             CP_LH: PerturbationSpec(asymmetry_gain=g),
             CP_RH: PerturbationSpec(asymmetry_gain=1 / g),
         }
-        subs = generate_groups(DEFAULT_TEMPLATE, 1, groups, rng_seed=3, include_normal=False)
+        subs = generate(SynthSpec(n_subjects=1, rng_seed=3, groups=groups, include_normal=False))
         lh = next(s for s in subs if s.label == CP_LH)
         rh = next(s for s in subs if s.label == CP_RH)
         assert np.allclose(
