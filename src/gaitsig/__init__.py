@@ -3,9 +3,9 @@ scalograms, region/level feature vectors, and SOM classification."""
 
 import os
 
-# Set before numpy loads: no stage uses BLAS threads (the one BLAS call is
-# a dot product of at most 8 values in evaluate.kappa), and idle threads
-# cost CPU in every process.
+# Set before numpy loads: no stage uses BLAS threads (the LOOCV folds
+# already fill every CPU, and som.train's one matrix-vector product per
+# presentation is small), and idle threads cost CPU in every process.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .data import (

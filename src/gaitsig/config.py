@@ -128,6 +128,15 @@ def _json_type(value: Any) -> str:
     return next(kind for kind in (BOOLEAN, OBJECT, STRING, NUMBER) if _IS_KIND[kind](value))
 
 
+def _float(value: int | float, key: str) -> float:
+    """A JSON number as a float; an integer beyond the float range is an
+    error that names key."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: must be a number within the float range") from None
+
+
 def _read(doc: Any, schema: Mapping[str, tuple[str, Any]], where: str) -> dict:
     """doc, which must be a JSON object with no key outside schema, as a
     dict of every schema key: its value, checked against its kind (a
@@ -144,10 +153,11 @@ def _read(doc: Any, schema: Mapping[str, tuple[str, Any]], where: str) -> dict:
         if value is None and default is None:
             out[key] = None
             continue
+        dotted = f"{where}{'.' if where else ''}{key}"
         if not _IS_KIND[kind](value):
             got = _json_type(value) if kind is OBJECT else json.dumps(value)
-            raise ConfigError(f"{where}{'.' if where else ''}{key}: must be {kind}, got {got}")
-        out[key] = float(value) if kind is NUMBER else value
+            raise ConfigError(f"{dotted}: must be {kind}, got {got}")
+        out[key] = _float(value, dotted) if kind is NUMBER else value
     return out
 
 
@@ -163,7 +173,7 @@ def _build(cls, prefix: str, **kwargs):
     """cls(**kwargs), its range errors prefixed with prefix."""
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
@@ -182,8 +192,19 @@ def _template(doc: Mapping[str, Any], where: str) -> dict:
             for t in harmonics
         ):
             raise ConfigError(f"{where}.{joint_name}: must be a list of [harmonic, amplitude, phase]")
-        template[joint] = tuple((h, float(a), float(p)) for h, a, p in harmonics)
+        key = f"{where}.{joint_name}"
+        template[joint] = tuple((h, _float(a, key), _float(p, key)) for h, a, p in harmonics)
     return template
+
+
+def _seed(own: int | None, key: str, seed: int) -> int:
+    """A section's RNG seed: its own rng_seed, at the dotted key, or else
+    the top-level seed. numpy takes only seeds >= 0, and the error names
+    the key the value came from."""
+    value, key = (seed, "seed") if own is None else (own, key)
+    if value < 0:
+        raise ConfigError(f"{key}: must be >= 0, got {value}")
+    return value
 
 
 def _synth(doc: Any, seed: int) -> SynthSpec:
@@ -203,7 +224,7 @@ def _synth(doc: Any, seed: int) -> SynthSpec:
         SynthSpec,
         "synth.",
         n_subjects=s["n_subjects"],
-        rng_seed=seed if s["rng_seed"] is None else s["rng_seed"],
+        rng_seed=_seed(s["rng_seed"], "synth.rng_seed", seed),
         template=DEFAULT_TEMPLATE if s["template"] is None else _template(s["template"], "synth.template"),
         groups=groups,
         include_normal=s["include_normal"],
@@ -266,7 +287,7 @@ def _settings(top: dict) -> Settings:
         sigma0=s["sigma0"],
         sigma_end=s["sigma_end"],
         kernel=_member(Kernel, s["kernel"], "som.kernel"),
-        rng_seed=seed if s["rng_seed"] is None else s["rng_seed"],
+        rng_seed=_seed(s["rng_seed"], "som.rng_seed", seed),
         init=_member(InitMode, s["init"], "som.init"),
     )
     return Settings(

@@ -21,6 +21,7 @@ field is the negative discrete gradient of those heights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -207,24 +208,67 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
         np.any(np.signbit(W) & (W == 0))
         or np.any(np.signbit(X) & (np.abs(X) < np.finfo(float).tiny))
     )
+    # The best match is the first argmin of d_i = fl(sum_k fl(w_ik - x_k)^2),
+    # the einsum scan below. The fast path takes m, the first argmin of
+    # s_i = fl(fl(N_i - G_i) - G_i) with N_i = ||w_i||^2 from vecdot and
+    # G_i = w_i.x from one BLAS product, and keeps it only if no other node
+    # has s_i <= fl(s_m + E), where E = 8(D+4) eps R, D is the dimension
+    # and R = (sqrt(max_i N_i) + ||x||)^2 lies in (2**-500, max/4). Then m
+    # is the strict minimum of d, so both paths pick the same node. Proof,
+    # with u = eps/2, g_n = nu/(1-nu) (Higham 2002, 3.1), D u <= 0.01 (any
+    # D below 10**13), e_i = ||w_i - x||^2 and r_i = (||w_i|| + ||x||)^2
+    # exact, so e_i <= r_i:
+    # - A dot product of length D, in any summation order and with or
+    #   without FMA, errs by at most g_D sum_k |a_k b_k|, so N_i errs by
+    #   <= g_D r_i and G_i by <= g_D r_i/4, as ||w_i|| ||x|| <= r_i/4. With
+    #   the roundings of ||x||, the root and the square, the computed R is
+    #   at least 0.989 times its exact value, which bounds every r_i.
+    # - The two subtractions see operands below 1.6 r_i and add at most
+    #   3u r_i, so s_i is within a = (1.52 D + 3)u R of e_i - ||x||^2.
+    # - The reference rounds w - x, squares it and sums: d_i = e_i (1 + t_i)
+    #   with |t_i| <= g_(D+3), so d_i - d_m >= e_i - e_m - 2 g_(D+3) R.
+    # s_i > fl(s_m + E) >= s_m + E - 1.7u R gives e_i - e_m > E - 1.7u R - 2a
+    # and d_i - d_m > E - (5.07 D + 13.8)u R >= (15.8 - 5.1)(D+4)u R > 0.
+    # Above R = 2**-500, underflow (at most 2**-1075 per product, Higham
+    # 2.1) moves each term by far less than u R; below max/4 no s_i and no
+    # s_m + E overflows. A NaN or infinite R fails the range test; there,
+    # and when several nodes are within E, the reference scan runs.
+    margin = 8.0 * (X.shape[1] + 4) * np.finfo(float).eps
+    r_range = (2.0**-500, np.finfo(float).max / 4)
     buf = np.empty_like(W)  # W - x, then the update c*x
     d = np.empty(len(W))
-    for t in range(schedule.epochs):
-        coef_rows = schedule.alpha(t) * _kernel_values(
-            dist2, schedule.sigma(t), schedule.kernel
-        )
-        keep3 = (1.0 - coef_rows)[:, :, None]
-        coef3 = coef_rows[:, :, None]
-        for idx in rng.permutation(len(X)).tolist():
-            x = X[idx]
-            np.subtract(W, x, out=buf)
-            bmu = np.einsum("nd,nd->n", buf, buf, out=d).argmin()
-            np.multiply(W, keep3[bmu], out=W)
-            if outer:
-                np.einsum("n,d->nd", coef_rows[bmu], x, out=buf)
-            else:
-                np.multiply(coef3[bmu], x, out=buf)
-            np.add(W, buf, out=W)
+    nrm = np.empty(len(W))
+    g = np.empty(len(W))
+    near = np.empty(len(W), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge data takes the scan
+        x_norms = np.sqrt(np.vecdot(X, X)).tolist()
+        for t in range(schedule.epochs):
+            coef_rows = schedule.alpha(t) * _kernel_values(
+                dist2, schedule.sigma(t), schedule.kernel
+            )
+            keep3 = (1.0 - coef_rows)[:, :, None]
+            coef3 = coef_rows[:, :, None]
+            for idx in rng.permutation(len(X)).tolist():
+                x = X[idx]
+                np.vecdot(W, W, out=nrm)
+                np.dot(W, x, out=g)
+                np.subtract(nrm, g, out=d)
+                np.subtract(d, g, out=d)
+                bmu = d.argmin()
+                q = math.sqrt(nrm.max()) + x_norms[idx]
+                r = q * q
+                if not (
+                    r_range[0] < r < r_range[1]
+                    and np.count_nonzero(np.less_equal(d, d[bmu] + margin * r, out=near)) == 1
+                ):
+                    np.subtract(W, x, out=buf)
+                    bmu = np.einsum("nd,nd->n", buf, buf, out=d).argmin()
+                np.multiply(W, keep3[bmu], out=W)
+                if outer:
+                    np.einsum("n,d->nd", coef_rows[bmu], x, out=buf)
+                else:
+                    np.multiply(coef3[bmu], x, out=buf)
+                np.add(W, buf, out=W)
     return SomMap(rows=som.rows, cols=som.cols, weights=W, schedule=schedule, trained=True)
 
 

@@ -163,6 +163,39 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"seed": -1}, "seed: must be >= 0, got -1"),
+            ({"synth": {"n_subjects": 2, "rng_seed": -3}}, "synth.rng_seed: must be >= 0, got -3"),
+            ({"som": {"rng_seed": -4}}, "som.rng_seed: must be >= 0, got -4"),
+            ({"som": {"alpha0": 10**400}}, "som.alpha0: must be a number within the float range"),
+            ({"cluster_threshold": -(10**400)}, "cluster_threshold: must be a number within the float range"),
+            ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: int too large to convert to float"),
+            ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
+             "synth.template.Hip: must be a number within the float range"),
+            ({"som": {"rows": 10**400}}, "som: int too large to convert to float"),
+        ],
+        ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "threshold-huge", "scales-huge", "amplitude-huge",
+             "rows-huge"],
+    )
+    @pytest.mark.parametrize("stage", ["run", "train"])
+    def test_out_of_range_value_names_the_key(self, tmp_path, capsys, stage, edit, message):
+        cfg_path = str(write_config(tmp_path, small_config(**edit)))
+        argv = ["run", "--config", cfg_path] if stage == "run" else [
+            "train", "--features", str(tmp_path / "features.csv"), "--config", cfg_path]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_that_nothing_uses_accepted(self):
+        doc = small_config(seed=-1)
+        doc["synth"]["rng_seed"] = 3
+        doc["som"]["rng_seed"] = 0
+        cfg = config_from_dict(doc)
+        assert (cfg.seed, cfg.synth.rng_seed, cfg.schedule.rng_seed) == (-1, 3, 0)
+
     def test_seed_override_propagates(self, tmp_path):
         path = write_config(tmp_path, small_config())
         cfg = load_config(path, seed_override=99)

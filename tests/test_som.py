@@ -54,6 +54,15 @@ _train_values = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, -3e-301, 5e-324, -5e-324]),
     st.floats(-1e-299, 1e-299),
 )
+# small integers tie exactly; squares of 1e-160 underflow; squares of 1e160
+# and 1e300 overflow; near 1e8, ||w||^2 - 2 w.x cancels most of its digits
+_integer_values = st.integers(-3, 3).map(float)
+_extreme_values = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1e-160, -1e-160, 1e160, -1e160, 1e300, -1e300]),
+)
+_subnormal_square_values = st.integers(-4, 4).map(lambda k: k * 1e-162)
+_far_values = st.integers(-12, 12).map(lambda k: 1e8 + k / 4)
 
 
 @st.composite
@@ -61,9 +70,16 @@ def training_cases(draw):
     rows = draw(st.integers(1, 10))
     cols = draw(st.integers(2 if rows == 1 else 1, 10))
     dim = draw(st.integers(1, 40))
-    data = draw(hnp.arrays(float, (draw(st.integers(1, 8)), dim), elements=_train_values))
+    values = draw(st.sampled_from([
+        _train_values, _integer_values, _extreme_values, _subnormal_square_values, _far_values,
+    ]))
+    n = draw(st.integers(1, 8))
+    data = draw(hnp.arrays(float, (n, dim), elements=values))
     for j in draw(st.sets(st.integers(0, dim - 1), max_size=3)):
-        data[:, j] = draw(_train_values)  # constant column
+        data[:, j] = draw(values)  # constant column
+    for j in draw(st.sets(st.integers(0, dim - 1), max_size=3)):
+        data[:, j] = draw(hnp.arrays(float, n, elements=_integer_values))
+    data = data[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]  # duplicate rows
     kernel = draw(st.sampled_from(Kernel))
     schedule = TrainSchedule(
         epochs=draw(st.integers(1, 4)),
@@ -309,6 +325,42 @@ class TestTrain:
         m0 = init(2, 3, 4, schedule, samples=data)
         out = train(m0, data).weights
         assert np.count_nonzero(np.signbit(out) & (out == 0)) == 5
+        assert out.tobytes() == reference_weights(m0, data).tobytes()
+
+    @pytest.mark.parametrize("w, x, bmu", [
+        # x is equally far from the mirror-image nodes: the lowest index wins
+        ([[1.0, 0.0], [-1.0, 0.0]], [0.0, 5.0], 0),
+        # node 1 is nearer, but ||w||^2 - 2 w.x as computed is lower for
+        # node 0: by rounding far from the origin, and by squares that
+        # underflow to subnormals
+        ([[100000002.25, 100000001.0], [100000001.5, 99999999.25]], [100000001.0, 100000000.0], 1),
+        ([[2e-162, -2e-162], [3e-162, -3e-162]], [2e-162, -4e-162], 1),
+    ], ids=["exact-tie", "far-from-origin", "subnormal-squares"])
+    def test_radius_zero_bubble_moves_only_the_best_match(self, w, x, bmu):
+        w, data = np.array(w), np.array([x])
+        schedule = TrainSchedule(
+            epochs=1, alpha0=0.5, sigma0=0.0, sigma_end=0.0, kernel=Kernel.BUBBLE
+        )
+        m0 = make_map(1, 2, w, trained=False, schedule=schedule)
+        out = train(m0, data).weights
+        assert not np.array_equal(out[bmu], w[bmu]) and np.array_equal(out[1 - bmu], w[1 - bmu])
+        assert out.tobytes() == reference_weights(m0, data).tobytes()
+
+    def test_overflowing_distances(self):
+        # squared norms and distances overflow to inf (and inf - inf is
+        # NaN), so no margin separates the nodes and each presentation
+        # must take the reference scan
+        data = np.array([
+            [1e300, -1e300, 0.0],
+            [-1e300, 1e300, 1.0],
+            [1e160, 0.0, -1e300],
+            [0.0, 1e300, 1e300],
+            [2.0, -1.0, 0.5],
+        ])
+        schedule = TrainSchedule(epochs=6, init=InitMode.SAMPLE_INIT, rng_seed=3)
+        m0 = init(2, 3, 3, schedule, samples=data)
+        out = train(m0, data).weights
+        assert np.all(np.isfinite(out))
         assert out.tobytes() == reference_weights(m0, data).tobytes()
 
     def test_bmu_invariant_under_common_scaling(self):
