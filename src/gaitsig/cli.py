@@ -8,7 +8,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import data as gd
 from . import evaluate as ev
 from . import features as ft
 from . import pipeline as pl
@@ -43,8 +42,8 @@ def _comma_list(text: str) -> list[str]:
 SETTING_FLAGS = {
     "--seed": (("seed",), {"type": int}),
     "--joints": (("joints",), {"type": _comma_list, "help": (
-        "comma list, e.g. Hip,Knee; without --config, cwt takes every joint and "
-        "side a subject has, the one stage default not in config.py")}),
+        "comma list, e.g. Hip,Knee; without --config, --joints and --sides, cwt "
+        "takes every joint and side each subject has, the one stage default not in config.py")}),
     "--sides": (("sides",), {"type": _comma_list, "help": "comma list, e.g. Right,Left"}),
     "--nu0": (("wavelet.nu0",), {"type": float}),
     "--truncation-radius": (("wavelet.truncation_radius",), {"type": float}),
@@ -83,12 +82,11 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
-def _config(args, parse=config_from_dict, doc=None):
-    """A subcommand's settings: its --config document, else `doc`, else an
-    empty one, with its flags applied, parsed by `parse`."""
-    if getattr(args, "config", None) is not None:
-        doc = load_document(args.config)
-    return parse(_apply_overrides(doc or {}, args))
+def _config(args, parse=config_from_dict):
+    """A subcommand's settings: its --config document, else an empty one,
+    with its flags applied, parsed by `parse`."""
+    doc = {} if getattr(args, "config", None) is None else load_document(args.config)
+    return parse(_apply_overrides(doc, args))
 
 
 def cmd_ingest(args) -> int:
@@ -109,10 +107,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cwt(args) -> int:
-    every_part = {"joints": [j.value for j in gd.Joint], "sides": [s.value for s in gd.Side]}
-    cfg = _config(args, doc=every_part)
+    cfg = _config(args)
+    every_part = args.config is None and args.joints is None and args.sides is None
     out = Path(args.out)
-    count = pl.write_scalograms(pl.load_dataset(cfg), cfg, out)
+    count = pl.write_scalograms(pl.load_dataset(cfg), cfg, out, every_part)
     print(f"wrote {count} scalograms -> {out / 'scalograms'}")
     return 0
 

@@ -57,10 +57,12 @@ _IS_KIND = {
     SCALES: lambda v: isinstance(v, dict) or (isinstance(v, list) and all(map(_is_number, v))),
 }
 
-# Each section: key -> (kind, default). A null default means the value is
+# Each section: key -> (kind, default) or, for an integer that sizes the
+# work, (kind, default, largest value). A null default means the value is
 # derived (the comment says from what) and is the only place null is
 # accepted. A key that maps onto a field of a library type takes that
-# field's default.
+# field's default. The largest values lie far above any experiment's and
+# keep each stage finite.
 CONFIG = {
     "seed": (INTEGER, 0),
     "input_csv": (STRING, None),
@@ -76,7 +78,7 @@ CONFIG = {
     "loocv": (BOOLEAN, True),
 }
 SYNTH = {
-    "n_subjects": (INTEGER, 10),
+    "n_subjects": (INTEGER, 10, 100_000),
     "rng_seed": (INTEGER, None),       # seed
     "template": (OBJECT, None),        # synth.DEFAULT_TEMPLATE
     "pathology": (OBJECT, None),       # shorthand for a one-entry groups
@@ -99,7 +101,7 @@ WAVELET = {
     "scales": (SCALES, None),          # the object's defaults
 }
 SCALE_RANGE = {
-    "count": (INTEGER, DEFAULT_SCALE_COUNT),
+    "count": (INTEGER, DEFAULT_SCALE_COUNT, 1000),
     "min": (NUMBER, DEFAULT_SCALE_MIN),
     "max": (NUMBER, DEFAULT_SCALE_MAX),
 }
@@ -108,9 +110,9 @@ FEATURES = {
     "zscore": (BOOLEAN, False),
 }
 SOM = {
-    "rows": (INTEGER, 10),
-    "cols": (INTEGER, 10),
-    "epochs": (INTEGER, TrainSchedule.epochs),
+    "rows": (INTEGER, 10, 1000),
+    "cols": (INTEGER, 10, 1000),
+    "epochs": (INTEGER, TrainSchedule.epochs, 100_000),
     "alpha0": (NUMBER, TrainSchedule.alpha0),
     "sigma0": (NUMBER, None),          # max(rows, cols) / 2
     "sigma_end": (NUMBER, TrainSchedule.sigma_end),
@@ -137,18 +139,18 @@ def _float(value: int | float, key: str) -> float:
         raise ConfigError(f"{key}: must be a number within the float range") from None
 
 
-def _read(doc: Any, schema: Mapping[str, tuple[str, Any]], where: str) -> dict:
+def _read(doc: Any, schema: Mapping[str, tuple], where: str) -> dict:
     """doc, which must be a JSON object with no key outside schema, as a
-    dict of every schema key: its value, checked against its kind (a
-    number converted with float), or its default. where is the dotted
-    path of doc, "" at the top level."""
+    dict of every schema key: its value, checked against its kind and
+    largest value (a number converted with float), or its default. where
+    is the dotted path of doc, "" at the top level."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where or 'config'}: must be an object, got {_json_type(doc)}")
     unknown = set(doc) - set(schema)
     if unknown:
         raise ConfigError(f"{where or 'config'}: unknown keys {sorted(unknown)}")
     out = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, *most) in schema.items():
         value = doc.get(key, default)
         if value is None and default is None:
             out[key] = None
@@ -157,6 +159,8 @@ def _read(doc: Any, schema: Mapping[str, tuple[str, Any]], where: str) -> dict:
         if not _IS_KIND[kind](value):
             got = _json_type(value) if kind is OBJECT else json.dumps(value)
             raise ConfigError(f"{dotted}: must be {kind}, got {got}")
+        if most and value > most[0]:
+            raise ConfigError(f"{dotted}: must be <= {most[0]}, got {value}")
         out[key] = _float(value, dotted) if kind is NUMBER else value
     return out
 
@@ -381,7 +385,9 @@ def load_document(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # also an integer literal over sys.get_int_max_str_digits()
+            # digits, which json.load raises as a plain ValueError
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -111,18 +111,22 @@ def _cwt_subject(
     return len(parts)
 
 
-def write_scalograms(subjects: list[gd.Subject], cfg: Settings, out_dir: Path) -> int:
-    """The cwt stage: the scalograms of each subject's parts among
-    cfg.joints x cfg.sides, one pool task per subject, written under
+def write_scalograms(
+    subjects: list[gd.Subject], cfg: Settings, out_dir: Path, every_part: bool = False
+) -> int:
+    """The cwt stage: the scalograms of the parts cfg.joints x cfg.sides,
+    which each subject must have, or with every_part of every part each
+    subject has; one pool task per subject, written under
     out_dir/scalograms. Returns the number of scalograms."""
     remove_artifacts("cwt", out_dir)
+    wanted = None if every_part else [(j, s) for j in cfg.joints for s in cfg.sides]
+    for subj in subjects:
+        for joint, side in wanted or ():
+            if (joint, side) not in subj.trajectories:
+                raise ValueError(f"subject {subj.id!r} lacks a {joint.value}/{side.value} trajectory")
     stems = scalogram_stems(subjects)
     jobs = [
-        (
-            subj,
-            stems[subj.id],
-            [(j, s) for j, s in subj.sorted_parts() if j in cfg.joints and s in cfg.sides],
-        )
+        (subj, stems[subj.id], [p for p in subj.sorted_parts() if wanted is None or p in wanted])
         for subj in subjects
     ]
     scalogram_dir = out_dir / "scalograms"
@@ -252,13 +256,6 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
         subjects = write_dataset(cfg, out_dir)
 
     with _stage("cwt", out_dir):
-        for subj in subjects:
-            for joint in cfg.joints:
-                for side in cfg.sides:
-                    if (joint, side) not in subj.trajectories:
-                        raise ValueError(
-                            f"subject {subj.id!r} lacks a {joint.value}/{side.value} trajectory"
-                        )
         write_scalograms(subjects, cfg, out_dir)
 
     with _stage("features", out_dir):

@@ -178,6 +178,34 @@ def test_c08_kappa_oracle():
     _passed(8, "Cohen's kappa oracle (rational arithmetic)")
 
 
+# The paper's two experiments, which configs/normal_vs_spastic.json and
+# configs/laterality.json state for `gaitsig run` (tests/test_config.py
+# checks that they agree): both train a 10x10 map on hip HighScale vectors.
+MAP_DIMS = (10, 10)
+NVS_SIDES = (Side.RIGHT,)
+NVS_SPEC = SynthSpec(
+    n_subjects=20,
+    groups={CP_DP: PerturbationSpec(
+        hf_amplitude=5.0, hf_phase_region=GaitRegion.STANCE, jitter_sd=0.5
+    )},
+    rng_seed=42,
+)
+NVS_SCHEDULE = TrainSchedule(epochs=200, rng_seed=42, init=InitMode.SAMPLE_INIT)
+LATERALITY_SIDES = (Side.RIGHT, Side.LEFT)
+LATERALITY_GAIN = 1.6
+LATERALITY_SPEC = SynthSpec(
+    n_subjects=12,
+    rng_seed=21,
+    groups={
+        CP_LH: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=LATERALITY_GAIN, jitter_sd=0.3),
+        CP_RH: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=1.0 / LATERALITY_GAIN, jitter_sd=0.3),
+        CP_DP: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=1.0, jitter_sd=0.3),
+    },
+    include_normal=False,
+)
+LATERALITY_SCHEDULE = TrainSchedule(epochs=200, rng_seed=21, init=InitMode.SAMPLE_INIT)
+
+
 def _hip_vectors(subjects, sides, level=Level.HIGH_SCALE):
     split = RegionSplit(level=level)
     out = []
@@ -195,14 +223,7 @@ def _hip_vectors(subjects, sides, level=Level.HIGH_SCALE):
 
 
 def test_c09_end_to_end_discrimination():
-    spec = SynthSpec(
-        n_subjects=20,
-        groups={CP_DP: PerturbationSpec(
-            hf_amplitude=5.0, hf_phase_region=GaitRegion.STANCE, jitter_sd=0.5
-        )},
-        rng_seed=42,
-    )
-    subjects = generate(spec)
+    subjects = generate(NVS_SPEC)
     # hf amplitude calibrated so class spectra differ >= 10x above harmonic 10
     spastic = next(s for s in subjects if s.label == CP_DP)
     normal = next(s for s in subjects if s.label != CP_DP)
@@ -210,13 +231,13 @@ def test_c09_end_to_end_discrimination():
     e_no = band_energy_above(normal.trajectories[(Joint.HIP, Side.RIGHT)].samples, 10)
     assert e_sp >= 10.0 * e_no
 
-    vectors = _hip_vectors(subjects, sides=(Side.RIGHT,))
-    schedule = TrainSchedule(epochs=200, rng_seed=42, init=InitMode.SAMPLE_INIT)
-    report = loocv(vectors, schedule, rows=10, cols=10)
+    vectors = _hip_vectors(subjects, sides=NVS_SIDES)
+    rows, cols = MAP_DIMS
+    report = loocv(vectors, NVS_SCHEDULE, rows=rows, cols=cols)
     assert report.recognition_rate >= 0.90
     assert report.kappa >= 0.80
 
-    again = loocv(vectors, schedule, rows=10, cols=10)
+    again = loocv(vectors, NVS_SCHEDULE, rows=rows, cols=cols)
     assert np.array_equal(report.confusion, again.confusion)
     assert report.folds == again.folds
     assert report.kappa == again.kappa
@@ -224,17 +245,10 @@ def test_c09_end_to_end_discrimination():
 
 
 def test_c10_laterality_separation():
-    gain = 1.6
-    groups = {
-        CP_LH: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=gain, jitter_sd=0.3),
-        CP_RH: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=1.0 / gain, jitter_sd=0.3),
-        CP_DP: PerturbationSpec(hf_amplitude=4.0, asymmetry_gain=1.0, jitter_sd=0.3),
-    }
-    subjects = generate(SynthSpec(n_subjects=12, rng_seed=21, groups=groups, include_normal=False))
-    vectors = _hip_vectors(subjects, sides=(Side.RIGHT, Side.LEFT))
+    subjects = generate(LATERALITY_SPEC)
+    vectors = _hip_vectors(subjects, sides=LATERALITY_SIDES)
     x = np.stack([v.values for v in vectors])
-    schedule = TrainSchedule(epochs=200, rng_seed=21, init=InitMode.SAMPLE_INIT)
-    som = train(init(10, 10, x.shape[1], schedule, samples=x), x)
+    som = train(init(*MAP_DIMS, x.shape[1], LATERALITY_SCHEDULE, samples=x), x)
     ids = clusters(umatrix(som)).reshape(-1)  # default threshold
     coords = som.grid_coords()
 

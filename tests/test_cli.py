@@ -174,7 +174,7 @@ class TestRunConfig:
             ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: int too large to convert to float"),
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
              "synth.template.Hip: must be a number within the float range"),
-            ({"som": {"rows": 10**400}}, "som: int too large to convert to float"),
+            ({"som": {"rows": 10**400}}, f"som.rows: must be <= 1000, got {10**400}"),
         ],
         ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "threshold-huge", "scales-huge", "amplitude-huge",
              "rows-huge"],
@@ -187,6 +187,42 @@ class TestRunConfig:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"som": {"cols": 1001}}, "som.cols: must be <= 1000, got 1001"),
+            ({"som": {"epochs": 10**400}}, f"som.epochs: must be <= 100000, got {10**400}"),
+            ({"som": {"epochs": 100_001}}, "som.epochs: must be <= 100000, got 100001"),
+            ({"synth": {"n_subjects": 10**400}}, f"synth.n_subjects: must be <= 100000, got {10**400}"),
+            ({"wavelet": {"scales": {"count": 1001}}}, "wavelet.scales.count: must be <= 1000, got 1001"),
+        ],
+        ids=["cols", "epochs-huge", "epochs", "n-subjects-huge", "scale-count"],
+    )
+    def test_size_over_its_bound_names_the_key(self, tmp_path, capsys, edit, message):
+        # through train, whose features.csv is missing: a run that took the
+        # size would start a stage that does not finish in a test's time
+        cfg_path = str(write_config(tmp_path, small_config(**edit)))
+        argv = ["train", "--features", str(tmp_path / "features.csv"), "--config", cfg_path]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
+
+    def test_largest_sizes_accepted(self):
+        doc = small_config(som={"rows": 1000, "cols": 1000, "epochs": 100_000},
+                           wavelet={"scales": {"count": 1000}})
+        doc["synth"]["n_subjects"] = 100_000
+        cfg = config_from_dict(doc)
+        assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (1000, 1000, 100_000)
+        assert (cfg.synth.n_subjects, len(cfg.scales.scales)) == (100_000, 1000)
+
+    def test_overlong_integer_literal_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gaitsig: error: {cfg_path}: not valid JSON (Exceeds the limit"), err
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_that_nothing_uses_accepted(self):
@@ -492,6 +528,26 @@ class TestSubcommandChain:
             "--map-dims", "3x3", "--epochs", "30", "--seed", "7", "--no-pgm",
         ]) == 0
         assert not (out / "umatrix.pgm").exists()
+
+    def test_missing_part_fails_run_and_cwt_alike(self, tmp_path, capsys):
+        data = tmp_path / "hip.csv"
+        lines = ["subject_id,label,joint,side,pct,angle_deg"]
+        for sid, label in (("s1", "Normal"), ("s2", "CP-dp")):
+            for side in ("Right", "Left"):
+                lines += [f"{sid},{label},Hip,{side},{pct}.0,{20.0 * math.sin(pct / 16.0)!r}" for pct in range(101)]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg_path = str(write_config(tmp_path, {"input_csv": str(data), "joints": ["Hip", "Knee"]}))
+        message = "subject 's1' lacks a Knee/Right trajectory"
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"gaitsig: [cwt] {message}\n"
+        out = tmp_path / "stage"
+        for flags in (["--config", cfg_path], ["--joints", "Hip,Knee"]):
+            assert main(["cwt", "--input", str(data), "--out", str(out), *flags]) == 1
+            assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
+            assert not list(out.rglob("scalogram_*"))
+        # without --config, --joints and --sides: every part each subject has
+        assert main(["cwt", "--input", str(data), "--out", str(out), "--no-pgm"]) == 0
+        assert len(list((out / "scalograms").glob("scalogram_*_Hip_*.csv"))) == 4
 
     def test_cwt_colliding_file_stems_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

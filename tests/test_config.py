@@ -17,14 +17,28 @@ from gaitsig.config import (
     WAVELET,
     config_from_dict,
     config_to_dict,
+    load_config,
+    load_document,
 )
-from gaitsig.data import Joint
+from gaitsig.data import CP_DP, CP_LH, CP_RH, Joint
 from gaitsig.features import Level
-from gaitsig.som import InitMode, Kernel
+from gaitsig.pipeline import run_pipeline
+from gaitsig.som import InitMode, Kernel, best_match
 from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion
 from gaitsig.wavelet import Boundary
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from test_acceptance import (
+    LATERALITY_SCHEDULE,
+    LATERALITY_SIDES,
+    LATERALITY_SPEC,
+    MAP_DIMS,
+    NVS_SCHEDULE,
+    NVS_SIDES,
+    NVS_SPEC,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS, SCRIPTS = ROOT / "configs", ROOT / "scripts"
 
 
 def numbers(lo, hi):
@@ -125,7 +139,7 @@ def documents(draw):
 
 def number_keys_hold_floats(values, table):
     # an integer given for a number key is echoed as a float: 1 as 1.0
-    for key, (kind, _) in table.items():
+    for key, (kind, *_) in table.items():
         assert kind is not NUMBER or values[key] is None or type(values[key]) is float, key
 
 
@@ -145,28 +159,61 @@ def test_omitted_keys_resolve_to_the_table_defaults():
     resolved = config_to_dict(config_from_dict({"input_csv": "data.csv"}))
     for section, table in ((None, CONFIG), ("wavelet", WAVELET), ("features", FEATURES), ("som", SOM)):
         values = resolved if section is None else resolved[section]
-        for key, (kind, default) in table.items():
+        for key, (kind, default, *_) in table.items():
             if default is not None and kind is not OBJECT:
                 assert values[key] == default, (section, key)
     pathology = config_to_dict(config_from_dict({"synth": {"pathology": {}}}))["synth"]["groups"]
     assert pathology == {"CP-dp": {key: default for key, (_, default) in PERTURBATION.items()}}
 
 
-# build_config's arguments for each script: its seed and, for laterality,
-# the gain its --gain defaults to
-SCRIPT_ARGS = {"run_normal_vs_spastic": (42,), "run_laterality": (21, 1.6)}
+# Each shipped config and the acceptance test's synth spec, schedule and
+# sides it must resolve to (C09, C10); both use the hip on a 10x10 map and
+# _hip_vectors' default level, HighScale.
+EXPERIMENTS = {
+    "normal_vs_spastic": (NVS_SPEC, NVS_SCHEDULE, NVS_SIDES),
+    "laterality": (LATERALITY_SPEC, LATERALITY_SCHEDULE, LATERALITY_SIDES),
+}
 
 
-def test_script_args_cover_every_script():
-    assert {p.stem for p in SCRIPTS.glob("*.py")} == set(SCRIPT_ARGS)
+def test_experiments_cover_every_config():
+    assert {p.stem for p in CONFIGS.glob("*.json")} == set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPT_ARGS))
-def test_script_configs_parse(script):
-    spec = importlib.util.spec_from_file_location(script, SCRIPTS / f"{script}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    cfg = module.build_config(*SCRIPT_ARGS[script])
-    assert cfg.synth is not None and cfg.seed == SCRIPT_ARGS[script][0]
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_shipped_config_parses(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    assert cfg.synth is not None and cfg.seed == EXPERIMENTS[name][0].rng_seed
     resolved = config_to_dict(cfg)
     assert config_to_dict(config_from_dict(resolved)) == resolved
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_shipped_config_matches_its_acceptance_test(name):
+    spec, schedule, sides = EXPERIMENTS[name]
+    cfg = load_config(CONFIGS / f"{name}.json")
+    assert cfg.synth == spec
+    assert cfg.schedule == schedule.resolve(*MAP_DIMS)
+    assert (cfg.som_rows, cfg.som_cols) == MAP_DIMS
+    assert cfg.joints == (Joint.HIP,) and cfg.sides == sides
+    assert cfg.level is Level.HIGH_SCALE
+
+
+def test_laterality_reader_prints_the_run_geometry(tmp_path, capsys):
+    doc = load_document(CONFIGS / "laterality.json")
+    doc["synth"]["n_subjects"] = 3
+    doc["som"] = {"rows": 4, "cols": 4, "epochs": 5, "init": "SampleInit"}
+    doc["write_pgm"] = doc["loocv"] = False
+    result = run_pipeline(config_from_dict(doc), tmp_path)
+    nodes = {}
+    for v in result.vectors:
+        nodes.setdefault(v.label, []).append(best_match(result.som, v.values))
+    c = {label: result.som.grid_coords()[n].mean(axis=0) for label, n in nodes.items()}
+    axis = c[CP_RH] - c[CP_LH]
+    t = float((c[CP_DP] - c[CP_LH]) @ axis / (axis @ axis))
+    assert math.isfinite(t)
+
+    spec = importlib.util.spec_from_file_location("laterality_geometry", SCRIPTS / "laterality_geometry.py")
+    reader = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reader)
+    assert reader.main(tmp_path) == 0
+    assert f"along the left-right axis: t = {t:.3f} " in capsys.readouterr().out
