@@ -14,6 +14,7 @@ reads no dataset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -130,11 +131,19 @@ def _json_type(value: Any) -> str:
     return next(kind for kind in (BOOLEAN, OBJECT, STRING, NUMBER) if _IS_KIND[kind](value))
 
 
+def _finite(value: int | float, key: str) -> int | float:
+    """value, unless it is an infinite or NaN float (JSON 1e400, or the
+    NaN and Infinity tokens Python's json reads): an error that names key."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value}")
+    return value
+
+
 def _float(value: int | float, key: str) -> float:
-    """A JSON number as a float; an integer beyond the float range is an
-    error that names key."""
+    """A JSON number as a finite float; an integer beyond the float range
+    is an error that names key."""
     try:
-        return float(value)
+        return _finite(float(value), key)
     except OverflowError:
         raise ConfigError(f"{key}: must be a number within the float range") from None
 
@@ -142,7 +151,7 @@ def _float(value: int | float, key: str) -> float:
 def _read(doc: Any, schema: Mapping[str, tuple], where: str) -> dict:
     """doc, which must be a JSON object with no key outside schema, as a
     dict of every schema key: its value, checked against its kind and
-    largest value (a number converted with float), or its default. where
+    largest value (a number converted with _float), or its default. where
     is the dotted path of doc, "" at the top level."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where or 'config'}: must be an object, got {_json_type(doc)}")
@@ -240,7 +249,7 @@ def _scales(value: Any) -> ScaleGrid:
     if value is None or isinstance(value, dict):
         r = _read(value or {}, SCALE_RANGE, "wavelet.scales")
         return _build(ScaleGrid.default, "wavelet.scales: ", count=r["count"], lo=r["min"], hi=r["max"])
-    return _build(ScaleGrid, "wavelet.scales: ", scales=value)
+    return _build(ScaleGrid, "wavelet.scales: ", scales=[_finite(v, "wavelet.scales") for v in value])
 
 
 @dataclass(frozen=True)
@@ -404,5 +413,5 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 def write_resolved_config(cfg: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

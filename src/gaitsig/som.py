@@ -21,7 +21,6 @@ field is the negative discrete gradient of those heights.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -194,16 +193,18 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
     W = som.weights.copy()
     rng = np.random.default_rng([schedule.rng_seed, _TRAIN_STREAM])
     dist2 = som.grid_dist2()
-    # Each presentation sets w <- (1-c)*w + c*x with 0 <= c <= 1. The
-    # einsum outer product sums each c*x onto +0.0, so a -0.0 product comes
-    # out +0.0 where the broadcast product keeps it; the new w differs only
-    # where (1-c)*w is -0.0 as well. By induction that never happens when
-    # W0 holds no -0.0 and X no -0.0 and no negative subnormal: the einsum
-    # path never makes a -0.0 (a sum is -0.0 only if both terms are), so up
-    # to a first difference no w is -0.0; c = 1 leaves c*x = x != -0.0;
-    # and c*x rounds to -0.0 from a normal x < 0 only if c <= 2**-53, when
-    # 1-c > 1/2 keeps (1-c)*w nonzero. The two paths then agree bit for
-    # bit; otherwise the broadcast product is used.
+    # Each presentation sets w <- fl(fl((1-c)*w) + p) with 0 <= c <= 1;
+    # the reference takes p = fl(c*x) from a broadcast product. The rank-1
+    # np.dot of the (nodes, 1) column c and the (1, dim) row x has one term
+    # per element, alpha 1 and beta 0, so each element is c*x rounded once
+    # and added (or fused) onto +0.0: it is p, or +0.0 where p is -0.0. The
+    # sums then differ only where fl((1-c)*w) is -0.0 as well. By induction
+    # that never happens when W0 holds no -0.0 and X no -0.0 and no
+    # negative subnormal: p = -0.0 then needs a normal x < 0 with |c*x|
+    # below 2**-1075, so c < 2**-53 and 1-c > 1/2, and fl((1-c)*w) is -0.0
+    # only if w is; and no w is -0.0, as a sum is -0.0 only if both terms
+    # are. The two paths then agree bit for bit; otherwise the broadcast
+    # product is used.
     outer = not (
         np.any(np.signbit(W) & (W == 0))
         or np.any(np.signbit(X) & (np.abs(X) < np.finfo(float).tiny))
@@ -212,17 +213,25 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
     # the einsum scan below. The fast path takes m, the first argmin of
     # s_i = fl(fl(N_i - G_i) - G_i) with N_i = ||w_i||^2 from vecdot and
     # G_i = w_i.x from one BLAS product, and keeps it only if no other node
-    # has s_i <= fl(s_m + E), where E = 8(D+4) eps R, D is the dimension
-    # and R = (sqrt(max_i N_i) + ||x||)^2 lies in (2**-500, max/4). Then m
-    # is the strict minimum of d, so both paths pick the same node. Proof,
-    # with u = eps/2, g_n = nu/(1-nu) (Higham 2002, 3.1), D u <= 0.01 (any
-    # D below 10**13), e_i = ||w_i - x||^2 and r_i = (||w_i|| + ||x||)^2
-    # exact, so e_i <= r_i:
+    # has s_i <= fl(s_m + E), where E = 8(D+4) eps R, D is the dimension,
+    # R = (B + ||x||)^2 is fixed per sample before the loop and lies in
+    # (2**-500, max/4), and B is the largest row norm of W0 and X times
+    # 1 + 4 T eps, for T = epochs * n presentations (any T below 10**14).
+    # Then m is the strict minimum of d, so both paths pick the same node.
+    # Proof, with u = eps/2, g_n = nu/(1-nu) (Higham 2002, 3.1), D u <= 0.01
+    # (any D below 10**13), e_i = ||w_i - x||^2 and r_i = (||w_i|| +
+    # ||x||)^2 exact, so e_i <= r_i:
+    # - B bounds every node norm for the whole training. An update rounds
+    #   1-c, (1-c)*w, c*x and the sum, so |w'_k| <= (1+u)^3 ((1-c)|w_k| +
+    #   c|x_k|) and ||w'|| <= (1+u)^3 max(||w||, ||x||); after T updates
+    #   (1+u)^(3T) <= 1 + 4 T eps. Underflow adds at most 2**-1074 per
+    #   element per update, far below 4 T eps B once R > 2**-500.
     # - A dot product of length D, in any summation order and with or
     #   without FMA, errs by at most g_D sum_k |a_k b_k|, so N_i errs by
     #   <= g_D r_i and G_i by <= g_D r_i/4, as ||w_i|| ||x|| <= r_i/4. With
-    #   the roundings of ||x||, the root and the square, the computed R is
-    #   at least 0.989 times its exact value, which bounds every r_i.
+    #   the roundings of the norms, the roots, B, the sum and the square,
+    #   the computed R is at least 0.989 times (B + ||x||)^2 with B and
+    #   ||x|| exact, which bounds every r_i.
     # - The two subtractions see operands below 1.6 r_i and add at most
     #   3u r_i, so s_i is within a = (1.52 D + 3)u R of e_i - ||x||^2.
     # - The reference rounds w - x, squares it and sums: d_i = e_i (1 + t_i)
@@ -231,17 +240,24 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
     # and d_i - d_m > E - (5.07 D + 13.8)u R >= (15.8 - 5.1)(D+4)u R > 0.
     # Above R = 2**-500, underflow (at most 2**-1075 per product, Higham
     # 2.1) moves each term by far less than u R; below max/4 no s_i and no
-    # s_m + E overflows. A NaN or infinite R fails the range test; there,
-    # and when several nodes are within E, the reference scan runs.
-    margin = 8.0 * (X.shape[1] + 4) * np.finfo(float).eps
+    # s_m + E overflows. A NaN or infinite R fails the range test; B is an
+    # np.max, so a NaN anywhere in W0 or X makes every R NaN. There, and
+    # when several nodes are within E, the reference scan runs.
+    eps = np.finfo(float).eps
+    margin = 8.0 * (X.shape[1] + 4) * eps
     r_range = (2.0**-500, np.finfo(float).max / 4)
     buf = np.empty_like(W)  # W - x, then the update c*x
     d = np.empty(len(W))
     nrm = np.empty(len(W))
     g = np.empty(len(W))
     near = np.empty(len(W), dtype=bool)
+    xs = list(X)  # 1-D rows, for w.x and the scan
+    x_rows = list(X[:, None, :])  # (1, dim) rows, for the rank-1 update
     with np.errstate(over="ignore", invalid="ignore"):  # huge data takes the scan
-        x_norms = np.sqrt(np.vecdot(X, X)).tolist()
+        x_norms = np.sqrt(np.vecdot(X, X))
+        bound = np.max(np.sqrt(np.vecdot(W, W)), initial=np.max(x_norms))
+        bound *= 1.0 + 4.0 * schedule.epochs * len(X) * eps
+        radii = ((bound + x_norms) ** 2).tolist()
         for t in range(schedule.epochs):
             coef_rows = schedule.alpha(t) * _kernel_values(
                 dist2, schedule.sigma(t), schedule.kernel
@@ -249,14 +265,13 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
             keep3 = (1.0 - coef_rows)[:, :, None]
             coef3 = coef_rows[:, :, None]
             for idx in rng.permutation(len(X)).tolist():
-                x = X[idx]
+                x = xs[idx]
                 np.vecdot(W, W, out=nrm)
                 np.dot(W, x, out=g)
                 np.subtract(nrm, g, out=d)
                 np.subtract(d, g, out=d)
                 bmu = d.argmin()
-                q = math.sqrt(nrm.max()) + x_norms[idx]
-                r = q * q
+                r = radii[idx]
                 if not (
                     r_range[0] < r < r_range[1]
                     and np.count_nonzero(np.less_equal(d, d[bmu] + margin * r, out=near)) == 1
@@ -265,7 +280,7 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
                     bmu = np.einsum("nd,nd->n", buf, buf, out=d).argmin()
                 np.multiply(W, keep3[bmu], out=W)
                 if outer:
-                    np.einsum("n,d->nd", coef_rows[bmu], x, out=buf)
+                    np.dot(coef3[bmu], x_rows[idx], out=buf)
                 else:
                     np.multiply(coef3[bmu], x, out=buf)
                 np.add(W, buf, out=W)

@@ -190,6 +190,35 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "edit, literal, message",
+        [
+            ({"synth": {"pathology": {"hf_amplitude": "X"}}}, "1e400",
+             "synth.pathology.hf_amplitude: must be finite, got inf"),
+            ({"cluster_threshold": "X"}, "NaN", "cluster_threshold: must be finite, got nan"),
+            ({"som": {"sigma0": "X"}}, "1e400", "som.sigma0: must be finite, got inf"),
+        ],
+        ids=["amplitude", "threshold", "sigma0"],
+    )
+    @pytest.mark.parametrize("stage", ["run", "train"])
+    def test_non_finite_value_names_the_key(self, tmp_path, capsys, stage, edit, literal, message):
+        # JSON text with 1e400 (read as inf) or the non-standard NaN token
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(small_config(**edit)).replace('"X"', literal), encoding="utf-8")
+        argv = ["run", "--config", str(cfg_path)] if stage == "run" else [
+            "train", "--features", str(tmp_path / "features.csv"), "--config", str(cfg_path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"gaitsig: error: {message}\n", err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_threshold_flag_names_the_key(self, tmp_path, capsys):
+        # checked with the settings, before the features are read
+        argv = ["train", "--features", str(tmp_path / "features.csv"), "--threshold", "nan"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "gaitsig: error: cluster_threshold: must be finite, got nan\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             ({"som": {"cols": 1001}}, "som.cols: must be <= 1000, got 1001"),

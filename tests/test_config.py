@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -13,12 +14,17 @@ from gaitsig.config import (
     NUMBER,
     OBJECT,
     PERTURBATION,
+    SCALE_RANGE,
     SOM,
+    SYNTH,
     WAVELET,
+    ConfigError,
     config_from_dict,
     config_to_dict,
     load_config,
     load_document,
+    settings_from_dict,
+    write_resolved_config,
 )
 from gaitsig.data import CP_DP, CP_LH, CP_RH, Joint
 from gaitsig.features import Level
@@ -164,6 +170,58 @@ def test_omitted_keys_resolve_to_the_table_defaults():
                 assert values[key] == default, (section, key)
     pathology = config_to_dict(config_from_dict({"synth": {"pathology": {}}}))["synth"]["groups"]
     assert pathology == {"CP-dp": {key: default for key, (_, default) in PERTURBATION.items()}}
+
+
+# Where each table's section sits in a run-config document.
+SECTION_PATHS = {
+    "": CONFIG,
+    "synth": SYNTH,
+    "synth.pathology": PERTURBATION,
+    "wavelet": WAVELET,
+    "wavelet.scales": SCALE_RANGE,
+    "som": SOM,
+}
+NUMBER_KEYS = [
+    f"{where}{'.' if where else ''}{key}"
+    for where, table in SECTION_PATHS.items()
+    for key, (kind, *_) in table.items()
+    if kind is NUMBER
+]
+
+
+def nested(dotted, value):
+    """The document that holds value at the dotted key."""
+    *sections, key = dotted.split(".")
+    doc = {key: value}
+    for section in reversed(sections):
+        doc = {section: doc}
+    return doc
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+def test_every_number_key_must_be_finite(key, value):
+    with pytest.raises(ConfigError) as err:
+        settings_from_dict(nested(key, value))
+    assert str(err.value) == f"{key}: must be finite, got {value}"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"synth": {"template": {"Knee": [[1, math.inf, 0.0]]}}}, "synth.template.Knee: must be finite, got inf"),
+    ({"synth": {"template": {"Hip": [[2, 1.0, math.nan]]}}}, "synth.template.Hip: must be finite, got nan"),
+    ({"wavelet": {"scales": [1.0, math.inf]}}, "wavelet.scales: must be finite, got inf"),
+    ({"wavelet": {"scales": [-math.inf, 2]}}, "wavelet.scales: must be finite, got -inf"),
+], ids=["amplitude", "phase", "scales", "scales-negative"])
+def test_listed_numbers_must_be_finite(doc, message):
+    with pytest.raises(ConfigError) as err:
+        settings_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_resolved_config_written_as_standard_json(tmp_path):
+    cfg = config_from_dict({"input_csv": "data.csv"})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_resolved_config(dataclasses.replace(cfg, cluster_threshold=math.nan), tmp_path / "c.json")
 
 
 # Each shipped config and the acceptance test's synth spec, schedule and

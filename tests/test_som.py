@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,34 @@ def training_cases(draw):
         init=draw(st.sampled_from(InitMode)),
     )
     return init(rows, cols, dim, schedule, samples=data), data
+
+
+@st.composite
+def norm_bound_cases(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(2 if rows == 1 else 1, 4))
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    # no subnormal products: underflow would add absolute errors that the
+    # relative bound leaves out, and that the fast path never needs
+    values = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    data = draw(hnp.arrays(float, (n, dim), elements=values))
+    kernel = draw(st.sampled_from(Kernel))
+    sigma_end = draw(st.sampled_from([0.3, 1.0] + ([0.0] if kernel is Kernel.BUBBLE else [])))
+    schedule = TrainSchedule(
+        epochs=draw(st.integers(1, 30)),
+        alpha0=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
+        sigma0=draw(st.one_of(st.none(), st.floats(sigma_end, 4.0))),
+        sigma_end=sigma_end,
+        kernel=kernel,
+        rng_seed=draw(st.integers(0, 2**16)),
+        init=draw(st.sampled_from(InitMode)),
+    )
+    return init(rows, cols, dim, schedule, samples=data), data
+
+
+def exact_norm2(v):
+    return sum(Fraction(float(a)) ** 2 for a in v)
 
 
 class TestSchedule:
@@ -327,6 +356,50 @@ class TestTrain:
         assert np.count_nonzero(np.signbit(out) & (out == 0)) == 5
         assert out.tobytes() == reference_weights(m0, data).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=norm_bound_cases())
+    def test_node_norms_stay_within_the_training_bound(self, case):
+        # each update is a convex combination rounded three times, so over
+        # T presentations no node norm exceeds the largest norm of an
+        # initial node or a sample by more than a factor 1 + 4 T eps;
+        # squared norms compared exactly, as fractions
+        m0, data = case
+        presentations = m0.schedule.epochs * len(data)
+        largest = max(exact_norm2(v) for v in (*m0.weights, *data))
+        slack = (1 + 4 * presentations * Fraction(np.finfo(float).eps)) ** 2
+        assert all(exact_norm2(w) <= largest * slack for w in train(m0, data).weights)
+
+    def test_largest_sample_copied_into_a_node(self):
+        # alpha0 = 1 and a radius-0 bubble copy each sample of the one
+        # epoch into its best match, so the norm bound is attained by the
+        # node that holds the largest sample
+        data = np.random.default_rng(3).normal(size=(5, 6))
+        data[2] *= 10.0
+        schedule = TrainSchedule(
+            epochs=1, alpha0=1.0, sigma0=0.0, sigma_end=0.0, kernel=Kernel.BUBBLE,
+            init=InitMode.RANDOM_SMALL, rng_seed=4,
+        )
+        m0 = init(2, 3, 6, schedule, samples=data)
+        out = train(m0, data).weights
+        assert any(np.array_equal(w, data[2]) for w in out)
+        assert out.tobytes() == reference_weights(m0, data).tobytes()
+
+    def test_product_rounding_to_negative_zero_kept(self):
+        # a normal x < 0 times the last epoch's neighbor coefficient,
+        # 0.1 * exp(-50), rounds to -0.0, which a BLAS product may return
+        # as +0.0; the map holds no -0.0, so the sums agree
+        data = np.random.default_rng(6).normal(size=(4, 3))
+        data[:, 1] = -3e-308
+        schedule = TrainSchedule(
+            epochs=5, sigma0=0.5, sigma_end=0.1, init=InitMode.SAMPLE_INIT, rng_seed=2
+        )
+        m0 = init(1, 2, 3, schedule, samples=data)
+        c = schedule.alpha(4) * np.exp(-1.0 / (2.0 * schedule.sigma(4) ** 2))
+        assert c * data[0, 1] == 0 and np.signbit(c * data[0, 1])
+        assert not np.any(np.signbit(m0.weights) & (m0.weights == 0))
+        out = train(m0, data).weights
+        assert out.tobytes() == reference_weights(m0, data).tobytes()
+
     @pytest.mark.parametrize("w, x, bmu", [
         # x is equally far from the mirror-image nodes: the lowest index wins
         ([[1.0, 0.0], [-1.0, 0.0]], [0.0, 5.0], 0),
@@ -335,7 +408,11 @@ class TestTrain:
         # underflow to subnormals
         ([[100000002.25, 100000001.0], [100000001.5, 99999999.25]], [100000001.0, 100000000.0], 1),
         ([[2e-162, -2e-162], [3e-162, -3e-162]], [2e-162, -4e-162], 1),
-    ], ids=["exact-tie", "far-from-origin", "subnormal-squares"])
+        # node 0 is nearer by 1/8, but the computed ||w||^2 - 2 w.x is 4
+        # lower for node 1: a radius from ||x|| alone, without the bound on
+        # the node norms, would let that through
+        ([[100000000.0, 99999998.75], [100000000.25, 99999998.5]], [-0.25, -1.5], 0),
+    ], ids=["exact-tie", "far-from-origin", "subnormal-squares", "far-nodes-near-sample"])
     def test_radius_zero_bubble_moves_only_the_best_match(self, w, x, bmu):
         w, data = np.array(w), np.array([x])
         schedule = TrainSchedule(
