@@ -131,21 +131,17 @@ def _json_type(value: Any) -> str:
     return next(kind for kind in (BOOLEAN, OBJECT, STRING, NUMBER) if _IS_KIND[kind](value))
 
 
-def _finite(value: int | float, key: str) -> int | float:
-    """value, unless it is an infinite or NaN float (JSON 1e400, or the
-    NaN and Infinity tokens Python's json reads): an error that names key."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {value}")
-    return value
-
-
 def _float(value: int | float, key: str) -> float:
-    """A JSON number as a finite float; an integer beyond the float range
-    is an error that names key."""
+    """A JSON number as a finite float. An integer beyond the float range,
+    and an infinite or NaN float (JSON 1e400, or the NaN and Infinity
+    tokens Python's json reads), are errors that name key."""
     try:
-        return _finite(float(value), key)
+        value = float(value)
     except OverflowError:
         raise ConfigError(f"{key}: must be a number within the float range") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value}")
+    return value
 
 
 def _read(doc: Any, schema: Mapping[str, tuple], where: str) -> dict:
@@ -249,7 +245,7 @@ def _scales(value: Any) -> ScaleGrid:
     if value is None or isinstance(value, dict):
         r = _read(value or {}, SCALE_RANGE, "wavelet.scales")
         return _build(ScaleGrid.default, "wavelet.scales: ", count=r["count"], lo=r["min"], hi=r["max"])
-    return _build(ScaleGrid, "wavelet.scales: ", scales=[_finite(v, "wavelet.scales") for v in value])
+    return _build(ScaleGrid, "wavelet.scales: ", scales=[_float(v, "wavelet.scales") for v in value])
 
 
 @dataclass(frozen=True)

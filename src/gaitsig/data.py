@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -245,56 +246,25 @@ def _finish_subject(
     return Subject(id=sid, label=label, trajectories=trajectories, meta=meta)
 
 
-def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
-    """The numbers of texts up to the first that is not one, and how many
-    there are (len(texts) when all are)."""
+def _row_error(pct_text: str, angle_text: str) -> str | None:
+    """The message of the first check a row's numbers fail, in the order
+    pct number, pct range, angle number, finite, magnitude; None when the
+    row passes."""
     try:
-        return np.fromiter(map(float, texts), float, len(texts)), len(texts)
+        pct = float(pct_text)
     except ValueError:
-        values = []
-        for text in texts:
-            try:
-                values.append(float(text))
-            except ValueError:
-                break
-        return np.array(values, dtype=float), len(values)
-
-
-def _first(mask: np.ndarray, none: int) -> int:
-    """Index of the first True in mask, or `none`."""
-    return int(mask.argmax()) if mask.any() else none
-
-
-def _run_numbers(
-    pct_text: list[str], angle_text: list[str]
-) -> tuple[np.ndarray, np.ndarray, int, str | None]:
-    """The pct and angle values of a run's rows, the first row that fails a
-    number check (len of the run if none does) and that check's message.
-    A row's checks run in the order: pct number, pct range, angle number,
-    finite, magnitude."""
-    n = len(pct_text)
-    pct, n_pct = _floats(pct_text)
-    angle, n_angle = _floats(angle_text)
-    row, check = min(
-        (n_pct, 0),
-        (_first(~((pct >= 0.0) & (pct <= 100.0)), n), 1),  # NaN is out of range
-        (n_angle, 2),
-        (_first(~np.isfinite(angle), n), 3),
-        (_first(np.abs(angle) > MAX_ABS_ANGLE_DEG, n), 4),
-    )
-    if row == n:
-        message = None
-    elif check == 0:
-        message = f"pct {pct_text[row]!r} is not a number"
-    elif check == 1:
-        message = f"pct {float(pct[row])} outside [0, 100]"
-    elif check == 2:
-        message = f"angle_deg {angle_text[row]!r} is not a number"
-    elif check == 3:
-        message = f"angle_deg {angle_text[row]!r} is not finite"
-    else:
-        message = f"|angle_deg| exceeds {MAX_ABS_ANGLE_DEG}"
-    return pct, angle, row, message
+        return f"pct {pct_text!r} is not a number"
+    if not 0.0 <= pct <= 100.0:
+        return f"pct {pct} outside [0, 100]"
+    try:
+        angle = float(angle_text)
+    except ValueError:
+        return f"angle_deg {angle_text!r} is not a number"
+    if not math.isfinite(angle):
+        return f"angle_deg {angle_text!r} is not finite"
+    if abs(angle) > MAX_ABS_ANGLE_DEG:
+        return f"|angle_deg| exceeds {MAX_ABS_ANGLE_DEG}"
+    return None
 
 
 def _check_run(
@@ -302,27 +272,36 @@ def _check_run(
     lines: list[int], subject_labels: dict[str, str],
 ) -> tuple[Joint, Side, np.ndarray, np.ndarray]:
     """Check a run of rows that share (subject_id, label, joint, side), as
-    if row by row: the text fields once, at its first row, the numbers in
-    bulk. Records the subject's label; returns the run's part and values."""
+    if row by row: the text fields once, at its first row; the numbers in
+    bulk, and only a run that fails the bulk check goes through _row_error
+    row by row, to name its first failing row. Records the subject's
+    label; returns the run's part and values."""
     sid, label_text, joint_text, side_text = key
+    where = f"{path}:{lines[0]}"
     if not sid:
-        raise ParseError(f"{path}:{lines[0]}: empty subject_id")
+        raise ParseError(f"{where}: empty subject_id")
     if not label_text:
-        raise SchemaError(f"{path}:{lines[0]}: missing label")
-    joint = _JOINTS.get(joint_text)
-    if joint is None:
-        raise ParseError(f"{path}:{lines[0]}: unknown joint {joint_text!r}")
-    side = _SIDES.get(side_text)
-    if side is None:
-        raise ParseError(f"{path}:{lines[0]}: unknown side {side_text!r}")
-    pct, angle, row, message = _run_numbers(pct_text, angle_text)
+        raise SchemaError(f"{where}: missing label")
+    joint = _parse_joint(joint_text, where)
+    side = _parse_side(side_text, where)
+    try:
+        pct = np.fromiter(map(float, pct_text), float, len(pct_text))
+        angle = np.fromiter(map(float, angle_text), float, len(angle_text))
+        # NaN and infinities fail these comparisons
+        passed = ((pct >= 0.0) & (pct <= 100.0) & (np.abs(angle) <= MAX_ABS_ANGLE_DEG)).all()
+    except ValueError:
+        passed = False
+    row, message = len(lines), None
+    if not passed:
+        row, message = next(
+            (i, m) for i, m in enumerate(map(_row_error, pct_text, angle_text)) if m is not None
+        )
     known = subject_labels.setdefault(sid, label_text)
     # a row's last check; it fails at the run's first row if at any, so a
     # number check failing there comes first
     if known != label_text and row > 0:
         raise SchemaError(
-            f"{path}:{lines[0]}: subject {sid!r} has conflicting labels "
-            f"{known} and {label_text}"
+            f"{where}: subject {sid!r} has conflicting labels {known} and {label_text}"
         )
     if message is not None:
         raise ParseError(f"{path}:{lines[row]}: {message}")
@@ -334,10 +313,12 @@ def ingest_csv(path) -> list[Subject]:
 
     Rows are read one trajectory at a time: consecutive rows that share
     (subject_id, label, joint, side) form a run, checked and converted when
-    it ends, and the runs of one part merge in file order. An error is that
-    of the first failing row and, within it, of its first failing check,
-    as if the file were checked row by row; it names the physical line on
-    which that row ends, so a quoted line break in an id counts.
+    it ends, and the runs of one part merge in file order. The numbers of
+    a run are converted and range-checked in bulk; a run that fails is
+    checked again row by row with the row rule, so an error is that of the
+    first failing row and, within it, of its first failing check. It names
+    the physical line on which that row ends, so a quoted line break in an
+    id counts.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

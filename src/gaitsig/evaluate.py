@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClassLabel
+from .data import ClassLabel, csv_fields, needs_quote_all
 from .features import FeatureVector
 from .pool import fork_map
 from .som import SomMap, TrainSchedule, best_match, init, train
@@ -207,8 +207,10 @@ def write_report_table(report: EvalReport, path) -> None:
 
 
 def write_confusion_csv(report: EvalReport, path) -> None:
+    """The confusion matrix as CSV, labels quoted where needed, so that any
+    label text reads back."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         names = [c.value for c in report.classes]
-        fh.write("true\\predicted," + ",".join(names) + "\n")
+        fh.write(csv_fields(["true\\predicted", *names], needs_quote_all(*names)) + "\n")
         for name, row in zip(names, report.confusion):
-            fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+            fh.write(csv_fields([name, *(str(int(v)) for v in row)], needs_quote_all(name)) + "\n")

@@ -28,14 +28,3 @@ def write_pgm(matrix: np.ndarray, path) -> None:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(gray.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    """Read back a P5 file written by write_pgm (for round-trip checks)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header, _, rest = data.partition(b"255\n")
-    fields = header.split()
-    if fields[0] != b"P5" or len(fields) != 3:
-        raise ValueError(f"{path}: not a write_pgm-style P5 file")
-    cols, rows = int(fields[1]), int(fields[2])
-    return np.frombuffer(rest, dtype=np.uint8, count=rows * cols).reshape(rows, cols)

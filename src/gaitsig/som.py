@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 BORDER = -1  # cluster id for nodes at or above the threshold
+THRESHOLD_QUANTILE = 0.60  # of the U-Matrix heights: the default cluster threshold
 
 _INIT_STREAM = 0
 _TRAIN_STREAM = 1
@@ -305,7 +306,7 @@ class UMatrix:
         object.__setattr__(self, "heights", h)
 
 
-def umatrix(som: SomMap, threshold_quantile: float = 0.60) -> UMatrix:
+def umatrix(som: SomMap) -> UMatrix:
     W = som.weights.reshape(som.rows, som.cols, som.dim)
     sums = np.zeros((som.rows, som.cols))
     counts = np.zeros((som.rows, som.cols))
@@ -322,7 +323,7 @@ def umatrix(som: SomMap, threshold_quantile: float = 0.60) -> UMatrix:
         counts[:, 1:] += 1
         counts[:, :-1] += 1
     heights = sums / counts
-    return UMatrix(heights=heights, threshold=float(np.quantile(heights, threshold_quantile)))
+    return UMatrix(heights=heights, threshold=float(np.quantile(heights, THRESHOLD_QUANTILE)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,13 +5,17 @@ the CWT oracle is a direct double-loop quadrature of the defining sum, the
 spectral oracle is a plain FFT over one period, the component oracle is
 union-find rather than the BFS used by the implementation, the training
 oracle is a frozen copy of the plain broadcast SOM update loop, the
-node-labelling oracle is a per-node loop over plain Python sums, and the
+node-labelling oracle is a per-node loop over plain Python sums, the
 artifact writers are frozen copies of the row-by-row csv.writer and
-json.dump writers, taking plain text and arrays.
+json.dump writers, taking plain text and arrays, the dataset error oracle
+checks a dataset CSV one row at a time, and the PGM reader matches the P5
+header with a regular expression.
 """
 
 import csv
 import json
+import math
+import re
 
 import numpy as np
 
@@ -214,3 +218,64 @@ def reference_save_map_json(rows, cols, weights, trained, schedule, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def reference_ingest_error(path):
+    """The first error of a dataset CSV checked one row at a time, as
+    (error class name, physical line, message), or None when every row
+    passes. A row's checks, in order: field count, subject_id, label,
+    joint, side, pct number, pct range, angle number, finite, magnitude,
+    and a label that differs from the subject's first. Blank rows are
+    skipped; the grid checks of whole trajectories are not made."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        first_label = {}
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                return "ParseError", line, f"expected {len(header)} fields"
+            field = dict(zip(header, row))
+            sid, label, pct, angle = field["subject_id"], field["label"], field["pct"], field["angle_deg"]
+            if not sid:
+                return "ParseError", line, "empty subject_id"
+            if not label:
+                return "SchemaError", line, "missing label"
+            if field["joint"] not in JOINT_ORDER:
+                return "ParseError", line, f"unknown joint {field['joint']!r}"
+            if field["side"] not in SIDE_ORDER:
+                return "ParseError", line, f"unknown side {field['side']!r}"
+            try:
+                p = float(pct)
+            except ValueError:
+                return "ParseError", line, f"pct {pct!r} is not a number"
+            if not 0.0 <= p <= 100.0:
+                return "ParseError", line, f"pct {p} outside [0, 100]"
+            try:
+                a = float(angle)
+            except ValueError:
+                return "ParseError", line, f"angle_deg {angle!r} is not a number"
+            if not math.isfinite(a):
+                return "ParseError", line, f"angle_deg {angle!r} is not finite"
+            if abs(a) > 180.0:
+                return "ParseError", line, "|angle_deg| exceeds 180.0"
+            known = first_label.setdefault(sid, label)
+            if known != label:
+                return "SchemaError", line, f"subject {sid!r} has conflicting labels {known} and {label}"
+    return None
+
+
+def reference_read_pgm(path):
+    """The pixels of a binary (P5) 8-bit PGM file: the magic number, the
+    width, the height and the maximum value 255, separated by whitespace,
+    then one whitespace byte and rows * cols bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = re.match(rb"P5\s+(\d+)\s+(\d+)\s+255\s", data)
+    assert header is not None, data[:20]
+    cols, rows = int(header[1]), int(header[2])
+    pixels = data[header.end() :]
+    assert len(pixels) == rows * cols, (len(pixels), rows, cols)
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(rows, cols)

@@ -171,7 +171,7 @@ class TestRunConfig:
             ({"som": {"rng_seed": -4}}, "som.rng_seed: must be >= 0, got -4"),
             ({"som": {"alpha0": 10**400}}, "som.alpha0: must be a number within the float range"),
             ({"cluster_threshold": -(10**400)}, "cluster_threshold: must be a number within the float range"),
-            ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: int too large to convert to float"),
+            ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: must be a number within the float range"),
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
              "synth.template.Hip: must be a number within the float range"),
             ({"som": {"rows": 10**400}}, f"som.rows: must be <= 1000, got {10**400}"),

@@ -25,7 +25,7 @@ from gaitsig.data import (
 )
 
 from conftest import make_traj
-from oracles import reference_write_csv
+from oracles import reference_ingest_error, reference_write_csv
 
 
 def write_json(subjects, path) -> None:
@@ -335,6 +335,30 @@ ROW_ERRORS = {
                             "angle_deg 'nan' is not finite"),
 }
 
+# cell values that each fail some row check in some column
+_BAD_TOKENS = ["x", "", " ", "nan", "inf", "-inf", "1e3", "-180.5", "100.5", "-1", "Elbow", "Up", "Polio"]
+
+
+@st.composite
+def broken_datasets(draw):
+    """A valid dataset, 2 subjects x 2 parts x 21 grid points with the rows
+    of a subject's parts optionally interleaved, as rows of fields; then
+    1-3 edits, each setting a cell to a failing token or cutting a row to
+    5 fields or padding it to 7."""
+    interleave = draw(st.booleans())
+    rows = []
+    for sid, label in (("s1", "Normal"), ("s2", "CP-dp")):
+        a = _run_rows(sid=sid, label=label)
+        b = _run_rows(joint="Knee", side="Right", sid=sid, label=label)
+        rows += [row for pair in zip(a, b) for row in pair] if interleave else a + b
+    edits = [
+        (draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(CSV_COLUMNS + ("fields",))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    for i, name in sorted(edits, key=lambda edit: edit[1] == "fields"):  # a cut row has no cell 5
+        rows = _edit(rows, i, **{name: draw(st.sampled_from([5, 7] if name == "fields" else _BAD_TOKENS))})
+    return rows
+
 
 class TestIngestRuns:
     """ingest_csv checks a run of rows that share (subject_id, label, joint,
@@ -350,6 +374,24 @@ class TestIngestRuns:
         with pytest.raises(error, match=f"^{re.escape(f'{path}:{line}: {message}')}$") as info:
             ingest_csv(path)
         assert type(info.value) is error
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=broken_datasets())
+    def test_errors_match_row_by_row_oracle(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rows") / "d.csv"
+        self._write(path, rows)
+        expected = reference_ingest_error(path)
+        if expected is None:
+            # every row passes: only the checks of a whole trajectory may fail
+            try:
+                ingest_csv(path)
+            except SchemaError as exc:
+                assert str(exc).startswith(f"{path}: subject ")
+            return
+        name, line, message = expected
+        with pytest.raises((ParseError, SchemaError)) as info:
+            ingest_csv(path)
+        assert (type(info.value).__name__, str(info.value)) == (name, f"{path}:{line}: {message}")
 
     @pytest.mark.parametrize(
         "rows",

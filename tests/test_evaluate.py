@@ -1,3 +1,4 @@
+import csv
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -333,6 +334,14 @@ class TestReportOutput:
         assert lines[0] == "true\\predicted,Normal,Polio"
         assert lines[1] == "Normal,3,0"
         assert lines[2] == "Polio,0,3"
+
+    @pytest.mark.parametrize("text", ["CP,x", 'say "a"', "a\rb", "a\nb", "a,\r\"\nb"])
+    def test_confusion_csv_reads_back_any_label(self, tmp_path, text):
+        report = replace(self._report(), classes=(ClassLabel("Normal"), ClassLabel(text)))
+        write_confusion_csv(report, tmp_path / "c.csv")
+        with open(tmp_path / "c.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["true\\predicted", "Normal", text], ["Normal", "3", "0"], [text, "0", "3"]]
 
 
 class TestEvalReportInvariants:
