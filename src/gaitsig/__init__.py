@@ -27,7 +27,6 @@ from .evaluate import EvalReport, kappa, label_nodes, loocv
 from .features import (
     FeatureVector,
     Level,
-    RegionSplit,
     combine_joints,
     extract_features,
     split_regions,

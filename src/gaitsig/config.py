@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .data import CP_DP, ClassLabel, Joint, Side
-from .features import Level, RegionSplit
+from .features import Level
 from .som import InitMode, Kernel, TrainSchedule, _schedule_to_dict
 from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
 from .wavelet import (
@@ -107,7 +107,7 @@ SCALE_RANGE = {
     "max": (NUMBER, DEFAULT_SCALE_MAX),
 }
 FEATURES = {
-    "level": (STRING, RegionSplit.level.value),
+    "level": (STRING, Level.HIGH_SCALE.value),
     "zscore": (BOOLEAN, False),
 }
 SOM = {

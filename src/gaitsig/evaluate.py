@@ -56,13 +56,12 @@ def label_nodes(som: SomMap, training: Sequence[FeatureVector]) -> tuple[ClassLa
         node_labels[node] = _majority(labs)
 
     labeled = np.array(sorted(hits), dtype=int)
-    coords = som.grid_coords()
+    dist2 = som.grid_dist2()
     for i in range(som.n_nodes):
         if node_labels[i] is None:
-            d2 = np.einsum("nk,nk->n", coords[labeled] - coords[i], coords[labeled] - coords[i])
             # argmin takes the first minimum; `labeled` is sorted row-major,
             # so grid-distance ties resolve to the lowest node index
-            node_labels[i] = node_labels[labeled[int(np.argmin(d2))]]
+            node_labels[i] = node_labels[labeled[int(np.argmin(dist2[i, labeled]))]]
     return tuple(node_labels)
 
 

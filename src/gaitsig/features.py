@@ -38,18 +38,6 @@ class Level(Enum):
     LOW_SCALE = "LowScale"
 
 
-@dataclass(frozen=True)
-class RegionSplit:
-    stance_fraction: float = DEFAULT_STANCE_FRACTION
-    level: Level = Level.HIGH_SCALE
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.stance_fraction < 1.0:
-            raise ValueError(
-                f"stance_fraction must be in (0, 1), got {self.stance_fraction}"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class Regions:
     """The four sub-matrices, named and numbered as in the split diagram."""
@@ -62,11 +50,12 @@ class Regions:
     row_split: int           # first high-scale row index
 
 
-def split_regions(sc: Scalogram, split: RegionSplit | None = None) -> Regions:
-    """Partition the scalogram into the four regions (exact tiling)."""
-    if split is None:
-        split = RegionSplit()
-    target = split.stance_fraction * 100.0
+def split_regions(sc: Scalogram, stance_fraction: float = DEFAULT_STANCE_FRACTION) -> Regions:
+    """Partition the scalogram into the four regions (exact tiling), with
+    stance ending at stance_fraction of the cycle."""
+    if not 0.0 < stance_fraction < 1.0:
+        raise ValueError(f"stance_fraction must be in (0, 1), got {stance_fraction}")
+    target = stance_fraction * 100.0
     # column nearest the stance boundary; ties resolve to the lower index
     col = int(np.argmin(np.abs(sc.time_axis - target)))
     row = len(sc.scale_axis) // 2
@@ -131,19 +120,17 @@ def _time_sample_columns(time_axis: np.ndarray) -> np.ndarray:
     return np.array(cols)
 
 
-def extract_features(sc: Scalogram, split: RegionSplit | None = None) -> FeatureVector:
+def extract_features(sc: Scalogram, level: Level = Level.HIGH_SCALE) -> FeatureVector:
     """Sample one scale level of a canonical-grid scalogram into a 160-long
     single-joint feature vector."""
-    if split is None:
-        split = RegionSplit()
     cols = _time_sample_columns(sc.time_axis)
-    rows = level_scale_indices(len(sc.scale_axis), split.level)
+    rows = level_scale_indices(len(sc.scale_axis), level)
     block = sc.values[np.ix_(rows, cols)]  # (8 scales, 20 times)
     return FeatureVector(
         values=block.T.reshape(-1),  # time-major
         subject_id=sc.subject_id,
         parts=((sc.joint, sc.side),),
-        level=split.level,
+        level=level,
         label=sc.label,
     )
 

@@ -10,7 +10,8 @@ config the whole artifact tree is byte-identical across reruns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -102,8 +103,10 @@ def _cwt_subject(
     cfg.write_pgm, a PGM. Returns the number of scalograms."""
     subject, stem, parts = job
     for joint, side in parts:
-        sc = wv.cwt(subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, cfg.boundary)
-        sc = replace(sc, subject_id=subject.id, label=subject.label)
+        sc = wv.cwt(
+            subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, cfg.boundary,
+            subject.id, subject.label,
+        )
         path = out_dir / f"scalogram_{stem}_{joint.value}_{side.value}"
         wv.write_scalogram_csv(sc, f"{path}.csv")
         if cfg.write_pgm:
@@ -134,12 +137,12 @@ def write_scalograms(
     return sum(fork_map(partial(_cwt_subject, cfg, scalogram_dir), jobs))
 
 
-def _part_vector(split: ft.RegionSplit, path: Path) -> ft.FeatureVector:
+def _part_vector(level: ft.Level, path: Path) -> ft.FeatureVector:
     """The single-part feature vector of one scalogram file; a pool task
     of the features stage."""
     sc = wv.read_scalogram_csv(path)
     try:
-        return ft.extract_features(sc, split)
+        return ft.extract_features(sc, level)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -154,7 +157,7 @@ def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> list[ft.Fea
     if not paths:
         raise ConfigError(f"no scalogram_*.csv files under {scalogram_dir}")
     by_subject: dict[str, list[ft.FeatureVector]] = {}
-    for part in fork_map(partial(_part_vector, ft.RegionSplit(level=level)), paths):
+    for part in fork_map(partial(_part_vector, level), paths):
         by_subject.setdefault(part.subject_id, []).append(part)
     vectors = [ft.combine_joints(by_subject[sid]) for sid in sorted(by_subject)]
     expected = vectors[0].parts
@@ -222,18 +225,17 @@ class PipelineResult:
         return count_clusters(self.cluster_ids)
 
 
+@contextmanager
 def _stage(name: str, out_dir: Path):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                (out_dir / "FAILED").write_text(f"{name}: {exc}\n", encoding="utf-8")
-                raise StageError(name, str(exc)) from exc
-            return False
-
-    return _Ctx()
+    """Write out_dir/FAILED naming the stage if its body raises. An Exception
+    becomes a StageError; an interrupt or exit passes unchanged."""
+    try:
+        yield
+    except BaseException as exc:
+        (out_dir / "FAILED").write_text(f"{name}: {exc}\n", encoding="utf-8")
+        if not isinstance(exc, Exception):
+            raise
+        raise StageError(name, str(exc)) from exc
 
 
 def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:

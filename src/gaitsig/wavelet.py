@@ -178,8 +178,11 @@ def cwt(
     grid: ScaleGrid | None = None,
     params: MorletParams | None = None,
     boundary: Boundary = Boundary.ZERO,
+    subject_id: str = "",
+    label: ClassLabel | None = None,
 ) -> Scalogram:
-    """Morlet scalogram of one trajectory on (scale grid x trajectory grid).
+    """Morlet scalogram of one trajectory on (scale grid x trajectory grid),
+    carrying the given subject id and label.
 
     Direct (non-FFT) convolution per scale; scales write disjoint rows, so
     the result does not depend on evaluation order.
@@ -208,6 +211,8 @@ def cwt(
         scale_axis=grid,
         joint=traj.joint,
         side=traj.side,
+        subject_id=subject_id,
+        label=label,
     )
 
 

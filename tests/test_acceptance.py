@@ -15,7 +15,7 @@ import pytest
 from gaitsig.cli import main as cli_main
 from gaitsig.data import CP_DP, CP_LH, CP_RH, GaitTrajectory, Joint, Side
 from gaitsig.evaluate import kappa, loocv
-from gaitsig.features import Level, RegionSplit, combine_joints, extract_features, split_regions
+from gaitsig.features import Level, combine_joints, extract_features, split_regions
 from gaitsig.som import (
     InitMode,
     Kernel,
@@ -93,14 +93,13 @@ def test_c03_cwt_linearity_and_zero():
 
 def test_c04_feature_geometry():
     subject = generate(SynthSpec(n_subjects=1, rng_seed=4))[0]
-    split = RegionSplit(level=Level.HIGH_SCALE)
     parts = {}
     for side in (Side.RIGHT, Side.LEFT):
         sc = replace(
             cwt(subject.trajectories[(Joint.HIP, side)]),
             subject_id=subject.id, label=subject.label,
         )
-        parts[side] = extract_features(sc, split)
+        parts[side] = extract_features(sc, Level.HIGH_SCALE)
         assert len(parts[side].values) == 160
     combined = combine_joints([parts[Side.LEFT], parts[Side.RIGHT]])
     assert len(combined.values) == 320
@@ -109,7 +108,7 @@ def test_c04_feature_geometry():
     sc = cwt(_traj(np.abs(np.sin(PCT / 7.0)) * 40.0))
     rng = np.random.default_rng(44)
     for frac in rng.uniform(0.05, 0.95, 10):
-        r = split_regions(sc, RegionSplit(stance_fraction=float(frac)))
+        r = split_regions(sc, float(frac))
         rebuilt = np.block([[r.stance_low, r.swing_low], [r.stance_high, r.swing_high]])
         assert np.array_equal(rebuilt, sc.values)
     _passed(4, "feature vector geometry and exact region tiling")
@@ -207,7 +206,6 @@ LATERALITY_SCHEDULE = TrainSchedule(epochs=200, rng_seed=21, init=InitMode.SAMPL
 
 
 def _hip_vectors(subjects, sides, level=Level.HIGH_SCALE):
-    split = RegionSplit(level=level)
     out = []
     for s in subjects:
         parts = []
@@ -216,7 +214,7 @@ def _hip_vectors(subjects, sides, level=Level.HIGH_SCALE):
                 cwt(s.trajectories[(Joint.HIP, side)]),
                 subject_id=s.id, label=s.label,
             )
-            parts.append(extract_features(sc, split))
+            parts.append(extract_features(sc, level))
         out.append(combine_joints(parts))
     out.sort(key=lambda v: v.subject_id)
     return out

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaitsig import features, wavelet
+from gaitsig import features, pipeline, wavelet
 from gaitsig.cli import SETTING_FLAGS, build_parser, main
 from gaitsig.config import ConfigError, config_from_dict, load_config
 from gaitsig.data import ingest_csv, write_csv
@@ -444,6 +444,16 @@ class TestRunPipeline:
         first = sorted((out / "scalograms").glob("scalogram_*.csv"))[0]
         assert (out / "FAILED").read_text() == f"features: {first}: no features in this worker\n"
         assert f"[features] {first}: no features in this worker" in capsys.readouterr().err
+
+    def test_interrupt_marks_stage_and_propagates(self, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "write_features", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)])
+        assert (out / "FAILED").read_text() == "features: \n"
 
 
 class TestSubcommandChain:

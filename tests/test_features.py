@@ -11,7 +11,6 @@ from gaitsig.data import ClassLabel, Joint, NORMAL, Side
 from gaitsig.features import (
     FeatureVector,
     Level,
-    RegionSplit,
     SINGLE_JOINT_LENGTH,
     combine_joints,
     extract_features,
@@ -56,7 +55,7 @@ class TestSplitRegions:
         # 100 columns: mirror-symmetric about the center
         values = np.concatenate([left, left[:, ::-1]], axis=1)
         sc = make_scalogram(values)
-        regions = split_regions(sc, RegionSplit(stance_fraction=0.5))
+        regions = split_regions(sc, 0.5)
         assert np.array_equal(regions.stance_low, regions.swing_low[:, ::-1])
 
     def test_all_ones_tiling(self):
@@ -76,7 +75,7 @@ class TestSplitRegions:
     def test_tiling_property(self, frac, n_scales, n_time, seed):
         rng = np.random.default_rng(seed)
         sc = make_scalogram(rng.uniform(0, 5, (n_scales, n_time)))
-        r = split_regions(sc, RegionSplit(stance_fraction=frac))
+        r = split_regions(sc, frac)
         rebuilt = np.block([
             [r.stance_low, r.swing_low],
             [r.stance_high, r.swing_high],
@@ -85,7 +84,7 @@ class TestSplitRegions:
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError, match="stance_fraction"):
-            RegionSplit(stance_fraction=1.0)
+            split_regions(make_scalogram(np.zeros((12, 101))), 1.0)
 
 
 class TestLevelIndices:
@@ -111,7 +110,7 @@ class TestExtractFeatures:
         # value = scale row index, constant per row: every time block must
         # equal the high-level indices 4..11
         values = np.tile(np.arange(12.0)[:, None], (1, 101))
-        fv = extract_features(make_scalogram(values), RegionSplit(level=Level.HIGH_SCALE))
+        fv = extract_features(make_scalogram(values), Level.HIGH_SCALE)
         blocks = fv.values.reshape(20, 8)
         assert np.array_equal(blocks, np.tile(np.arange(4.0, 12.0), (20, 1)))
 
@@ -119,7 +118,7 @@ class TestExtractFeatures:
         # value = 100*time_pct + scale_index encodes the flatten order
         cols = np.linspace(0.0, 100.0, 101)
         values = 100.0 * cols[None, :] + np.arange(12.0)[:, None]
-        fv = extract_features(make_scalogram(values), RegionSplit(level=Level.LOW_SCALE))
+        fv = extract_features(make_scalogram(values), Level.LOW_SCALE)
         expected = np.array(
             [100.0 * (5.0 * t) + s for t in range(20) for s in range(8)]
         )
@@ -166,8 +165,8 @@ class TestExtractFeatures:
         assert np.linalg.norm(high_band) > 2.0 * np.linalg.norm(low_band)
         # the literal feature-window comparison inverts because of the
         # aliased lowest scale; recorded, not hidden:
-        hi = extract_features(sc, RegionSplit(level=Level.HIGH_SCALE))
-        lo = extract_features(sc, RegionSplit(level=Level.LOW_SCALE))
+        hi = extract_features(sc, Level.HIGH_SCALE)
+        lo = extract_features(sc, Level.LOW_SCALE)
         assert np.linalg.norm(lo.values) > np.linalg.norm(hi.values)
 
 

@@ -192,6 +192,17 @@ class TestCwt:
         assert sc.values.shape == (12, 101)
         assert np.all(sc.values >= 0) and np.all(np.isfinite(sc.values))
 
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_subject_and_label_set_on_the_scalogram(self, boundary):
+        traj = make_traj(np.linspace(-5.0, 5.0, 101), joint=Joint.ANKLE, side=Side.LEFT)
+        got = cwt(traj, None, None, boundary, subject_id="pt 7", label=ClassLabel("CP-lh"))
+        want = replace(cwt(traj, boundary=boundary), subject_id="pt 7", label=ClassLabel("CP-lh"))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.time_axis.tobytes() == want.time_axis.tobytes()
+        assert got.scale_axis.scales.tobytes() == want.scale_axis.scales.tobytes()
+        assert (got.subject_id, got.label, got.joint, got.side) == (
+            want.subject_id, want.label, want.joint, want.side,
+        )
 
     def test_bad_grid_type_rejected(self):
         with pytest.raises(ValueError, match="ScaleGrid"):
