@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .data import CP_DP, ClassLabel, Joint, Side
-from .features import Level
+from .features import N_SCALE_SAMPLES, Level
 from .som import InitMode, Kernel, TrainSchedule, _schedule_to_dict
 from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
 from .wavelet import (
@@ -58,12 +58,21 @@ _IS_KIND = {
     SCALES: lambda v: isinstance(v, dict) or (isinstance(v, list) and all(map(_is_number, v))),
 }
 
-# Each section: key -> (kind, default) or, for an integer that sizes the
+# Each section: key -> (kind, default) or, for a value that sizes the
 # work, (kind, default, largest value). A null default means the value is
 # derived (the comment says from what) and is the only place null is
 # accepted. A key that maps onto a field of a library type takes that
 # field's default. The largest values lie far above any experiment's and
-# keep each stage finite.
+# keep each stage finite. A Morlet kernel has 2*floor(radius*scale/dt)+1
+# taps: a truncation radius of 10, where the Gaussian is below 2e-22 of
+# its peak, and a scale of LARGEST_SCALE, two gait cycles, cap it at 4001
+# taps on the 101-point grid.
+LARGEST_SCALE = 200
+# The last epoch's sigma is sigma0 + (sigma_end - sigma0), which rounds to
+# 0 once sigma_end is below half an ulp of sigma0; a Gaussian kernel then
+# divides 0 by 0. sigma0 <= 1e6 (the derived default is at most 500) and
+# a Gaussian sigma_end >= 1e-6 keep it above 0.
+SMALLEST_GAUSSIAN_SIGMA_END = 1e-6
 CONFIG = {
     "seed": (INTEGER, 0),
     "input_csv": (STRING, None),
@@ -97,14 +106,14 @@ PERTURBATION = {
 }
 WAVELET = {
     "nu0": (NUMBER, MorletParams.nu0),
-    "truncation_radius": (NUMBER, MorletParams.truncation_radius),
+    "truncation_radius": (NUMBER, MorletParams.truncation_radius, 10),
     "boundary": (STRING, Boundary.ZERO.value),
     "scales": (SCALES, None),          # the object's defaults
 }
 SCALE_RANGE = {
     "count": (INTEGER, DEFAULT_SCALE_COUNT, 1000),
     "min": (NUMBER, DEFAULT_SCALE_MIN),
-    "max": (NUMBER, DEFAULT_SCALE_MAX),
+    "max": (NUMBER, DEFAULT_SCALE_MAX, LARGEST_SCALE),
 }
 FEATURES = {
     "level": (STRING, Level.HIGH_SCALE.value),
@@ -115,7 +124,7 @@ SOM = {
     "cols": (INTEGER, 10, 1000),
     "epochs": (INTEGER, TrainSchedule.epochs, 100_000),
     "alpha0": (NUMBER, TrainSchedule.alpha0),
-    "sigma0": (NUMBER, None),          # max(rows, cols) / 2
+    "sigma0": (NUMBER, None, 1_000_000),  # max(rows, cols) / 2
     "sigma_end": (NUMBER, TrainSchedule.sigma_end),
     "kernel": (STRING, TrainSchedule.kernel.value),
     "init": (STRING, InitMode.SAMPLE_INIT.value),
@@ -144,11 +153,17 @@ def _float(value: int | float, key: str) -> float:
     return value
 
 
+def _largest(value, most, key: str):
+    if value > most:
+        raise ConfigError(f"{key}: must be <= {most}, got {value}")
+    return value
+
+
 def _read(doc: Any, schema: Mapping[str, tuple], where: str) -> dict:
     """doc, which must be a JSON object with no key outside schema, as a
     dict of every schema key: its value, checked against its kind and
-    largest value (a number converted with _float), or its default. where
-    is the dotted path of doc, "" at the top level."""
+    largest value (a number first converted with _float), or its default.
+    where is the dotted path of doc, "" at the top level."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where or 'config'}: must be an object, got {_json_type(doc)}")
     unknown = set(doc) - set(schema)
@@ -164,9 +179,9 @@ def _read(doc: Any, schema: Mapping[str, tuple], where: str) -> dict:
         if not _IS_KIND[kind](value):
             got = _json_type(value) if kind is OBJECT else json.dumps(value)
             raise ConfigError(f"{dotted}: must be {kind}, got {got}")
-        if most and value > most[0]:
-            raise ConfigError(f"{dotted}: must be <= {most[0]}, got {value}")
-        out[key] = _float(value, dotted) if kind is NUMBER else value
+        if kind is NUMBER:
+            value = _float(value, dotted)
+        out[key] = _largest(value, most[0], dotted) if most else value
     return out
 
 
@@ -242,10 +257,27 @@ def _synth(doc: Any, seed: int) -> SynthSpec:
 
 
 def _scales(value: Any) -> ScaleGrid:
+    """The scale grid, of at least the N_SCALE_SAMPLES scales a feature
+    level samples."""
     if value is None or isinstance(value, dict):
         r = _read(value or {}, SCALE_RANGE, "wavelet.scales")
+        if r["count"] < N_SCALE_SAMPLES:
+            raise ConfigError(f"wavelet.scales.count: must be >= {N_SCALE_SAMPLES}, got {r['count']}")
         return _build(ScaleGrid.default, "wavelet.scales: ", count=r["count"], lo=r["min"], hi=r["max"])
-    return _build(ScaleGrid, "wavelet.scales: ", scales=[_float(v, "wavelet.scales") for v in value])
+    key = "wavelet.scales"
+    scales = [_largest(_float(v, key), LARGEST_SCALE, key) for v in value]
+    if len(scales) < N_SCALE_SAMPLES:
+        raise ConfigError(f"{key}: must hold at least {N_SCALE_SAMPLES} scales, got {len(scales)}")
+    return _build(ScaleGrid, f"{key}: ", scales=scales)
+
+
+def _distinct(kind, values: list[str], key: str) -> tuple:
+    """The members of the enum `kind` named by values, none named twice."""
+    if not values:
+        raise ConfigError(f"{key}: must be non-empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key}: must not repeat a value, got {json.dumps(values)}")
+    return tuple(_member(kind, v, key) for v in values)
 
 
 @dataclass(frozen=True)
@@ -284,10 +316,16 @@ def _settings(top: dict) -> Settings:
     w = _read(top["wavelet"] or {}, WAVELET, "wavelet")
     f = _read(top["features"] or {}, FEATURES, "features")
     s = _read(top["som"] or {}, SOM, "som")
-    if not top["joints"] or not top["sides"]:
-        raise ConfigError("joints and sides must be non-empty")
+    joints = _distinct(Joint, top["joints"], "joints")
+    sides = _distinct(Side, top["sides"], "sides")
     if s["rows"] < 1 or s["cols"] < 1 or s["rows"] * s["cols"] < 2:
-        raise ConfigError("SOM needs at least 2 nodes")
+        raise ConfigError(f"som: the map needs at least 2 nodes, got {s['rows']}x{s['cols']}")
+    kernel = _member(Kernel, s["kernel"], "som.kernel")
+    if kernel is Kernel.GAUSSIAN and s["sigma_end"] < SMALLEST_GAUSSIAN_SIGMA_END:
+        raise ConfigError(
+            f"som.sigma_end: must be >= {SMALLEST_GAUSSIAN_SIGMA_END} with the Gaussian kernel, "
+            f"got {s['sigma_end']}"
+        )
     schedule = _build(
         TrainSchedule,
         "som: ",
@@ -295,14 +333,14 @@ def _settings(top: dict) -> Settings:
         alpha0=s["alpha0"],
         sigma0=s["sigma0"],
         sigma_end=s["sigma_end"],
-        kernel=_member(Kernel, s["kernel"], "som.kernel"),
+        kernel=kernel,
         rng_seed=_seed(s["rng_seed"], "som.rng_seed", seed),
         init=_member(InitMode, s["init"], "som.init"),
     )
     return Settings(
         seed=seed,
-        joints=tuple(_member(Joint, v, "joints") for v in top["joints"]),
-        sides=tuple(_member(Side, v, "sides") for v in top["sides"]),
+        joints=joints,
+        sides=sides,
         morlet=_build(MorletParams, "wavelet: ", nu0=w["nu0"], truncation_radius=w["truncation_radius"]),
         scales=_scales(w["scales"]),
         boundary=_member(Boundary, w["boundary"], "wavelet.boundary"),
@@ -322,6 +360,8 @@ def _parse(doc: Mapping[str, Any]) -> tuple[Settings, dict, SynthSpec | None]:
     top level and its synth spec."""
     top = _read(doc, CONFIG, "")
     synth = None if top["synth"] is None else _synth(top["synth"], top["seed"])
+    if synth is not None and top["loocv"] and len(synth.groups) + synth.include_normal < 2:
+        raise ConfigError("loocv: leave-one-out needs 2 classes, and synth generates 1")
     return _settings(top), top, synth
 
 

@@ -17,7 +17,6 @@ arithmetic is that of a serial run, so the report is the same.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -28,12 +27,6 @@ from .data import ClassLabel, csv_fields, needs_quote_all
 from .features import FeatureVector
 from .pool import fork_map
 from .som import SomMap, TrainSchedule, best_match, init, train
-
-
-def _majority(labels: Sequence[ClassLabel]) -> ClassLabel:
-    counts = Counter(labels)
-    top = max(counts.values())
-    return min(lab for lab, c in counts.items() if c == top)
 
 
 def label_nodes(som: SomMap, training: Sequence[FeatureVector]) -> tuple[ClassLabel, ...]:
@@ -47,22 +40,17 @@ def label_nodes(som: SomMap, training: Sequence[FeatureVector]) -> tuple[ClassLa
     if any(fv.label is None for fv in training):
         raise ValueError("training vectors must be labeled")
 
-    hits: dict[int, list[ClassLabel]] = {}
+    classes = sorted({fv.label for fv in training})
+    column = {label: j for j, label in enumerate(classes)}
+    hits = np.zeros((som.n_nodes, len(classes)), dtype=int)  # node x class vote
     for fv in training:
-        hits.setdefault(best_match(som, fv.values), []).append(fv.label)
-
-    node_labels: list[ClassLabel | None] = [None] * som.n_nodes
-    for node, labs in hits.items():
-        node_labels[node] = _majority(labs)
-
-    labeled = np.array(sorted(hits), dtype=int)
-    dist2 = som.grid_dist2()
-    for i in range(som.n_nodes):
-        if node_labels[i] is None:
-            # argmin takes the first minimum; `labeled` is sorted row-major,
-            # so grid-distance ties resolve to the lowest node index
-            node_labels[i] = node_labels[labeled[int(np.argmin(dist2[i, labeled]))]]
-    return tuple(node_labels)
+        hits[best_match(som, fv.values), column[fv.label]] += 1
+    # argmin and argmax take the first extreme: a tied vote goes to the
+    # lowest class, and an unhit node to the nearest hit node of lowest
+    # index; a hit node is its own nearest, at grid distance 0
+    hit = np.flatnonzero(hits.any(axis=1))
+    owner = hit[som.grid_dist2()[:, hit].argmin(axis=1)]
+    return tuple(np.array(classes, dtype=object)[hits[owner].argmax(axis=1)])
 
 
 def kappa(confusion: np.ndarray) -> float:

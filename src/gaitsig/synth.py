@@ -94,6 +94,12 @@ class SynthSpec:
             raise ValueError(f"n_subjects: must be >= 1, got {self.n_subjects}")
         if not self.include_normal and not self.groups:
             raise ValueError("include_normal: false with no groups generates nothing")
+        # subject ids are <slug>-NNN, so no two classes may share a slug
+        owners = {_slug(NORMAL): "the Normal class of include_normal"} if self.include_normal else {}
+        for label in sorted(self.groups):
+            name, slug = f"group {label.value!r}", _slug(label)
+            if owners.setdefault(slug, name) != name:
+                raise ValueError(f"groups: {name} would reuse the subject ids {slug}-NNN of {owners[slug]}")
         for joint, harmonics in self.template.items():
             for h, _amp, _phase in harmonics:
                 if not 0 <= h <= MAX_TEMPLATE_HARMONIC:
@@ -183,9 +189,12 @@ def _make_subject(
             hf = []
         for side, gain in ((Side.RIGHT, gain_right), (Side.LEFT, gain_left)):
             samples = _synth_samples(pct, harmonics, hf, region, shift, gain)
-            trajectories[(joint, side)] = GaitTrajectory(
-                joint=joint, side=side, samples=samples
-            )
+            try:
+                traj = GaitTrajectory(joint=joint, side=side, samples=samples)
+            except ValueError as exc:
+                # the jittered angles of this draw left the valid range
+                raise ValueError(f"subject {sid!r} {joint.value}/{side.value}: {exc}") from None
+            trajectories[(joint, side)] = traj
     return Subject(id=sid, label=label, trajectories=trajectories)
 
 

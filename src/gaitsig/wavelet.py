@@ -136,7 +136,11 @@ def morlet(t, params: MorletParams | None = None):
 
 
 def _half_width(radius: float, dt: float) -> int:
-    """Largest m with m*dt <= radius, robust at float boundaries."""
+    """Largest m with m*dt <= radius, robust at float boundaries. From
+    2**53 on, floats are further apart than 1 and the steps below would
+    take about half their spacing to finish, so radius/dt must be less."""
+    if not radius / dt < 2.0**53:
+        raise ValueError(f"truncation half-width radius/dt must be < 2**53, got {radius / dt}")
     k = max(int(math.floor(radius / dt)), 0)
     while (k + 1) * dt <= radius:
         k += 1

@@ -226,8 +226,15 @@ class TestRunConfig:
             ({"som": {"epochs": 100_001}}, "som.epochs: must be <= 100000, got 100001"),
             ({"synth": {"n_subjects": 10**400}}, f"synth.n_subjects: must be <= 100000, got {10**400}"),
             ({"wavelet": {"scales": {"count": 1001}}}, "wavelet.scales.count: must be <= 1000, got 1001"),
+            ({"wavelet": {"truncation_radius": 1e6}}, r"wavelet.truncation_radius: must be <= 10, got 1000000.0"),
+            ({"wavelet": {"truncation_radius": 1e300}}, r"wavelet.truncation_radius: must be <= 10, got 1e\+300"),
+            ({"wavelet": {"scales": {"max": 1e7}}}, r"wavelet.scales.max: must be <= 200, got 10000000.0"),
+            ({"wavelet": {"scales": {"max": 1e300}}}, r"wavelet.scales.max: must be <= 200, got 1e\+300"),
+            ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7, 1e7]}}, r"wavelet.scales: must be <= 200, got 10000000.0"),
+            ({"som": {"sigma0": 1e300}}, r"som.sigma0: must be <= 1000000, got 1e\+300"),
         ],
-        ids=["cols", "epochs-huge", "epochs", "n-subjects-huge", "scale-count"],
+        ids=["cols", "epochs-huge", "epochs", "n-subjects-huge", "scale-count", "radius", "radius-huge",
+             "scale-max", "scale-max-huge", "scale-list", "sigma0-huge"],
     )
     def test_size_over_its_bound_names_the_key(self, tmp_path, capsys, edit, message):
         # through train, whose features.csv is missing: a run that took the
@@ -239,12 +246,16 @@ class TestRunConfig:
         assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
 
     def test_largest_sizes_accepted(self):
-        doc = small_config(som={"rows": 1000, "cols": 1000, "epochs": 100_000},
-                           wavelet={"scales": {"count": 1000}})
+        doc = small_config(som={"rows": 1000, "cols": 1000, "epochs": 100_000, "sigma0": 1e6, "sigma_end": 1e-6},
+                           wavelet={"truncation_radius": 10, "scales": {"count": 1000, "max": 200}})
         doc["synth"]["n_subjects"] = 100_000
         cfg = config_from_dict(doc)
         assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (1000, 1000, 100_000)
         assert (cfg.synth.n_subjects, len(cfg.scales.scales)) == (100_000, 1000)
+        assert (cfg.morlet.truncation_radius, cfg.scales.scales[-1]) == (10.0, 200.0)
+        assert (cfg.schedule.sigma0, cfg.schedule.sigma_end) == (1e6, 1e-6)
+        doc["wavelet"]["scales"] = [1, 2, 3, 4, 5, 6, 7, 200]
+        assert config_from_dict(doc).scales.scales[-1] == 200.0
 
     def test_overlong_integer_literal_names_the_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -330,6 +341,20 @@ class TestRunPipeline:
         marker = (out / "FAILED").read_text()
         assert marker.startswith("dataset:")
         assert "[dataset]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, part", [
+        ("hf_amplitude", 1e300, "'cp-dp-000' Hip/Right"),
+        ("jitter_sd", 1e300, "'normal-000' Hip/Right"),
+        ("asymmetry_gain", 1e-300, "'cp-dp-000' Hip/Right"),
+    ])
+    def test_synthetic_angle_out_of_range_names_the_subject(self, tmp_path, capsys, key, value, part):
+        doc = small_config()
+        doc["synth"]["pathology"][key] = value
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 1
+        message = f"subject {part}: |angle| must be <= 180.0 degrees"
+        assert (out / "FAILED").read_text() == f"dataset: {message}\n"
+        assert capsys.readouterr().err == f"gaitsig: [dataset] {message}\n"
 
     def test_colliding_file_stems_rejected(self, tmp_path, capsys):
         cfg = {"seed": 1, "input_csv": str(write_colliding_dataset(tmp_path)),

@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 from gaitsig.config import (
     CONFIG,
     FEATURES,
+    LARGEST_SCALE,
     NUMBER,
     OBJECT,
     PERTURBATION,
     SCALE_RANGE,
+    SMALLEST_GAUSSIAN_SIGMA_END,
     SOM,
     SYNTH,
     WAVELET,
@@ -26,11 +30,11 @@ from gaitsig.config import (
     settings_from_dict,
     write_resolved_config,
 )
-from gaitsig.data import CP_DP, CP_LH, CP_RH, Joint
-from gaitsig.features import Level
+from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint
+from gaitsig.features import N_SCALE_SAMPLES, Level
 from gaitsig.pipeline import run_pipeline
 from gaitsig.som import InitMode, Kernel, best_match
-from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion
+from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion, _slug
 from gaitsig.wavelet import Boundary
 
 from test_acceptance import (
@@ -56,8 +60,15 @@ def names(enum):
     return st.sampled_from([m.value for m in enum])
 
 
+def slug(text):
+    """The subject-id prefix synth gives the class named text."""
+    return _slug(ClassLabel(text))
+
+
 seeds = st.integers(0, 2**32 - 1)
-labels = st.one_of(st.sampled_from(["CP-dp", "CP-lh", "Polio"]), st.text(min_size=1, max_size=6))
+# a group may not take the subject ids of the Normal class or of another group
+labels = st.one_of(st.sampled_from(["CP-dp", "CP-lh", "Polio"]), st.text(min_size=1, max_size=6)).filter(
+    lambda text: slug(text) != "normal")
 perturbations = st.fixed_dictionaries({}, optional={
     "hf_amplitude": numbers(0, 10),
     "hf_phase_region": names(GaitRegion),
@@ -72,8 +83,9 @@ templates = st.dictionaries(
 )
 scales = st.one_of(
     st.none(),
-    st.fixed_dictionaries({}, optional={"count": st.integers(2, 30), "min": numbers(0.5, 2), "max": numbers(3, 40)}),
-    st.lists(numbers(0.1, 50), min_size=1, max_size=12, unique=True).map(sorted),
+    st.fixed_dictionaries({}, optional={
+        "count": st.integers(N_SCALE_SAMPLES, 30), "min": numbers(0.5, 2), "max": numbers(3, 40)}),
+    st.lists(numbers(0.1, 50), min_size=N_SCALE_SAMPLES, max_size=12, unique=True).map(sorted),
 )
 
 
@@ -91,7 +103,8 @@ def synth_sections(draw):
         if draw(st.booleans()):
             doc["pathology_label"] = draw(labels)
     elif form == "groups":
-        doc["groups"] = draw(st.dictionaries(labels, perturbations, min_size=1, max_size=3))
+        doc["groups"] = draw(st.dictionaries(labels, perturbations, min_size=1, max_size=3).filter(
+            lambda groups: len(set(map(slug, groups))) == len(groups)))
     else:
         doc["include_normal"] = True
     return doc
@@ -123,8 +136,8 @@ def documents(draw):
     """Correctly typed run-config documents with values in range."""
     doc = draw(st.fixed_dictionaries({}, optional={
         "seed": seeds,
-        "joints": st.lists(names(Joint), min_size=1, max_size=3),
-        "sides": st.lists(st.sampled_from(["Right", "Left"]), min_size=1, max_size=2),
+        "joints": st.lists(names(Joint), min_size=1, max_size=3, unique=True),
+        "sides": st.lists(st.sampled_from(["Right", "Left"]), min_size=1, max_size=2, unique=True),
         "wavelet": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
             "nu0": numbers(0.81, 3),
             "truncation_radius": numbers(3, 8),
@@ -140,7 +153,14 @@ def documents(draw):
     }))
     source = draw(st.sampled_from(["input_csv", "input_json", "synth"]))
     doc[source] = draw(synth_sections()) if source == "synth" else "data." + source[6:]
+    if source == "synth" and synth_classes(doc["synth"]) < 2:
+        doc["loocv"] = False  # leave-one-out needs 2 classes
     return doc
+
+
+def synth_classes(synth):
+    """The number of classes a synth section generates."""
+    return len(synth.get("groups", {})) + ("pathology" in synth) + synth.get("include_normal", True)
 
 
 def number_keys_hold_floats(values, table):
@@ -179,6 +199,7 @@ SECTION_PATHS = {
     "synth.pathology": PERTURBATION,
     "wavelet": WAVELET,
     "wavelet.scales": SCALE_RANGE,
+    "features": FEATURES,
     "som": SOM,
 }
 NUMBER_KEYS = [
@@ -275,3 +296,146 @@ def test_laterality_reader_prints_the_run_geometry(tmp_path, capsys):
     spec.loader.exec_module(reader)
     assert reader.main(tmp_path) == 0
     assert f"along the left-right axis: t = {t:.3f} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"wavelet": {"scales": {"count": 7}}}, "wavelet.scales.count: must be >= 8, got 7"),
+    ({"wavelet": {"scales": {"count": 1}}}, "wavelet.scales.count: must be >= 8, got 1"),
+    ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7]}}, "wavelet.scales: must hold at least 8 scales, got 7"),
+    ({"wavelet": {"scales": [1]}}, "wavelet.scales: must hold at least 8 scales, got 1"),
+    ({"wavelet": {"scales": [1, 1e7]}}, "wavelet.scales: must be <= 200, got 10000000.0"),
+    ({"som": {"sigma_end": 1e-100}}, "som.sigma_end: must be >= 1e-06 with the Gaussian kernel, got 1e-100"),
+    ({"som": {"sigma_end": 1e-300}}, "som.sigma_end: must be >= 1e-06 with the Gaussian kernel, got 1e-300"),
+    ({"joints": ["Hip", "Knee", "Hip"]}, 'joints: must not repeat a value, got ["Hip", "Knee", "Hip"]'),
+    ({"sides": ["Right", "Right"]}, 'sides: must not repeat a value, got ["Right", "Right"]'),
+    ({"sides": []}, "sides: must be non-empty"),
+    ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
+], ids=["count-7", "count-1", "list-7", "list-1", "list-value-first", "sigma-end", "sigma-end-tiny",
+        "joints", "sides", "sides-empty", "one-node"])
+def test_settings_a_stage_cannot_run_name_the_key(doc, message):
+    # each passed the config and then failed in a stage, or named no key
+    with pytest.raises(ConfigError) as err:
+        settings_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_bubble_kernel_takes_any_sigma_end():
+    assert settings_from_dict({"som": {"kernel": "Bubble", "sigma_end": 0}}).schedule.sigma_end == 0.0
+
+
+@pytest.mark.parametrize("sigma0", [1e6, 500.0, 5.0, 1e-6])
+def test_last_epoch_sigma_stays_positive_within_the_bounds(sigma0):
+    # the Gaussian kernel divides by 2*sigma**2, which must not be 0
+    schedule = settings_from_dict({"som": {"sigma0": sigma0, "sigma_end": 1e-6, "epochs": 7}}).schedule
+    last = schedule.sigma(schedule.epochs - 1)
+    assert 2.0 * last * last > 0
+
+
+@pytest.mark.parametrize("synth, message", [
+    ({"pathology": {}, "pathology_label": "Normal"},
+     "synth.groups: group 'Normal' would reuse the subject ids normal-NNN of the Normal class of include_normal"),
+    ({"groups": {"Polio": {}, "polio": {}}}, "synth.groups: group 'polio' would reuse the subject ids polio-NNN of group 'Polio'"),
+    ({"include_normal": True}, "loocv: leave-one-out needs 2 classes, and synth generates 1"),
+    ({"pathology": {}, "include_normal": False}, "loocv: leave-one-out needs 2 classes, and synth generates 1"),
+], ids=["normal-label", "same-ids", "normal-only", "pathology-only"])
+def test_synth_classes_a_run_cannot_use_name_the_key(synth, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"synth": synth})
+    assert str(err.value) == message
+
+
+def test_one_class_synth_accepted_without_loocv():
+    cfg = config_from_dict({"synth": {"pathology": {}, "include_normal": False}, "loocv": False})
+    assert list(cfg.synth.groups) == [CP_DP] and not cfg.synth.include_normal
+
+
+# In-range values of every scalar key of the schema tables at the sizes of
+# a tiny run, by dotted key: at the new bounds too, and a few values past
+# what the config accepts. Synth values keep every angle within 180
+# degrees. The keys that size the work are always drawn.
+TINY = {
+    "seed": seeds,
+    "input_csv": st.none(),
+    "input_json": st.none(),
+    "joints": st.lists(names(Joint), min_size=1, max_size=3, unique=True),
+    "sides": st.lists(st.sampled_from(["Right", "Left"]), min_size=1, max_size=2, unique=True),
+    "cluster_threshold": st.one_of(st.none(), numbers(0, 2)),
+    "write_pgm": st.booleans(),
+    "loocv": st.booleans(),
+    "synth.n_subjects": st.integers(1, 3),
+    "synth.rng_seed": st.one_of(st.none(), seeds),
+    "synth.pathology_label": st.one_of(st.none(), st.sampled_from(["CP-dp", "Polio"])),
+    "synth.include_normal": st.booleans(),
+    "synth.normal_jitter_sd": st.one_of(st.none(), numbers(0, 0.5)),
+    "synth.pathology.hf_amplitude": numbers(0, 5),
+    "synth.pathology.hf_phase_region": names(GaitRegion),
+    "synth.pathology.asymmetry_gain": numbers(0.5, 2),
+    "synth.pathology.timing_shift": numbers(0, 100),
+    "synth.pathology.jitter_sd": numbers(0, 0.5),
+    "wavelet.nu0": numbers(0.81, 3),
+    "wavelet.truncation_radius": st.one_of(numbers(3, 10), st.just(WAVELET["truncation_radius"][2])),
+    "wavelet.boundary": names(Boundary),
+    "wavelet.scales.count": st.integers(N_SCALE_SAMPLES - 1, 12),
+    "wavelet.scales.min": numbers(0.1, 2),
+    "wavelet.scales.max": st.one_of(numbers(3, LARGEST_SCALE), st.just(LARGEST_SCALE)),
+    "features.level": names(Level),
+    "features.zscore": st.booleans(),
+    "som.rows": st.integers(1, 3),
+    "som.cols": st.integers(1, 3),
+    "som.epochs": st.integers(1, 3),
+    "som.alpha0": numbers(0, 1),
+    "som.sigma0": st.one_of(st.none(), numbers(1, 10), st.just(SOM["sigma0"][2])),
+    "som.sigma_end": st.one_of(numbers(SMALLEST_GAUSSIAN_SIGMA_END, 1), st.just(SMALLEST_GAUSSIAN_SIGMA_END)),
+    "som.kernel": names(Kernel),
+    "som.init": names(InitMode),
+    "som.rng_seed": st.one_of(st.none(), seeds),
+}
+SIZES = {"synth.n_subjects", "som.rows", "som.cols", "som.epochs"}
+# Object keys the property leaves out; synth.groups is drawn as pathology.
+UNDRAWN = {"synth", "wavelet", "features", "som", "synth.template", "synth.pathology", "synth.groups",
+           "wavelet.scales"}
+SECTION_KEYS = {
+    f"{where}{'.' if where else ''}{key}" for where, table in SECTION_PATHS.items() for key in table
+}
+
+
+def test_tiny_values_cover_every_key():
+    assert set(TINY) | UNDRAWN == SECTION_KEYS
+
+
+@st.composite
+def tiny_documents(draw):
+    """Run-config documents of at most 3 subjects per class, a 3x3 map and
+    3 epochs, over every scalar key, with a synth input."""
+    doc = {"synth": {"pathology": {}}}
+    for key, values in TINY.items():
+        if key in SIZES or draw(st.booleans()):
+            *sections, name = key.split(".")
+            node = doc
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[name] = draw(values)
+    if draw(st.booleans()):
+        doc.setdefault("wavelet", {})["scales"] = draw(st.lists(
+            numbers(0.1, LARGEST_SCALE), min_size=N_SCALE_SAMPLES, max_size=12, unique=True).map(sorted))
+    return doc
+
+
+def names_a_key(message):
+    """Whether message starts with a key of the document (a section or a
+    dotted key; a group's [label] is dropped), then ": "."""
+    key = re.sub(r"\[[^\]]*\]", "", message.split(": ", 1)[0])
+    return key in SECTION_KEYS
+
+
+@settings(max_examples=20, deadline=None)
+@given(doc=tiny_documents())
+def test_whatever_the_config_accepts_every_stage_runs(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError as exc:
+        assert names_a_key(str(exc)), str(exc)
+        return
+    with tempfile.TemporaryDirectory() as out:
+        run_pipeline(cfg, out)
+        assert not (Path(out) / "FAILED").exists()

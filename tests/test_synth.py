@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitsig.data import CP_DP, CP_LH, CP_RH, Joint, NORMAL, Side
+from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint, NORMAL, Side
 from gaitsig.synth import GaitRegion, PerturbationSpec, SynthSpec, generate
 
 from oracles import band_energy_above
@@ -182,6 +182,27 @@ class TestGenerateGroups:
     def test_empty_generation_rejected(self):
         with pytest.raises(ValueError):
             generate(SynthSpec(n_subjects=0, rng_seed=0))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([ClassLabel("Normal")], "group 'Normal' would reuse the subject ids normal-NNN of the Normal class"),
+        ([ClassLabel("normal")], "group 'normal' would reuse the subject ids normal-NNN of the Normal class"),
+        ([ClassLabel("X y"), ClassLabel("x-Y")], "group 'x-Y' would reuse the subject ids x-y-NNN of group 'X y'"),
+    ], ids=["normal", "normal-lowercase", "two-groups"])
+    def test_classes_sharing_subject_ids_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=f"^groups: {message}"):
+            SynthSpec(n_subjects=1, rng_seed=0, groups={lab: PerturbationSpec() for lab in labels})
+        SynthSpec(n_subjects=1, rng_seed=0, groups={labels[-1]: PerturbationSpec()}, include_normal=len(labels) > 1)
+
+    @pytest.mark.parametrize("group, normal_jitter, part", [
+        (PerturbationSpec(hf_amplitude=1e300), 0.0, "'cp-dp-000' Hip/Right"),
+        (PerturbationSpec(asymmetry_gain=1e-300), 0.0, "'cp-dp-000' Hip/Right"),
+        (PerturbationSpec(asymmetry_gain=1e300), 0.0, "'cp-dp-000' Hip/Left"),
+        (PerturbationSpec(), 1e300, "'normal-000' Hip/Right"),
+    ], ids=["hf-amplitude", "gain-small", "gain-large", "normal-jitter"])
+    def test_out_of_range_angles_name_the_subject_and_part(self, group, normal_jitter, part):
+        spec = SynthSpec(n_subjects=1, rng_seed=0, groups={CP_DP: group}, normal_jitter_sd=normal_jitter)
+        with pytest.raises(ValueError, match=f"^subject {part}: \\|angle\\| must be <= 180.0 degrees$"):
+            generate(spec)
 
     def test_mirror_gains_are_side_swaps(self):
         g = 1.6

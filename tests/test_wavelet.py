@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -222,6 +225,27 @@ def uncached_cwt(traj, grid, params, boundary):
         else:
             rows[i] = np.abs(np.convolve(x, kernel[::-1])[k : k + n])
     return rows
+
+
+class TestHalfWidth:
+    @pytest.mark.parametrize("radius, dt, k", [(5.0, 1.0, 5), (5.0, 0.3, 16), (0.5, 1.0, 0), (2.0**52, 1.0, 2**52)])
+    def test_largest_multiple_within_the_radius(self, radius, dt, k):
+        assert wavelet._half_width(radius, dt) == k
+
+    def test_radius_beyond_unit_float_spacing_refused(self):
+        # from 2**53 on, the stepping loop takes about half the float
+        # spacing in steps (2**29 at 1e25): run it in a child process, so
+        # that a regression fails on the timeout and does not hang the suite
+        code = (
+            "from gaitsig.wavelet import _half_width\n"
+            "try:\n    _half_width(1e25, 1.0)\nexcept ValueError as exc:\n    print(exc)\n"
+        )
+        src = str(Path(wavelet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+        assert done.stdout == "truncation half-width radius/dt must be < 2**53, got 1e+25\n", done.stderr
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            wavelet._half_width(2.0**53, 1.0)
 
 
 class TestKernelCache:
