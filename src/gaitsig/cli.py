@@ -13,7 +13,7 @@ from . import features as ft
 from . import pipeline as pl
 from . import som as sm
 from . import wavelet as wv
-from .config import ConfigError, config_from_dict, load_document, settings_from_dict
+from .config import ConfigError, config_from_dict, load_document
 
 
 def _map_dims(text: str) -> tuple[int, int]:
@@ -82,11 +82,11 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
-def _config(args, parse=config_from_dict):
+def _config(args):
     """A subcommand's settings: its --config document, else an empty one,
-    with its flags applied, parsed by `parse`."""
+    with its flags applied."""
     doc = {} if getattr(args, "config", None) is None else load_document(args.config)
-    return parse(_apply_overrides(doc, args))
+    return config_from_dict(_apply_overrides(doc, args))
 
 
 def cmd_ingest(args) -> int:
@@ -116,7 +116,7 @@ def cmd_cwt(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = _config(args, settings_from_dict)
+    cfg = _config(args)
     out = Path(args.out)
     vectors = pl.write_features(args.scalograms, cfg.level, out)
     print(f"wrote {len(vectors)} feature vectors -> {out / 'features.csv'}")
@@ -124,7 +124,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config(args, settings_from_dict)
+    cfg = _config(args)
     vectors = ft.read_features_csv(args.features)
     out = Path(args.out)
     _, ids = pl.write_map(vectors, cfg, out)
@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args, settings_from_dict)
+    cfg = _config(args)
     report = pl.write_eval(ft.read_features_csv(args.features), cfg, Path(args.out))
     print(ev.format_report_table(report), end="")
     return 0

@@ -6,9 +6,8 @@ reader checks a section against its table, so a bad config fails before
 any computation starts and the error names the dotted key. The fully
 resolved form (all defaults and derived seeds filled in) is echoed back as
 JSON into the output directory for reproducibility checks.
-`config_from_dict` gives a RunConfig, which names exactly one input
-source; `settings_from_dict` gives its Settings alone, for a stage that
-reads no dataset.
+`config_from_dict` gives a RunConfig, which names at most one input
+source.
 """
 
 from __future__ import annotations
@@ -281,9 +280,8 @@ def _distinct(kind, values: list[str], key: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class Settings:
-    """Every setting of a run but its input source: what the stage
-    subcommands that read no dataset (features, train, eval) run with."""
+class RunConfig:
+    """Every setting of a run and its input source, if it names one."""
 
     seed: int
     joints: tuple[Joint, ...]
@@ -299,20 +297,19 @@ class Settings:
     cluster_threshold: float | None
     write_pgm: bool
     loocv: bool
-
-
-@dataclass(frozen=True)
-class RunConfig(Settings):
-    """The settings of a run and its one input source."""
-
     input_csv: str | None
     input_json: str | None
     synth: SynthSpec | None
 
 
-def _settings(top: dict) -> Settings:
-    """The Settings of a document whose top level _read has checked."""
+def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
+    """A run-config document, validated in full. It names at most one input
+    source; the stage that reads one checks that it is there."""
+    top = _read(doc, CONFIG, "")
     seed = top["seed"]
+    synth = None if top["synth"] is None else _synth(top["synth"], seed)
+    if synth is not None and top["loocv"] and len(synth.groups) + synth.include_normal < 2:
+        raise ConfigError("loocv: leave-one-out needs 2 classes, and synth generates 1")
     w = _read(top["wavelet"] or {}, WAVELET, "wavelet")
     f = _read(top["features"] or {}, FEATURES, "features")
     s = _read(top["som"] or {}, SOM, "som")
@@ -337,7 +334,7 @@ def _settings(top: dict) -> Settings:
         rng_seed=_seed(s["rng_seed"], "som.rng_seed", seed),
         init=_member(InitMode, s["init"], "som.init"),
     )
-    return Settings(
+    cfg = RunConfig(
         seed=seed,
         joints=joints,
         sides=sides,
@@ -352,33 +349,13 @@ def _settings(top: dict) -> Settings:
         cluster_threshold=top["cluster_threshold"],
         write_pgm=top["write_pgm"],
         loocv=top["loocv"],
+        input_csv=top["input_csv"],
+        input_json=top["input_json"],
+        synth=synth,
     )
-
-
-def _parse(doc: Mapping[str, Any]) -> tuple[Settings, dict, SynthSpec | None]:
-    """A run-config document, validated in full: its settings, its checked
-    top level and its synth spec."""
-    top = _read(doc, CONFIG, "")
-    synth = None if top["synth"] is None else _synth(top["synth"], top["seed"])
-    if synth is not None and top["loocv"] and len(synth.groups) + synth.include_normal < 2:
-        raise ConfigError("loocv: leave-one-out needs 2 classes, and synth generates 1")
-    return _settings(top), top, synth
-
-
-def settings_from_dict(doc: Mapping[str, Any]) -> Settings:
-    """The settings of a run-config document, which is validated in full
-    but need not name an input source."""
-    return _parse(doc)[0]
-
-
-def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
-    settings, top, synth = _parse(doc)
-    sources = sum(x is not None for x in (top["input_csv"], top["input_json"], synth))
-    if sources == 0:
-        raise ConfigError("config needs an input: input_csv, input_json, or synth")
-    if sources > 1:
+    if sum(x is not None for x in (cfg.input_csv, cfg.input_json, cfg.synth)) > 1:
         raise ConfigError("config must name exactly one input source")
-    return RunConfig(**vars(settings), input_csv=top["input_csv"], input_json=top["input_json"], synth=synth)
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -161,10 +161,6 @@ class Subject:
         object.__setattr__(self, "trajectories", dict(self.trajectories))
         object.__setattr__(self, "meta", dict(self.meta))
 
-    @property
-    def grid_size(self) -> int:
-        return next(iter(self.trajectories.values())).grid_size
-
     def sorted_parts(self) -> list[tuple[Joint, Side]]:
         return sorted(self.trajectories, key=lambda p: part_sort_key(*p))
 

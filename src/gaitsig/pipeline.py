@@ -24,7 +24,7 @@ from . import pgm
 from . import som as sm
 from . import synth
 from . import wavelet as wv
-from .config import ConfigError, RunConfig, Settings, write_resolved_config
+from .config import ConfigError, RunConfig, write_resolved_config
 from .pool import fork_map
 
 
@@ -58,9 +58,15 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _require_input(cfg: RunConfig) -> None:
+    if cfg.input_csv is None and cfg.input_json is None and cfg.synth is None:
+        raise ConfigError("config needs an input: input_csv, input_json, or synth")
+
+
 def load_dataset(cfg: RunConfig) -> list[gd.Subject]:
     """The subjects of cfg's one input source: generated from its synth
     section, or read from its dataset CSV or JSON manifest."""
+    _require_input(cfg)
     if cfg.synth is not None:
         return synth.generate(cfg.synth)
     if cfg.input_csv is not None:
@@ -94,7 +100,7 @@ def scalogram_stems(subjects: list[gd.Subject]) -> dict[str, str]:
 
 
 def _cwt_subject(
-    cfg: Settings,
+    cfg: RunConfig,
     out_dir: Path,
     job: tuple[gd.Subject, str, list[tuple[gd.Joint, gd.Side]]],
 ) -> int:
@@ -115,7 +121,7 @@ def _cwt_subject(
 
 
 def write_scalograms(
-    subjects: list[gd.Subject], cfg: Settings, out_dir: Path, every_part: bool = False
+    subjects: list[gd.Subject], cfg: RunConfig, out_dir: Path, every_part: bool = False
 ) -> int:
     """The cwt stage: the scalograms of the parts cfg.joints x cfg.sides,
     which each subject must have, or with every_part of every part each
@@ -171,11 +177,11 @@ def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> list[ft.Fea
     return vectors
 
 
-def _som_input(vectors, cfg: Settings):
+def _som_input(vectors, cfg: RunConfig):
     return ft.standardize(vectors) if cfg.zscore else vectors
 
 
-def write_map(vectors, cfg: Settings, out_dir: Path) -> tuple[sm.SomMap, np.ndarray]:
+def write_map(vectors, cfg: RunConfig, out_dir: Path) -> tuple[sm.SomMap, np.ndarray]:
     """The train stage: a cfg.som_rows x cfg.som_cols SOM trained on the
     vectors' values (z-scored with cfg.zscore), written with its U-Matrix,
     attraction field and clusters under out_dir. Returns the map and the
@@ -200,7 +206,7 @@ def count_clusters(cluster_ids: np.ndarray) -> int:
     return len(set(cluster_ids[cluster_ids >= 0].tolist()))
 
 
-def write_eval(vectors, cfg: Settings, out_dir: Path) -> ev.EvalReport:
+def write_eval(vectors, cfg: RunConfig, out_dir: Path) -> ev.EvalReport:
     """The eval stage: leave-one-out validation of cfg.som_rows x
     cfg.som_cols maps on the vectors (z-scored with cfg.zscore), written
     as eval.json, eval.txt and confusion.csv under out_dir."""
@@ -240,6 +246,7 @@ def _stage(name: str, out_dir: Path):
 
 def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
     # input preconditions checked before anything is written
+    _require_input(cfg)
     for path in (cfg.input_csv, cfg.input_json):
         if path is not None and not Path(path).is_file():
             raise ConfigError(f"input file not found: {path}")

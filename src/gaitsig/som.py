@@ -71,6 +71,14 @@ class TrainSchedule:
             raise ValueError("sigma0 must be >= sigma_end (non-increasing sigma)")
         if self.kernel is Kernel.GAUSSIAN and self.sigma_end <= 0:
             raise ValueError("Gaussian kernel needs sigma_end > 0")
+        if self.kernel is Kernel.GAUSSIAN and self.sigma0 is not None:
+            # sigma never rises, and at 2*sigma*sigma == 0 the kernel divides 0 by 0
+            last = self.sigma(self.epochs - 1)
+            if 2.0 * last * last == 0.0:
+                raise ValueError(
+                    f"sigma_end {self.sigma_end} is too small for the Gaussian kernel: "
+                    f"the last epoch's sigma {last} gives 2*sigma*sigma == 0"
+                )
 
     def resolve(self, rows: int, cols: int) -> "TrainSchedule":
         if self.sigma0 is not None:

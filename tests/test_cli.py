@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,9 +93,22 @@ def tree_bytes(root: Path) -> dict:
 
 
 class TestRunConfig:
-    def test_validates_before_compute(self):
-        with pytest.raises(ConfigError, match="input"):
-            config_from_dict({"seed": 1})
+    def test_run_without_input_fails_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(write_config(tmp_path, {"seed": 1})), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "gaitsig: error: config needs an input: input_csv, input_json, or synth\n"
+        assert not out.exists()
+
+    def test_document_without_input_parses(self):
+        cfg = config_from_dict({"seed": 1})
+        assert (cfg.input_csv, cfg.input_json, cfg.synth) == (None, None, None)
+
+    def test_stage_refuses_two_sources(self, tmp_path, capsys):
+        cfg_path = str(write_config(tmp_path, small_config(input_csv="x.csv")))
+        argv = ["train", "--features", str(tmp_path / "features.csv"), "--config", cfg_path]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "gaitsig: error: config must name exactly one input source\n"
 
     def test_two_sources_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -308,6 +323,24 @@ class TestRunPipeline:
         assert main(["run", "--config", str(cfg_path), "--out", str(out1)]) == 0
         assert main(["run", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # the normal-vs-spastic map and dimension (10x10, one part: 160
+        # values); `import gaitsig` only sets OPENBLAS_NUM_THREADS if unset
+        doc = small_config(som={"rows": 10, "cols": 10, "epochs": 20, "init": "SampleInit"})
+        doc["synth"]["n_subjects"] = 3
+        cfg_path = str(write_config(tmp_path, doc))
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            argv = [sys.executable, "-m", "gaitsig", "run", "--config", cfg_path, "--out", str(out)]
+            done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            trees.append(tree_bytes(out))
+        assert "som.json" in trees[0] and trees[0] == trees[1]
 
     def test_seed_changes_artifacts(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())

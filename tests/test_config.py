@@ -27,7 +27,6 @@ from gaitsig.config import (
     config_to_dict,
     load_config,
     load_document,
-    settings_from_dict,
     write_resolved_config,
 )
 from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint
@@ -223,7 +222,7 @@ def nested(dotted, value):
 @pytest.mark.parametrize("key", NUMBER_KEYS)
 def test_every_number_key_must_be_finite(key, value):
     with pytest.raises(ConfigError) as err:
-        settings_from_dict(nested(key, value))
+        config_from_dict(nested(key, value))
     assert str(err.value) == f"{key}: must be finite, got {value}"
 
 
@@ -235,7 +234,7 @@ def test_every_number_key_must_be_finite(key, value):
 ], ids=["amplitude", "phase", "scales", "scales-negative"])
 def test_listed_numbers_must_be_finite(doc, message):
     with pytest.raises(ConfigError) as err:
-        settings_from_dict(doc)
+        config_from_dict(doc)
     assert str(err.value) == message
 
 
@@ -315,18 +314,18 @@ def test_laterality_reader_prints_the_run_geometry(tmp_path, capsys):
 def test_settings_a_stage_cannot_run_name_the_key(doc, message):
     # each passed the config and then failed in a stage, or named no key
     with pytest.raises(ConfigError) as err:
-        settings_from_dict(doc)
+        config_from_dict(doc)
     assert str(err.value) == message
 
 
 def test_bubble_kernel_takes_any_sigma_end():
-    assert settings_from_dict({"som": {"kernel": "Bubble", "sigma_end": 0}}).schedule.sigma_end == 0.0
+    assert config_from_dict({"som": {"kernel": "Bubble", "sigma_end": 0}}).schedule.sigma_end == 0.0
 
 
 @pytest.mark.parametrize("sigma0", [1e6, 500.0, 5.0, 1e-6])
 def test_last_epoch_sigma_stays_positive_within_the_bounds(sigma0):
     # the Gaussian kernel divides by 2*sigma**2, which must not be 0
-    schedule = settings_from_dict({"som": {"sigma0": sigma0, "sigma_end": 1e-6, "epochs": 7}}).schedule
+    schedule = config_from_dict({"som": {"sigma0": sigma0, "sigma_end": 1e-6, "epochs": 7}}).schedule
     last = schedule.sigma(schedule.epochs - 1)
     assert 2.0 * last * last > 0
 

@@ -143,6 +143,20 @@ class TestSchedule:
         with pytest.raises(ValueError, match="Gaussian"):
             TrainSchedule(kernel=Kernel.GAUSSIAN, sigma0=0.0, sigma_end=0.0)
 
+    @pytest.mark.parametrize(
+        "sigma0, sigma_end",
+        [(5.0, 1e-16), (1e-200, 1e-200)],
+        ids=["cancels-to-zero", "square-underflows"],
+    )
+    def test_gaussian_sigma_that_vanishes_names_sigma_end(self, sigma0, sigma_end):
+        # the last epoch's 5 + (1e-16 - 5) is 0.0; 2 * 1e-200**2 is 0.0
+        with pytest.raises(ValueError, match="sigma_end"):
+            TrainSchedule(epochs=3, sigma0=sigma0, sigma_end=sigma_end)
+
+    def test_resolved_gaussian_sigma_that_vanishes_names_sigma_end(self):
+        with pytest.raises(ValueError, match="sigma_end"):
+            TrainSchedule(sigma_end=1e-16).resolve(10, 10)
+
     def test_degenerate_fixtures_allowed(self):
         # the update-rule fixed-point and frozen-weights checks need these
         TrainSchedule(alpha0=0.0)
