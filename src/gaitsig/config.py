@@ -25,6 +25,8 @@ from .wavelet import (
     DEFAULT_SCALE_COUNT,
     DEFAULT_SCALE_MAX,
     DEFAULT_SCALE_MIN,
+    LARGEST_SCALE,
+    LARGEST_TRUNCATION_RADIUS,
     Boundary,
     MorletParams,
     ScaleGrid,
@@ -62,11 +64,7 @@ _IS_KIND = {
 # derived (the comment says from what) and is the only place null is
 # accepted. A key that maps onto a field of a library type takes that
 # field's default. The largest values lie far above any experiment's and
-# keep each stage finite. A Morlet kernel has 2*floor(radius*scale/dt)+1
-# taps: a truncation radius of 10, where the Gaussian is below 2e-22 of
-# its peak, and a scale of LARGEST_SCALE, two gait cycles, cap it at 4001
-# taps on the 101-point grid.
-LARGEST_SCALE = 200
+# keep each stage finite; the wavelet's are those of its library types.
 # The last epoch's sigma is sigma0 + (sigma_end - sigma0), which rounds to
 # 0 once sigma_end is below half an ulp of sigma0; a Gaussian kernel then
 # divides 0 by 0. sigma0 <= 1e6 (the derived default is at most 500) and
@@ -105,7 +103,7 @@ PERTURBATION = {
 }
 WAVELET = {
     "nu0": (NUMBER, MorletParams.nu0),
-    "truncation_radius": (NUMBER, MorletParams.truncation_radius, 10),
+    "truncation_radius": (NUMBER, MorletParams.truncation_radius, LARGEST_TRUNCATION_RADIUS),
     "boundary": (STRING, Boundary.ZERO.value),
     "scales": (SCALES, None),          # the object's defaults
 }

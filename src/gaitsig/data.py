@@ -13,7 +13,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
 from typing import Mapping, Sequence
@@ -148,7 +148,6 @@ class Subject:
     id: str
     label: ClassLabel
     trajectories: Mapping[tuple[Joint, Side], GaitTrajectory]
-    meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -159,7 +158,6 @@ class Subject:
         if len(sizes) != 1:
             raise ValueError(f"trajectories disagree on grid_size: {sorted(sizes)}")
         object.__setattr__(self, "trajectories", dict(self.trajectories))
-        object.__setattr__(self, "meta", dict(self.meta))
 
     def sorted_parts(self) -> list[tuple[Joint, Side]]:
         return sorted(self.trajectories, key=lambda p: part_sort_key(*p))
@@ -227,7 +225,6 @@ def _finish_subject(
     sid: str,
     label: ClassLabel,
     parts: dict[tuple[Joint, Side], np.ndarray],
-    meta: Mapping[str, str],
     where: str,
 ) -> Subject:
     trajectories = {}
@@ -239,7 +236,7 @@ def _finish_subject(
         if traj.grid_size != CANONICAL_GRID_SIZE:
             traj = resample(traj, CANONICAL_GRID_SIZE)
         trajectories[(joint, side)] = traj
-    return Subject(id=sid, label=label, trajectories=trajectories, meta=meta)
+    return Subject(id=sid, label=label, trajectories=trajectories)
 
 
 def _row_error(pct_text: str, angle_text: str) -> str | None:
@@ -368,7 +365,7 @@ def ingest_csv(path) -> list[Subject]:
                 f"{where} {joint.value}/{side.value}",
             )
         label = labels.setdefault(label_text, ClassLabel(label_text))
-        subjects.append(_finish_subject(sid, label, parts, {}, where))
+        subjects.append(_finish_subject(sid, label, parts, where))
     if not subjects:
         raise SchemaError(f"{path}: no data rows")
     return subjects
@@ -451,8 +448,9 @@ def ingest_json(path) -> list[Subject]:
       "trajectories": [{"joint": ..., "side": ..., "angle_deg": [...]}]}]
 
     subject_id and label are non-empty strings, each subject_id used once;
-    angle_deg is a flat list of numbers. Errors name the file, the subject
-    index and the field.
+    angle_deg is a flat list of numbers; meta, if given, must be an object
+    and is not kept, as dataset.csv has no column for it. Errors name the
+    file, the subject index and the field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -472,8 +470,7 @@ def ingest_json(path) -> list[Subject]:
         trajs = entry.get("trajectories")
         if not isinstance(trajs, list) or not all(isinstance(t, dict) for t in trajs):
             raise SchemaError(f"{where}: trajectories must be a list of objects")
-        meta = entry.get("meta", {})
-        if not isinstance(meta, dict):
+        if not isinstance(entry.get("meta", {}), dict):
             raise SchemaError(f"{where}: meta must be an object")
         parts: dict[tuple[Joint, Side], np.ndarray] = {}
         for k, t in enumerate(trajs):
@@ -487,5 +484,5 @@ def ingest_json(path) -> list[Subject]:
             parts[(joint, side)] = samples
         if not parts:
             raise SchemaError(f"{where}: no trajectories")
-        subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, meta, where))
+        subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, where))
     return subjects

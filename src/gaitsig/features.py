@@ -109,15 +109,13 @@ class FeatureVector:
 
 def _time_sample_columns(time_axis: np.ndarray) -> np.ndarray:
     targets = np.arange(N_TIME_SAMPLES) * 5.0  # 0, 5, .., 95
-    cols = []
-    for t in targets:
-        hits = np.nonzero(np.abs(time_axis - t) < 1e-9)[0]
-        if len(hits) != 1:
-            raise ValueError(
-                f"time axis lacks the {t}% column needed for 5% feature sampling"
-            )
-        cols.append(hits[0])
-    return np.array(cols)
+    hits = np.abs(time_axis[:, None] - targets) < 1e-9  # (columns, targets)
+    missing = np.flatnonzero(hits.sum(axis=0) != 1)
+    if len(missing):
+        raise ValueError(
+            f"time axis lacks the {targets[missing[0]]}% column needed for 5% feature sampling"
+        )
+    return hits.argmax(axis=0)
 
 
 def extract_features(sc: Scalogram, level: Level = Level.HIGH_SCALE) -> FeatureVector:

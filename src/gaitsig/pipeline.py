@@ -55,7 +55,6 @@ def remove_artifacts(stage: str, out_dir: Path, inputs=()) -> None:
 class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 def _require_input(cfg: RunConfig) -> None:

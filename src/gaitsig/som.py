@@ -456,18 +456,17 @@ def write_umatrix_csv(um: UMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         rows, cols = um.heights.shape
         fh.write(f"# umatrix rows={rows} cols={cols} threshold={um.threshold!r}\n")
-        for row in um.heights:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in um.heights.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_attraction_csv(field: AttractionField, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("row,col,dx,dy\n")
-        rows, cols = field.d_row.shape
-        for r in range(rows):
-            for c in range(cols):
-                # dx points along columns, dy along rows
-                fh.write(f"{r},{c},{field.d_col[r, c]!r},{field.d_row[r, c]!r}\n")
+        # dx points along columns, dy along rows
+        for r, (dxs, dys) in enumerate(zip(field.d_col.tolist(), field.d_row.tolist())):
+            for c, (dx, dy) in enumerate(zip(dxs, dys)):
+                fh.write(f"{r},{c},{dx!r},{dy!r}\n")
 
 
 def write_clusters_csv(ids: np.ndarray, path) -> None:

@@ -92,6 +92,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n_subjects < 1:
             raise ValueError(f"n_subjects: must be >= 1, got {self.n_subjects}")
+        if self.normal_jitter_sd is not None and not self.normal_jitter_sd >= 0:
+            raise ValueError(f"normal_jitter_sd: must be >= 0, got {self.normal_jitter_sd}")
         if not self.include_normal and not self.groups:
             raise ValueError("include_normal: false with no groups generates nothing")
         # subject ids are <slug>-NNN, so no two classes may share a slug
@@ -157,22 +159,16 @@ def _make_subject(
     sid: str,
     label: ClassLabel,
     template: Mapping[Joint, tuple[tuple[int, float, float], ...]],
-    perturbation: PerturbationSpec | None,
-    jitter_sd: float,
+    perturbation: PerturbationSpec,
     rng: np.random.Generator,
 ) -> Subject:
     pct = np.linspace(0.0, 100.0, CANONICAL_GRID_SIZE)
-    if perturbation is None:
-        hf_base: tuple[tuple[int, float, float], ...] = ()
-        region = GaitRegion.BOTH
-        shift = 0.0
-        gain_left = gain_right = 1.0
-    else:
-        hf_base = _hf_components(perturbation.hf_amplitude)
-        region = perturbation.hf_phase_region
-        shift = perturbation.timing_shift
-        root = math.sqrt(perturbation.asymmetry_gain)
-        gain_left, gain_right = root, 1.0 / root
+    jitter_sd = perturbation.jitter_sd
+    hf_base = _hf_components(perturbation.hf_amplitude)
+    region = perturbation.hf_phase_region
+    shift = perturbation.timing_shift
+    root = math.sqrt(perturbation.asymmetry_gain)
+    gain_left, gain_right = root, 1.0 / root
 
     trajectories = {}
     # canonical joint order fixes the RNG draw sequence regardless of the
@@ -220,13 +216,13 @@ def generate(spec: SynthSpec) -> list[Subject]:
     normal_jitter = spec.normal_jitter_sd
     if normal_jitter is None:
         normal_jitter = groups[0][1].jitter_sd if groups else 0.0
-    classes = [(NORMAL, None, normal_jitter)] if spec.include_normal else []
-    classes += [(label, pert, pert.jitter_sd) for label, pert in groups]
+    # Normal is the identity perturbation: no HF burst, no shift, gain 1
+    classes = [(NORMAL, PerturbationSpec(jitter_sd=normal_jitter))] if spec.include_normal else []
     return [
         _make_subject(
-            f"{_slug(label)}-{k:03d}", label, spec.template, pert, jitter,
+            f"{_slug(label)}-{k:03d}", label, spec.template, pert,
             np.random.default_rng([spec.rng_seed, _class_stream(label), k]),
         )
-        for label, pert, jitter in classes
+        for label, pert in classes + groups
         for k in range(spec.n_subjects)
     ]

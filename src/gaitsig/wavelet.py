@@ -37,6 +37,11 @@ _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 DEFAULT_SCALE_COUNT = 12
 DEFAULT_SCALE_MIN = 1.0
 DEFAULT_SCALE_MAX = 25.0
+# A Morlet kernel has 2*floor(radius*scale/dt)+1 taps: a truncation radius
+# of 10, where the Gaussian is below 2e-22 of its peak, and a scale of 200,
+# two gait cycles, cap it at 4001 taps on the 101-point grid.
+LARGEST_TRUNCATION_RADIUS = 10
+LARGEST_SCALE = 200
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,11 @@ class MorletParams:
         if not self.truncation_radius >= 3.0:
             raise ValueError(
                 f"truncation_radius must be >= 3, got {self.truncation_radius}"
+            )
+        if self.truncation_radius > LARGEST_TRUNCATION_RADIUS:
+            raise ValueError(
+                f"truncation_radius must be <= {LARGEST_TRUNCATION_RADIUS}, "
+                f"got {self.truncation_radius}"
             )
 
 
@@ -67,6 +77,8 @@ class ScaleGrid:
             raise ValueError("scales must be finite and > 0")
         if not np.all(np.diff(arr) > 0):
             raise ValueError("scales must be strictly increasing")
+        if arr[-1] > LARGEST_SCALE:
+            raise ValueError(f"scales must be <= {LARGEST_SCALE}")
         arr.setflags(write=False)
         object.__setattr__(self, "scales", arr)
 

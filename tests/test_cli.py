@@ -190,9 +190,11 @@ class TestRunConfig:
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
              "synth.template.Hip: must be a number within the float range"),
             ({"som": {"rows": 10**400}}, f"som.rows: must be <= 1000, got {10**400}"),
+            ({"synth": {"n_subjects": 2, "normal_jitter_sd": -1.0, "pathology": {"jitter_sd": 0.5}}},
+             "synth.normal_jitter_sd: must be >= 0, got -1.0"),
         ],
         ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "threshold-huge", "scales-huge", "amplitude-huge",
-             "rows-huge"],
+             "rows-huge", "normal-jitter"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, stage, edit, message):

@@ -34,7 +34,7 @@ def write_json(subjects, path) -> None:
         {
             "subject_id": subj.id,
             "label": subj.label.value,
-            "meta": dict(subj.meta),
+            "meta": {},
             "trajectories": [
                 {
                     "joint": joint.value,
@@ -587,9 +587,10 @@ class TestJsonManifest:
              "trajectory #0: angle_deg must be a flat list of numbers"),
             ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [0.0] * 20}]},
              "Hip/Right angle_deg: grid_size must be >= 21, got 20"),
+            ({"meta": 3}, "meta must be an object"),
         ],
         ids=["int-id", "list-id", "int-label", "null-label", "surrogate-label", "text-angle", "nested-angle",
-             "bool-angle", "short-angle"],
+             "bool-angle", "short-angle", "int-meta"],
     )
     def test_field_errors_name_file_subject_and_field(self, tmp_path, fields, message):
         path = tmp_path / "m.json"

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction
 
@@ -649,3 +650,35 @@ class TestSerialization:
         write_clusters_csv(ids, tmp_path / "cl.csv")
         lines = (tmp_path / "cl.csv").read_text().splitlines()
         assert lines[0] == "row,col,cluster" and lines[1] == "0,0,0"
+
+    @staticmethod
+    def _read_back(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def _umatrix(self):
+        weights = np.random.default_rng(4).normal(size=(12, 3))
+        return umatrix(make_map(3, 4, weights))
+
+    def test_attraction_csv_reads_back_bit_for_bit(self, tmp_path):
+        field = attraction_field(self._umatrix())
+        write_attraction_csv(field, tmp_path / "at.csv")
+        header, *rows = self._read_back(tmp_path / "at.csv")
+        assert header == ["row", "col", "dx", "dy"]
+        assert [(int(r), int(c)) for r, c, _, _ in rows] == list(np.ndindex(field.d_row.shape))
+        # every cell a plain float, equal to the field bit for bit
+        dx, dy = (np.array([float(row[k]) for row in rows]) for k in (2, 3))
+        assert dx.tobytes() == field.d_col.tobytes() and dy.tobytes() == field.d_row.tobytes()
+
+    def test_umatrix_and_clusters_csv_read_back(self, tmp_path):
+        um = self._umatrix()
+        write_umatrix_csv(um, tmp_path / "um.csv")
+        (header,), *rows = self._read_back(tmp_path / "um.csv")
+        assert header == f"# umatrix rows=3 cols=4 threshold={float(um.threshold)!r}"
+        assert np.array_equal(np.array(rows, dtype=float), um.heights)
+        ids = clusters(um)
+        write_clusters_csv(ids, tmp_path / "cl.csv")
+        header, *rows = self._read_back(tmp_path / "cl.csv")
+        assert header == ["row", "col", "cluster"] and len(rows) == ids.size
+        for r, c, cluster in rows:
+            assert int(cluster) == ids[int(r), int(c)]

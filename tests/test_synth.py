@@ -34,6 +34,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="generates nothing"):
             SynthSpec(n_subjects=1, rng_seed=0, include_normal=False)
 
+    @pytest.mark.parametrize("jitter", [-1.0, float("nan")])
+    def test_normal_jitter_sd_non_negative(self, jitter):
+        # a negative sd would negate the jitter draws, not be refused late
+        with pytest.raises(ValueError, match=f"^normal_jitter_sd: must be >= 0, got {jitter}$"):
+            SynthSpec(n_subjects=1, rng_seed=0, normal_jitter_sd=jitter)
+
     def test_perturbation_validation(self):
         with pytest.raises(ValueError, match="asymmetry_gain"):
             PerturbationSpec(asymmetry_gain=0.0)
@@ -178,6 +184,20 @@ class TestGenerateGroups:
         )
         lh_from_both = [s for s in both if s.label == CP_LH]
         _identical_datasets(lh_from_both, only_lh)
+
+    @pytest.mark.parametrize("normal_jitter", [0.0, 0.7, None])
+    def test_normal_is_the_identity_perturbation(self, normal_jitter):
+        # the Normal class equals a group named Normal with only jitter
+        group = PerturbationSpec(hf_amplitude=3.0, asymmetry_gain=1.4, timing_shift=2.0, jitter_sd=0.4)
+        with_normal = generate(
+            SynthSpec(n_subjects=3, rng_seed=9, groups={CP_DP: group}, normal_jitter_sd=normal_jitter)
+        )
+        jitter = group.jitter_sd if normal_jitter is None else normal_jitter
+        as_group = generate(SynthSpec(
+            n_subjects=3, rng_seed=9, groups={ClassLabel("Normal"): PerturbationSpec(jitter_sd=jitter)},
+            include_normal=False,
+        ))
+        _identical_datasets([s for s in with_normal if s.label == NORMAL], as_group)
 
     def test_empty_generation_rejected(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,14 @@ class TestMorlet:
         with pytest.raises(ValueError, match="truncation_radius"):
             MorletParams(truncation_radius=2.9)
 
+    @pytest.mark.parametrize("radius", [math.nextafter(10.0, math.inf), 1e6])
+    def test_truncation_radius_cap(self, radius):
+        # the cap holds outside the config too: 1e6 would ask cwt for a
+        # kernel of 50,000,001 taps at scale 25
+        with pytest.raises(ValueError, match=f"^truncation_radius must be <= 10, got {radius}$"):
+            MorletParams(truncation_radius=radius)
+        assert MorletParams(truncation_radius=10).truncation_radius == 10
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             morlet(float("nan"))
@@ -84,6 +92,13 @@ class TestScaleGrid:
             ScaleGrid([-1.0, 2.0])
         with pytest.raises(ValueError, match="non-empty"):
             ScaleGrid([])
+
+    @pytest.mark.parametrize("largest", [math.nextafter(200.0, math.inf), 1e7])
+    def test_largest_scale(self, largest):
+        with pytest.raises(ValueError, match="^scales must be <= 200$"):
+            ScaleGrid([1.0, largest])
+        assert ScaleGrid([1.0, 200.0]).scales[-1] == 200.0
+        assert ScaleGrid.default(count=8, hi=200.0).scales[-1] == 200.0
 
     def test_nearest_index(self):
         grid = ScaleGrid.default()
@@ -313,6 +328,14 @@ class TestScalogramCsv:
             back = read_scalogram_csv(path)
         assert (back.subject_id, back.label) == (sc.subject_id, sc.label)
         assert back.values.tobytes() == sc.values.tobytes()
+
+    def test_scale_above_the_largest_refused_on_read(self, tmp_path):
+        path = tmp_path / "sc.csv"
+        write_scalogram_csv(cwt(make_traj(np.zeros(101))), path)
+        text = path.read_text(encoding="utf-8").replace(",25.0\n", ",250.0\n", 1)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"sc\.csv: scales must be <= 200$"):
+            read_scalogram_csv(path)
 
     def test_corrupt_value_names_file_and_line(self, tmp_path):
         path = tmp_path / "sc.csv"
