@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 CANONICAL_GRID_SIZE = 101
+STANCE_END_PCT = 60.0  # of the cycle: the stance/swing boundary, by clinical convention
 MIN_GRID_SIZE = 21
 MAX_ABS_ANGLE_DEG = 180.0
 

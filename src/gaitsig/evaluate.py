@@ -106,19 +106,16 @@ def _fold(
     training = [fv for j, fv in enumerate(data) if j != i]
     x_train = np.stack([fv.values for fv in training])
     fold_schedule = replace(schedule, rng_seed=schedule.rng_seed + i)
-    som = init(rows, cols, x_train.shape[1], fold_schedule, samples=x_train)
+    som = init(rows, cols, fold_schedule, x_train)
     som = train(som, x_train)
     return label_nodes(som, training)[best_match(som, data[i].values)]
 
 
 def loocv(
-    data: Sequence[FeatureVector],
-    schedule: TrainSchedule,
-    rows: int = 10,
-    cols: int = 10,
+    data: Sequence[FeatureVector], schedule: TrainSchedule, rows: int, cols: int
 ) -> EvalReport:
-    """Leave-one-out validation: N train/label/classify rounds, fold i
-    seeded with schedule.rng_seed + i."""
+    """Leave-one-out validation: N train/label/classify rounds on
+    rows x cols maps, fold i seeded with schedule.rng_seed + i."""
     n = len(data)
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 samples")

@@ -24,13 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClassLabel, Joint, Side, csv_fields, needs_quote_all, part_sort_key
+from .data import STANCE_END_PCT, ClassLabel, Joint, Side, csv_fields, needs_quote_all, part_sort_key
 from .wavelet import Scalogram
 
 N_TIME_SAMPLES = 20
 N_SCALE_SAMPLES = 8
 SINGLE_JOINT_LENGTH = N_TIME_SAMPLES * N_SCALE_SAMPLES  # 160
-DEFAULT_STANCE_FRACTION = 0.60
+DEFAULT_STANCE_FRACTION = STANCE_END_PCT / 100.0
 
 
 class Level(Enum):
@@ -277,9 +277,9 @@ def _feature_row(row: list[str]) -> FeatureVector:
 
 
 def read_features_csv(path) -> list[FeatureVector]:
-    """Read a feature matrix; an error names the file, the line on which
-    the row ends and the column."""
-    vectors = []
+    """Read a feature matrix whose rows share one level and one parts list;
+    an error names the file, the line on which the row ends and the column."""
+    vectors, first = [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         for row in rows:  # the layout comment precedes the header
@@ -290,6 +290,11 @@ def read_features_csv(path) -> list[FeatureVector]:
                 continue
             try:
                 vectors.append(_feature_row(row))
+                first = first or row
+                for name in ("level", "parts"):  # texts equal exactly when the parsed values do
+                    col = TEXT_COLUMNS.index(name)
+                    if row[col] != first[col]:
+                        raise ValueError(f"{name} {row[col]!r} differs from the first row's {first[col]!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{rows.line_num}: {exc}") from None
     if not vectors:

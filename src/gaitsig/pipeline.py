@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -183,19 +183,22 @@ def _som_input(vectors, cfg: RunConfig):
 def write_map(vectors, cfg: RunConfig, out_dir: Path) -> tuple[sm.SomMap, np.ndarray]:
     """The train stage: a cfg.som_rows x cfg.som_cols SOM trained on the
     vectors' values (z-scored with cfg.zscore), written with its U-Matrix,
-    attraction field and clusters under out_dir. Returns the map and the
-    per-node cluster ids."""
+    attraction field and clusters under out_dir; the U-Matrix carries
+    cfg.cluster_threshold when it is set. Returns the map and the per-node
+    cluster ids."""
     remove_artifacts("train", out_dir)
     x = np.stack([v.values for v in _som_input(vectors, cfg)])
-    som_map = sm.train(sm.init(cfg.som_rows, cfg.som_cols, x.shape[1], cfg.schedule, samples=x), x)
+    som_map = sm.train(sm.init(cfg.som_rows, cfg.som_cols, cfg.schedule, x), x)
     out_dir.mkdir(parents=True, exist_ok=True)
     sm.save_map_json(som_map, out_dir / "som.json")
     um = sm.umatrix(som_map)
+    if cfg.cluster_threshold is not None:
+        um = replace(um, threshold=cfg.cluster_threshold)
     sm.write_umatrix_csv(um, out_dir / "umatrix.csv")
     if cfg.write_pgm:
         pgm.write_pgm(um.heights, out_dir / "umatrix.pgm")
     sm.write_attraction_csv(sm.attraction_field(um), out_dir / "attraction.csv")
-    cluster_ids = sm.clusters(um, cfg.cluster_threshold)
+    cluster_ids = sm.clusters(um)
     sm.write_clusters_csv(cluster_ids, out_dir / "clusters.csv")
     return som_map, cluster_ids
 

@@ -119,6 +119,7 @@ class SomMap:
             raise ValueError("weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "schedule", self.schedule.resolve(self.rows, self.cols))
 
     @property
     def n_nodes(self) -> int:
@@ -144,36 +145,25 @@ def _kernel_values(dist2: np.ndarray, sigma: float, kernel: Kernel) -> np.ndarra
     return (dist2 <= sigma * sigma).astype(float)
 
 
-def init(
-    rows: int,
-    cols: int,
-    dim: int,
-    schedule: TrainSchedule,
-    samples: np.ndarray | None = None,
-) -> SomMap:
-    """Create an untrained map.
+def init(rows: int, cols: int, schedule: TrainSchedule, samples: np.ndarray) -> SomMap:
+    """Create an untrained map of the samples' dimension.
 
     RandomSmall draws weights i.i.d. uniform in [-eps_d, eps_d] per
-    dimension d with eps_d = 0.01 * (data range of d if samples are given,
-    else 1). SampleInit draws rows*cols samples without replacement (with
-    replacement only when there are fewer samples than nodes).
+    dimension d with eps_d = 0.01 * (data range of d). SampleInit draws
+    rows*cols samples without replacement (with replacement only when
+    there are fewer samples than nodes).
     """
-    schedule = schedule.resolve(rows, cols)
+    if np.ndim(samples) != 2 or len(samples) == 0:  # np.ndim(None) is 0
+        raise ValueError("init needs a non-empty (n, dim) sample array")
+    samples = np.asarray(samples, dtype=float)
     rng = np.random.default_rng([schedule.rng_seed, _INIT_STREAM])
     n_nodes = rows * cols
     if schedule.init is InitMode.SAMPLE_INIT:
-        if samples is None or len(samples) == 0:
-            raise ValueError("SampleInit requires a non-empty sample set")
-        samples = np.asarray(samples, dtype=float)
         idx = rng.choice(len(samples), size=n_nodes, replace=len(samples) < n_nodes)
         weights = samples[idx].copy()
     else:
-        if samples is not None and len(samples) > 0:
-            samples = np.asarray(samples, dtype=float)
-            eps = 0.01 * np.ptp(samples, axis=0)
-        else:
-            eps = np.full(dim, 0.01)
-        weights = rng.uniform(-1.0, 1.0, (n_nodes, dim)) * eps
+        eps = 0.01 * np.ptp(samples, axis=0)
+        weights = rng.uniform(-1.0, 1.0, (n_nodes, samples.shape[1])) * eps
     return SomMap(rows=rows, cols=cols, weights=weights, schedule=schedule)
 
 
@@ -198,7 +188,7 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
         raise ValueError("training data must be a non-empty (n, dim) array")
     if X.shape[1] != som.dim:
         raise ValueError(f"data dimension {X.shape[1]} does not match map dim {som.dim}")
-    schedule = som.schedule.resolve(som.rows, som.cols)
+    schedule = som.schedule
     W = som.weights.copy()
     rng = np.random.default_rng([schedule.rng_seed, _TRAIN_STREAM])
     dist2 = som.grid_dist2()
@@ -298,13 +288,17 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
 
 @dataclass(frozen=True, eq=False)
 class UMatrix:
-    """Per-node mean distance to adjacent nodes, plus the default cluster
-    threshold (60th percentile of the heights)."""
+    """Per-node mean distance to adjacent nodes, plus the threshold that
+    `clusters` cuts them at (`umatrix` sets the 60th percentile)."""
 
     heights: np.ndarray
     threshold: float
 
     def __post_init__(self) -> None:
+        threshold = float(self.threshold)
+        if not np.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
+        object.__setattr__(self, "threshold", threshold)
         h = np.array(self.heights, dtype=float)
         if h.ndim != 2:
             raise ValueError("heights must be 2-d")
@@ -356,18 +350,15 @@ def attraction_field(um: UMatrix) -> AttractionField:
     return AttractionField(d_row=-g_row, d_col=-g_col)
 
 
-def clusters(um: UMatrix, threshold: float | None = None) -> np.ndarray:
-    """Connected components (4-connectivity) of nodes below the threshold.
+def clusters(um: UMatrix) -> np.ndarray:
+    """Connected components (4-connectivity) of nodes below um.threshold.
 
     Returns a (rows, cols) int array; ids count up from 0 in row-major
     discovery order, border nodes (height >= threshold) get BORDER. A
     threshold above every height yields one all-node cluster; below every
     height, all nodes are border.
     """
-    thr = um.threshold if threshold is None else float(threshold)
-    if not np.isfinite(thr):
-        raise ValueError(f"threshold must be finite, got {thr}")
-    inside = um.heights < thr
+    inside = um.heights < um.threshold
     rows, cols = inside.shape
     ids = np.full((rows, cols), BORDER, dtype=int)
     next_id = 0

@@ -21,11 +21,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import CANONICAL_GRID_SIZE, ClassLabel, GaitTrajectory, Joint, NORMAL, Side, Subject
+from .data import CANONICAL_GRID_SIZE, STANCE_END_PCT, ClassLabel, GaitTrajectory, Joint, NORMAL, Side, Subject
 
 MAX_TEMPLATE_HARMONIC = 15
 HF_HARMONICS = tuple(range(10, 21))
-STANCE_END_PCT = 60.0
 
 # (harmonic index, amplitude in degrees, phase in radians) per joint.
 # Hip: dominant fundamental plus a small 2nd harmonic. Knee: two-peak

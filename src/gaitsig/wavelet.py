@@ -215,8 +215,8 @@ def cwt(
     rows = np.empty((len(grid), n))
     for i, (k, flipped) in enumerate(_kernels(tuple(grid.scales.tolist()), params, dt)):
         if boundary is Boundary.PERIODIC:
-            conv = np.convolve(_periodic_extend(x, k), flipped)
-            coeff = conv[2 * k : 2 * k + n]
+            # k samples either side: "valid" keeps the full convolution's [2k, 2k + n)
+            coeff = np.convolve(_periodic_extend(x, k), flipped, "valid")
         else:
             conv = np.convolve(x, flipped)
             coeff = conv[k : k + n]

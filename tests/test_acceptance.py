@@ -138,7 +138,7 @@ def test_c06_som_two_cluster_oracle():
         mu_b + rng.normal(0.0, radius, (20, 2)),
     ])
     schedule = TrainSchedule(rng_seed=6)  # default schedule
-    som = train(init(1, 2, 2, schedule, samples=data), data)
+    som = train(init(1, 2, schedule, samples=data), data)
     err = min(
         max(np.linalg.norm(som.weights[0] - mu_a), np.linalg.norm(som.weights[1] - mu_b)),
         max(np.linalg.norm(som.weights[0] - mu_b), np.linalg.norm(som.weights[1] - mu_a)),
@@ -246,7 +246,7 @@ def test_c10_laterality_separation():
     subjects = generate(LATERALITY_SPEC)
     vectors = _hip_vectors(subjects, sides=LATERALITY_SIDES)
     x = np.stack([v.values for v in vectors])
-    som = train(init(*MAP_DIMS, x.shape[1], LATERALITY_SCHEDULE, samples=x), x)
+    som = train(init(*MAP_DIMS, LATERALITY_SCHEDULE, samples=x), x)
     ids = clusters(umatrix(som)).reshape(-1)  # default threshold
     coords = som.grid_coords()
 

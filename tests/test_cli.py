@@ -18,6 +18,8 @@ from gaitsig.data import ingest_csv, write_csv
 from gaitsig.features import read_features_csv
 from gaitsig.pipeline import RUN_ARTIFACTS
 
+from oracles import same_partition, union_find_components
+
 
 def small_config(**overrides):
     doc = {
@@ -434,6 +436,27 @@ class TestRunPipeline:
         assert (out_raw / "features.csv").read_bytes() == (out_z / "features.csv").read_bytes()
         assert (out_raw / "som.json").read_bytes() != (out_z / "som.json").read_bytes()
         assert json.loads((out_z / "resolved_config.json").read_text())["features"]["zscore"] is True
+
+    def test_umatrix_header_names_the_threshold_clusters_were_cut_at(self, tmp_path):
+        def read_run(out):
+            header, *rows = (out / "umatrix.csv").read_text(encoding="utf-8").splitlines()
+            heights = np.array([row.split(",") for row in rows], dtype=float)
+            ids = np.full(heights.shape, -2)
+            for line in (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]:
+                r, c, cluster = map(int, line.split(","))
+                ids[r, c] = cluster
+            return float(header.rpartition(" threshold=")[2]), heights, ids
+
+        doc = small_config(loocv=False)
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "a")]) == 0
+        _, heights, _ = read_run(tmp_path / "a")
+        # the median: some cells above it, some below, and not the 60th percentile
+        doc["cluster_threshold"] = float(np.median(heights))
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "b")]) == 0
+        threshold, heights_b, ids = read_run(tmp_path / "b")
+        assert threshold == doc["cluster_threshold"] and np.array_equal(heights_b, heights)
+        assert 0 < np.count_nonzero(heights < threshold) < heights.size
+        assert same_partition(ids, union_find_components(heights < threshold))
 
     def test_loocv_off_skips_eval(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config(loocv=False))

@@ -248,7 +248,7 @@ class TestLoocv:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            loocv([Vec(np.zeros(2), "a", A)], FAST_SCHEDULE)
+            loocv([Vec(np.zeros(2), "a", A)], FAST_SCHEDULE, rows=2, cols=2)
 
 
 def three_class_vectors(n_per_class=5, spread=4.0, seed=4):
@@ -272,7 +272,7 @@ def serial_loocv(data, schedule, rows, cols):
     for i, held_out in enumerate(data):
         training = data[:i] + data[i + 1:]
         x = np.stack([v.values for v in training])
-        som = init(rows, cols, x.shape[1], replace(schedule, rng_seed=schedule.rng_seed + i), samples=x)
+        som = init(rows, cols, replace(schedule, rng_seed=schedule.rng_seed + i), samples=x)
         weights = train(som, x).weights
         node_labels = reference_label_nodes(weights, cols, x, [v.label for v in training])
         predicted = node_labels[reference_best_match(weights, held_out.values)]

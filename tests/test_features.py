@@ -437,3 +437,21 @@ class TestFeaturesCsvErrors:
         _features_file(path, [{}, {"f010": "nan?"}])
         assert main(["train", "--features", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"gaitsig: error: {path}:4: f010 'nan?' is not a number\n"
+
+    @pytest.mark.parametrize("stage", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"level": "LowScale"}, "level 'LowScale' differs from the first row's 'HighScale'"),
+            ({"parts": "Hip:Right|Hip:Left", **{f"f{i:03d}": "1.5" for i in range(160, 320)}},
+             "parts 'Hip:Right|Hip:Left' differs from the first row's 'Hip:Right'"),
+        ],
+        ids=["level", "parts"],
+    )
+    def test_stages_refuse_rows_that_mix_levels_or_parts(self, tmp_path, capsys, stage, edits, message):
+        from gaitsig.cli import main
+
+        path = tmp_path / "features.csv"
+        _features_file(path, [{"subject_id": "a"}, {"subject_id": "b", "label": "CP-dp"}, {"subject_id": "c", **edits}])
+        assert main([stage, "--features", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"gaitsig: error: {path}:5: {message}\n"

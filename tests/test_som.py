@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -91,7 +92,7 @@ def training_cases(draw):
         rng_seed=draw(st.integers(0, 2**16)),
         init=draw(st.sampled_from(InitMode)),
     )
-    return init(rows, cols, dim, schedule, samples=data), data
+    return init(rows, cols, schedule, samples=data), data
 
 
 @st.composite
@@ -115,7 +116,7 @@ def norm_bound_cases(draw):
         rng_seed=draw(st.integers(0, 2**16)),
         init=draw(st.sampled_from(InitMode)),
     )
-    return init(rows, cols, dim, schedule, samples=data), data
+    return init(rows, cols, schedule, samples=data), data
 
 
 def exact_norm2(v):
@@ -182,23 +183,25 @@ class TestSomMapInvariants:
         with pytest.raises(ValueError, match="finite"):
             make_map(2, 2, w)
 
+    @pytest.mark.parametrize("rows, cols", [(3, 8), (7, 2), (1, 2)])
+    def test_schedule_resolved_against_the_map(self, rows, cols):
+        m = SomMap(rows=rows, cols=cols, weights=np.zeros((rows * cols, 2)), schedule=TrainSchedule())
+        assert m.schedule.sigma0 == max(rows, cols) / 2
+
 
 class TestInit:
     def test_same_seed_identical(self):
         s = TrainSchedule(rng_seed=11)
-        a = init(4, 5, 7, s)
-        b = init(4, 5, 7, s)
+        samples = np.random.default_rng(0).normal(size=(6, 7))
+        a = init(4, 5, s, samples=samples)
+        b = init(4, 5, s, samples=samples)
         assert np.array_equal(a.weights, b.weights)
-
-    def test_random_small_bound_without_samples(self):
-        m = init(5, 5, 8, TrainSchedule(rng_seed=0))
-        assert np.max(np.abs(m.weights)) <= 0.01
 
     def test_random_small_bound_scales_with_data_range(self):
         rng = np.random.default_rng(1)
         samples = rng.uniform(-50, 50, (30, 4)) * np.array([1.0, 10.0, 0.1, 1.0])
         eps = 0.01 * np.ptp(samples, axis=0)
-        m = init(4, 4, 4, TrainSchedule(rng_seed=2), samples=samples)
+        m = init(4, 4, TrainSchedule(rng_seed=2), samples=samples)
         assert np.all(np.abs(m.weights) <= eps[None, :])
         # each dimension actually uses its own range
         assert np.max(np.abs(m.weights[:, 1])) > eps[2]
@@ -206,22 +209,31 @@ class TestInit:
     def test_sample_init_exact_count_is_permutation(self):
         rng = np.random.default_rng(3)
         samples = rng.uniform(-1, 1, (12, 5))
-        m = init(3, 4, 5, TrainSchedule(rng_seed=4, init=InitMode.SAMPLE_INIT), samples=samples)
+        m = init(3, 4, TrainSchedule(rng_seed=4, init=InitMode.SAMPLE_INIT), samples=samples)
         got = sorted(map(tuple, m.weights))
         expected = sorted(map(tuple, samples))
         assert got == expected
 
     def test_sample_init_with_replacement_when_short(self):
         samples = np.array([[1.0, 0.0], [2.0, 0.0]])
-        m = init(3, 3, 2, TrainSchedule(rng_seed=5, init=InitMode.SAMPLE_INIT), samples=samples)
+        m = init(3, 3, TrainSchedule(rng_seed=5, init=InitMode.SAMPLE_INIT), samples=samples)
         assert all(tuple(w) in {(1.0, 0.0), (2.0, 0.0)} for w in m.weights)
 
     def test_sample_init_requires_samples(self):
-        with pytest.raises(ValueError, match="SampleInit"):
-            init(3, 3, 2, TrainSchedule(init=InitMode.SAMPLE_INIT))
+        with pytest.raises(ValueError, match=r"^init needs a non-empty \(n, dim\) sample array$"):
+            init(3, 3, TrainSchedule(init=InitMode.SAMPLE_INIT), None)
+
+    @pytest.mark.parametrize("mode", InitMode)
+    @pytest.mark.parametrize(
+        "samples", [None, np.zeros((0, 2)), np.arange(3.0), np.zeros((2, 2, 2))],
+        ids=["none", "empty", "1-d", "3-d"],
+    )
+    def test_refuses_anything_but_a_sample_matrix(self, mode, samples):
+        with pytest.raises(ValueError, match=r"^init needs a non-empty \(n, dim\) sample array$"):
+            init(3, 3, TrainSchedule(init=mode), samples)
 
     def test_untrained_flag(self):
-        assert init(2, 2, 2, TrainSchedule()).trained is False
+        assert init(2, 2, TrainSchedule(), np.zeros((1, 2))).trained is False
 
 
 class TestBestMatch:
@@ -286,8 +298,8 @@ class TestTrain:
         rng = np.random.default_rng(7)
         data = rng.normal(0, 1, (20, 3))
         schedule = TrainSchedule(epochs=30, rng_seed=9)
-        a = train(init(3, 3, 3, schedule, samples=data), data)
-        b = train(init(3, 3, 3, schedule, samples=data), data)
+        a = train(init(3, 3, schedule, samples=data), data)
+        b = train(init(3, 3, schedule, samples=data), data)
         assert np.array_equal(a.weights, b.weights)
 
     def test_two_cluster_means(self):
@@ -301,7 +313,7 @@ class TestTrain:
             mu_b + rng.normal(0, sep / 20, (15, 2)),
         ])
         schedule = TrainSchedule(epochs=80, rng_seed=3)
-        m = train(init(1, 2, 2, schedule, samples=data), data)
+        m = train(init(1, 2, schedule, samples=data), data)
         err = min(
             max(np.linalg.norm(m.weights[0] - mu_a), np.linalg.norm(m.weights[1] - mu_b)),
             max(np.linalg.norm(m.weights[0] - mu_b), np.linalg.norm(m.weights[1] - mu_a)),
@@ -309,12 +321,12 @@ class TestTrain:
         assert err <= 0.10 * sep
 
     def test_empty_data_rejected(self):
-        m = init(2, 2, 2, TrainSchedule())
+        m = init(2, 2, TrainSchedule(), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="non-empty"):
             train(m, np.zeros((0, 2)))
 
     def test_dim_mismatch_rejected(self):
-        m = init(2, 2, 2, TrainSchedule())
+        m = init(2, 2, TrainSchedule(), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="dimension"):
             train(m, np.zeros((3, 5)))
 
@@ -355,7 +367,7 @@ class TestTrain:
         schedule = TrainSchedule(
             epochs=25, kernel=Kernel.BUBBLE, init=InitMode.RANDOM_SMALL, rng_seed=5
         )
-        m0 = init(7, 3, 31, schedule, samples=data)
+        m0 = init(7, 3, schedule, samples=data)
         out = train(m0, data).weights
         assert np.count_nonzero(np.signbit(out) & (out == 0)) == 98
         assert out.tobytes() == reference_weights(m0, data).tobytes()
@@ -366,7 +378,7 @@ class TestTrain:
         data = np.random.default_rng(0).normal(size=(6, 4))
         data[:, 1] = -5e-324
         schedule = TrainSchedule(epochs=5, init=InitMode.SAMPLE_INIT, rng_seed=5)
-        m0 = init(2, 3, 4, schedule, samples=data)
+        m0 = init(2, 3, schedule, samples=data)
         out = train(m0, data).weights
         assert np.count_nonzero(np.signbit(out) & (out == 0)) == 5
         assert out.tobytes() == reference_weights(m0, data).tobytes()
@@ -394,7 +406,7 @@ class TestTrain:
             epochs=1, alpha0=1.0, sigma0=0.0, sigma_end=0.0, kernel=Kernel.BUBBLE,
             init=InitMode.RANDOM_SMALL, rng_seed=4,
         )
-        m0 = init(2, 3, 6, schedule, samples=data)
+        m0 = init(2, 3, schedule, samples=data)
         out = train(m0, data).weights
         assert any(np.array_equal(w, data[2]) for w in out)
         assert out.tobytes() == reference_weights(m0, data).tobytes()
@@ -408,7 +420,7 @@ class TestTrain:
         schedule = TrainSchedule(
             epochs=5, sigma0=0.5, sigma_end=0.1, init=InitMode.SAMPLE_INIT, rng_seed=2
         )
-        m0 = init(1, 2, 3, schedule, samples=data)
+        m0 = init(1, 2, schedule, samples=data)
         c = schedule.alpha(4) * np.exp(-1.0 / (2.0 * schedule.sigma(4) ** 2))
         assert c * data[0, 1] == 0 and np.signbit(c * data[0, 1])
         assert not np.any(np.signbit(m0.weights) & (m0.weights == 0))
@@ -450,7 +462,7 @@ class TestTrain:
             [2.0, -1.0, 0.5],
         ])
         schedule = TrainSchedule(epochs=6, init=InitMode.SAMPLE_INIT, rng_seed=3)
-        m0 = init(2, 3, 3, schedule, samples=data)
+        m0 = init(2, 3, schedule, samples=data)
         out = train(m0, data).weights
         assert np.all(np.isfinite(out))
         assert out.tobytes() == reference_weights(m0, data).tobytes()
@@ -548,18 +560,14 @@ class TestAttractionField:
 
 
 class TestClusters:
-    def _um(self, heights):
-        heights = np.asarray(heights, dtype=float)
-        return UMatrix(heights=heights, threshold=float(np.quantile(heights, 0.6)))
-
     def test_threshold_above_max_single_cluster(self):
-        um = self._um([[0.0, 1.0], [2.0, 3.0]])
-        ids = clusters(um, threshold=4.0)
+        um = UMatrix([[0.0, 1.0], [2.0, 3.0]], threshold=4.0)
+        ids = clusters(um)
         assert np.array_equal(ids, np.zeros((2, 2), dtype=int))
 
     def test_threshold_below_min_all_border(self):
-        um = self._um([[1.0, 2.0], [3.0, 4.0]])
-        ids = clusters(um, threshold=0.5)
+        um = UMatrix([[1.0, 2.0], [3.0, 4.0]], threshold=0.5)
+        ids = clusters(um)
         assert np.all(ids == BORDER)
 
     def test_two_valleys_threshold_between(self):
@@ -568,8 +576,8 @@ class TestClusters:
             [0.0, 0.0, 9.0, 0.0, 0.0],
             [9.0, 9.0, 9.0, 9.0, 9.0],
         ])
-        um = self._um(heights)
-        ids = clusters(um, threshold=5.0)
+        um = UMatrix(heights, threshold=5.0)
+        ids = clusters(um)
         assert ids[0, 0] == 0 and ids[0, 3] == 1  # row-major discovery order
         assert ids[2, 2] == BORDER
         assert len(set(ids[ids >= 0].tolist())) == 2
@@ -580,18 +588,17 @@ class TestClusters:
     def test_matches_union_find_oracle(self, seed, thr):
         rng = np.random.default_rng(seed)
         heights = rng.uniform(0, 1, (6, 7))
-        um = self._um(heights)
-        ids = clusters(um, threshold=thr)
+        um = UMatrix(heights, threshold=thr)
+        ids = clusters(um)
         assert same_partition(ids, union_find_components(heights < thr))
 
     def test_default_threshold_used(self):
-        um = self._um([[0.0, 1.0], [2.0, 3.0]])
-        assert np.array_equal(clusters(um), clusters(um, um.threshold))
+        um = umatrix(make_map(2, 2, np.array([[0.0], [2.0], [6.0], [9.0]])))
+        assert same_partition(clusters(um), union_find_components(um.heights < np.quantile(um.heights, 0.6)))
 
     def test_non_finite_threshold_rejected(self):
-        um = self._um([[0.0, 1.0], [2.0, 3.0]])
-        with pytest.raises(ValueError, match="finite"):
-            clusters(um, threshold=float("nan"))
+        with pytest.raises(ValueError, match="^threshold must be finite, got nan$"):
+            UMatrix([[0.0, 1.0], [2.0, 3.0]], threshold=float("nan"))
 
 
 class TestSerialization:
@@ -599,7 +606,7 @@ class TestSerialization:
         rng = np.random.default_rng(17)
         data = rng.normal(0, 1, (10, 3))
         schedule = TrainSchedule(epochs=20, rng_seed=18, init=InitMode.SAMPLE_INIT)
-        m = train(init(3, 3, 3, schedule, samples=data), data)
+        m = train(init(3, 3, schedule, samples=data), data)
         path = tmp_path / "som.json"
         save_map_json(m, path)
         back = load_map_json(path)
@@ -646,7 +653,7 @@ class TestSerialization:
         field = attraction_field(um)
         write_attraction_csv(field, tmp_path / "at.csv")
         assert (tmp_path / "at.csv").read_text().splitlines()[0] == "row,col,dx,dy"
-        ids = clusters(um, threshold=um.heights.max() + 1)
+        ids = clusters(replace(um, threshold=um.heights.max() + 1))
         write_clusters_csv(ids, tmp_path / "cl.csv")
         lines = (tmp_path / "cl.csv").read_text().splitlines()
         assert lines[0] == "row,col,cluster" and lines[1] == "0,0,0"

@@ -203,6 +203,18 @@ class TestCwt:
             # residual spread ~1e-7 comes from kernel sampling aliasing
             assert np.allclose(p.values[row], p.values[row][50], rtol=1e-6)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("radius", [3.0, 5.0, 10.0])
+    def test_periodic_equals_the_full_convolution_slice(self, radius, seed):
+        # the transform keeps the "valid" part of the periodic extension's
+        # convolution; uncached_cwt slices it out of the full convolution
+        rng = np.random.default_rng(seed)
+        traj = make_traj(rng.normal(0.0, 20.0, (21, 57, 101)[seed % 3]))
+        grid = ScaleGrid(np.sort(rng.choice(np.linspace(0.5, 200.0, 400), 11, replace=False)))
+        params = MorletParams(truncation_radius=radius)
+        got = cwt(traj, grid, params, Boundary.PERIODIC)
+        assert got.values.tobytes() == uncached_cwt(traj, grid, params, Boundary.PERIODIC).tobytes()
+
     def test_provenance_and_invariants(self):
         traj = make_traj(np.ones(101), joint=Joint.KNEE, side=Side.LEFT)
         sc = cwt(traj)
