@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 from .data import CP_DP, ClassLabel, Joint, Side
 from .features import N_SCALE_SAMPLES, Level
-from .som import InitMode, Kernel, TrainSchedule, _schedule_to_dict
+from .som import LARGEST_SIGMA0, InitMode, Kernel, TrainSchedule, _schedule_to_dict
 from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
 from .wavelet import (
     DEFAULT_SCALE_COUNT,
@@ -64,12 +64,9 @@ _IS_KIND = {
 # derived (the comment says from what) and is the only place null is
 # accepted. A key that maps onto a field of a library type takes that
 # field's default. The largest values lie far above any experiment's and
-# keep each stage finite; the wavelet's are those of its library types.
-# The last epoch's sigma is sigma0 + (sigma_end - sigma0), which rounds to
-# 0 once sigma_end is below half an ulp of sigma0; a Gaussian kernel then
-# divides 0 by 0. sigma0 <= 1e6 (the derived default is at most 500) and
-# a Gaussian sigma_end >= 1e-6 keep it above 0.
-SMALLEST_GAUSSIAN_SIGMA_END = 1e-6
+# keep each stage finite; the wavelet's and sigma0's are those of their
+# library types. A SOM map of n nodes trains on (n, n) tables: 64x64 needs
+# about 400 MB.
 CONFIG = {
     "seed": (INTEGER, 0),
     "input_csv": (STRING, None),
@@ -117,14 +114,14 @@ FEATURES = {
     "zscore": (BOOLEAN, False),
 }
 SOM = {
-    "rows": (INTEGER, 10, 1000),
-    "cols": (INTEGER, 10, 1000),
+    "rows": (INTEGER, 10, 64),
+    "cols": (INTEGER, 10, 64),
     "epochs": (INTEGER, TrainSchedule.epochs, 100_000),
     "alpha0": (NUMBER, TrainSchedule.alpha0),
-    "sigma0": (NUMBER, None, 1_000_000),  # max(rows, cols) / 2
+    "sigma0": (NUMBER, None, LARGEST_SIGMA0),  # max(rows, cols) / 2
     "sigma_end": (NUMBER, TrainSchedule.sigma_end),
     "kernel": (STRING, TrainSchedule.kernel.value),
-    "init": (STRING, InitMode.SAMPLE_INIT.value),
+    "init": (STRING, TrainSchedule.init.value),
     "rng_seed": (INTEGER, None),       # seed
 }
 
@@ -313,14 +310,6 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     s = _read(top["som"] or {}, SOM, "som")
     joints = _distinct(Joint, top["joints"], "joints")
     sides = _distinct(Side, top["sides"], "sides")
-    if s["rows"] < 1 or s["cols"] < 1 or s["rows"] * s["cols"] < 2:
-        raise ConfigError(f"som: the map needs at least 2 nodes, got {s['rows']}x{s['cols']}")
-    kernel = _member(Kernel, s["kernel"], "som.kernel")
-    if kernel is Kernel.GAUSSIAN and s["sigma_end"] < SMALLEST_GAUSSIAN_SIGMA_END:
-        raise ConfigError(
-            f"som.sigma_end: must be >= {SMALLEST_GAUSSIAN_SIGMA_END} with the Gaussian kernel, "
-            f"got {s['sigma_end']}"
-        )
     schedule = _build(
         TrainSchedule,
         "som: ",
@@ -328,10 +317,11 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         alpha0=s["alpha0"],
         sigma0=s["sigma0"],
         sigma_end=s["sigma_end"],
-        kernel=kernel,
+        kernel=_member(Kernel, s["kernel"], "som.kernel"),
         rng_seed=_seed(s["rng_seed"], "som.rng_seed", seed),
         init=_member(InitMode, s["init"], "som.init"),
     )
+    schedule = _build(schedule.resolve, "som: ", rows=s["rows"], cols=s["cols"])
     cfg = RunConfig(
         seed=seed,
         joints=joints,
@@ -343,7 +333,7 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         zscore=f["zscore"],
         som_rows=s["rows"],
         som_cols=s["cols"],
-        schedule=_build(schedule.resolve, "som: ", rows=s["rows"], cols=s["cols"]),
+        schedule=schedule,
         cluster_threshold=top["cluster_threshold"],
         write_pgm=top["write_pgm"],
         loocv=top["loocv"],

@@ -17,6 +17,7 @@ arithmetic is that of a serial run, so the report is the same.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -121,6 +122,9 @@ def loocv(
         raise ValueError("leave-one-out needs at least 2 samples")
     if any(fv.label is None for fv in data):
         raise ValueError("all vectors must be labeled")
+    repeated = [sid for sid, count in Counter(fv.subject_id for fv in data).items() if count > 1]
+    if repeated:
+        raise ValueError(f"subject_id {repeated[0]!r} repeats; leave-one-out holds out each subject once")
     classes = tuple(sorted({fv.label for fv in data}))
     if len(classes) < 2:
         raise ValueError("kappa undefined for single-class data")

@@ -277,9 +277,9 @@ def _feature_row(row: list[str]) -> FeatureVector:
 
 
 def read_features_csv(path) -> list[FeatureVector]:
-    """Read a feature matrix whose rows share one level and one parts list;
-    an error names the file, the line on which the row ends and the column."""
-    vectors, first = [], None
+    """Read a feature matrix of one row per subject, of one level and one parts
+    list; an error names the file, the line on which the row ends and the column."""
+    vectors, first, lines = [], None, {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         for row in rows:  # the layout comment precedes the header
@@ -295,6 +295,8 @@ def read_features_csv(path) -> list[FeatureVector]:
                     col = TEXT_COLUMNS.index(name)
                     if row[col] != first[col]:
                         raise ValueError(f"{name} {row[col]!r} differs from the first row's {first[col]!r}")
+                if lines.setdefault(row[0], rows.line_num) != rows.line_num:
+                    raise ValueError(f"subject_id {row[0]!r} repeats line {lines[row[0]]}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{rows.line_num}: {exc}") from None
     if not vectors:

@@ -32,6 +32,13 @@ THRESHOLD_QUANTILE = 0.60  # of the U-Matrix heights: the default cluster thresh
 _INIT_STREAM = 0
 _TRAIN_STREAM = 1
 
+# The last epoch's sigma is sigma0 + (sigma_end - sigma0), which rounds to
+# 0 once sigma_end is below half an ulp of sigma0; a Gaussian kernel then
+# divides 0 by 0. With sigma0 <= 1e6, whose ulp is 2**-33, and a Gaussian
+# sigma_end >= 1e-6, it is at least 1e-6 - 1.2e-10.
+SMALLEST_GAUSSIAN_SIGMA_END = 1e-6
+LARGEST_SIGMA0 = 1_000_000
+
 
 class Kernel(Enum):
     GAUSSIAN = "Gaussian"
@@ -58,7 +65,7 @@ class TrainSchedule:
     sigma_end: float = 0.3
     kernel: Kernel = Kernel.GAUSSIAN
     rng_seed: int = 0
-    init: InitMode = InitMode.RANDOM_SMALL
+    init: InitMode = InitMode.SAMPLE_INIT
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -69,18 +76,17 @@ class TrainSchedule:
             raise ValueError("sigma_end must be >= 0")
         if self.sigma0 is not None and self.sigma0 < self.sigma_end:
             raise ValueError("sigma0 must be >= sigma_end (non-increasing sigma)")
-        if self.kernel is Kernel.GAUSSIAN and self.sigma_end <= 0:
-            raise ValueError("Gaussian kernel needs sigma_end > 0")
-        if self.kernel is Kernel.GAUSSIAN and self.sigma0 is not None:
-            # sigma never rises, and at 2*sigma*sigma == 0 the kernel divides 0 by 0
-            last = self.sigma(self.epochs - 1)
-            if 2.0 * last * last == 0.0:
-                raise ValueError(
-                    f"sigma_end {self.sigma_end} is too small for the Gaussian kernel: "
-                    f"the last epoch's sigma {last} gives 2*sigma*sigma == 0"
-                )
+        if self.sigma0 is not None and self.sigma0 > LARGEST_SIGMA0:
+            raise ValueError(f"sigma0 must be <= {LARGEST_SIGMA0}, got {self.sigma0}")
+        if self.kernel is Kernel.GAUSSIAN and self.sigma_end < SMALLEST_GAUSSIAN_SIGMA_END:
+            raise ValueError(
+                f"sigma_end must be >= {SMALLEST_GAUSSIAN_SIGMA_END} with the Gaussian kernel, "
+                f"got {self.sigma_end}"
+            )
 
     def resolve(self, rows: int, cols: int) -> "TrainSchedule":
+        if rows < 1 or cols < 1 or rows * cols < 2:
+            raise ValueError(f"the map needs at least 2 nodes, got {rows}x{cols}")
         if self.sigma0 is not None:
             return self
         return replace(self, sigma0=max(rows, cols) / 2.0)
@@ -108,8 +114,7 @@ class SomMap:
     trained: bool = False
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
-            raise ValueError("map needs at least 2 nodes")
+        object.__setattr__(self, "schedule", self.schedule.resolve(self.rows, self.cols))
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != self.rows * self.cols:
             raise ValueError(
@@ -119,7 +124,6 @@ class SomMap:
             raise ValueError("weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "schedule", self.schedule.resolve(self.rows, self.cols))
 
     @property
     def n_nodes(self) -> int:
@@ -312,18 +316,16 @@ def umatrix(som: SomMap) -> UMatrix:
     W = som.weights.reshape(som.rows, som.cols, som.dim)
     sums = np.zeros((som.rows, som.cols))
     counts = np.zeros((som.rows, som.cols))
-    if som.rows > 1:
-        dv = np.linalg.norm(W[1:, :, :] - W[:-1, :, :], axis=2)
-        sums[1:, :] += dv
-        sums[:-1, :] += dv
-        counts[1:, :] += 1
-        counts[:-1, :] += 1
-    if som.cols > 1:
-        dh = np.linalg.norm(W[:, 1:, :] - W[:, :-1, :], axis=2)
-        sums[:, 1:] += dh
-        sums[:, :-1] += dh
-        counts[:, 1:] += 1
-        counts[:, :-1] += 1
+    dv = np.linalg.norm(W[1:, :, :] - W[:-1, :, :], axis=2)  # (rows-1, cols): empty on one row
+    sums[1:, :] += dv
+    sums[:-1, :] += dv
+    counts[1:, :] += 1
+    counts[:-1, :] += 1
+    dh = np.linalg.norm(W[:, 1:, :] - W[:, :-1, :], axis=2)  # (rows, cols-1): empty on one column
+    sums[:, 1:] += dh
+    sums[:, :-1] += dh
+    counts[:, 1:] += 1
+    counts[:, :-1] += 1
     heights = sums / counts
     return UMatrix(heights=heights, threshold=float(np.quantile(heights, THRESHOLD_QUANTILE)))
 

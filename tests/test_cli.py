@@ -14,7 +14,7 @@ import pytest
 from gaitsig import features, pipeline, wavelet
 from gaitsig.cli import SETTING_FLAGS, build_parser, main
 from gaitsig.config import ConfigError, config_from_dict, load_config
-from gaitsig.data import ingest_csv, write_csv
+from gaitsig.data import Joint, Side, ingest_csv, write_csv
 from gaitsig.features import read_features_csv
 from gaitsig.pipeline import RUN_ARTIFACTS
 
@@ -191,12 +191,13 @@ class TestRunConfig:
             ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: must be a number within the float range"),
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
              "synth.template.Hip: must be a number within the float range"),
-            ({"som": {"rows": 10**400}}, f"som.rows: must be <= 1000, got {10**400}"),
+            ({"som": {"rows": 10**400}}, f"som.rows: must be <= 64, got {10**400}"),
             ({"synth": {"n_subjects": 2, "normal_jitter_sd": -1.0, "pathology": {"jitter_sd": 0.5}}},
              "synth.normal_jitter_sd: must be >= 0, got -1.0"),
+            ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
         ],
         ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "threshold-huge", "scales-huge", "amplitude-huge",
-             "rows-huge", "normal-jitter"],
+             "rows-huge", "normal-jitter", "one-node"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, stage, edit, message):
@@ -240,7 +241,7 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"som": {"cols": 1001}}, "som.cols: must be <= 1000, got 1001"),
+            ({"som": {"cols": 65}}, "som.cols: must be <= 64, got 65"),
             ({"som": {"epochs": 10**400}}, f"som.epochs: must be <= 100000, got {10**400}"),
             ({"som": {"epochs": 100_001}}, "som.epochs: must be <= 100000, got 100001"),
             ({"synth": {"n_subjects": 10**400}}, f"synth.n_subjects: must be <= 100000, got {10**400}"),
@@ -265,16 +266,31 @@ class TestRunConfig:
         assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
 
     def test_largest_sizes_accepted(self):
-        doc = small_config(som={"rows": 1000, "cols": 1000, "epochs": 100_000, "sigma0": 1e6, "sigma_end": 1e-6},
+        doc = small_config(som={"rows": 64, "cols": 64, "epochs": 100_000, "sigma0": 1e6, "sigma_end": 1e-6},
                            wavelet={"truncation_radius": 10, "scales": {"count": 1000, "max": 200}})
         doc["synth"]["n_subjects"] = 100_000
         cfg = config_from_dict(doc)
-        assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (1000, 1000, 100_000)
+        assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (64, 64, 100_000)
         assert (cfg.synth.n_subjects, len(cfg.scales.scales)) == (100_000, 1000)
         assert (cfg.morlet.truncation_radius, cfg.scales.scales[-1]) == (10.0, 200.0)
         assert (cfg.schedule.sigma0, cfg.schedule.sigma_end) == (1e6, 1e-6)
         doc["wavelet"]["scales"] = [1, 2, 3, 4, 5, 6, 7, 200]
         assert config_from_dict(doc).scales.scales[-1] == 200.0
+
+    def test_largest_map_trains(self, tmp_path):
+        # the map bound is one training can allocate: (n, n) node tables
+        rng = np.random.default_rng(0)
+        vectors = [features.FeatureVector(values=rng.uniform(0, 1, 160), subject_id=f"s{i}",
+                                          parts=((Joint.HIP, Side.RIGHT),), level=features.Level.HIGH_SCALE)
+                   for i in range(3)]
+        features.write_features_csv(vectors, tmp_path / "features.csv")
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "gaitsig", "train", "--features", str(tmp_path / "features.csv"),
+                "--out", str(tmp_path / "out"), "--map-dims", "64x64", "--epochs", "1"]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads((tmp_path / "out" / "som.json").read_text())["rows"] == 64
 
     def test_overlong_integer_literal_names_the_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

@@ -18,7 +18,6 @@ from gaitsig.config import (
     OBJECT,
     PERTURBATION,
     SCALE_RANGE,
-    SMALLEST_GAUSSIAN_SIGMA_END,
     SOM,
     SYNTH,
     WAVELET,
@@ -32,7 +31,7 @@ from gaitsig.config import (
 from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint
 from gaitsig.features import N_SCALE_SAMPLES, Level
 from gaitsig.pipeline import run_pipeline
-from gaitsig.som import InitMode, Kernel, best_match
+from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, Kernel, TrainSchedule, best_match
 from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion, _slug
 from gaitsig.wavelet import Boundary
 
@@ -303,8 +302,8 @@ def test_laterality_reader_prints_the_run_geometry(tmp_path, capsys):
     ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7]}}, "wavelet.scales: must hold at least 8 scales, got 7"),
     ({"wavelet": {"scales": [1]}}, "wavelet.scales: must hold at least 8 scales, got 1"),
     ({"wavelet": {"scales": [1, 1e7]}}, "wavelet.scales: must be <= 200, got 10000000.0"),
-    ({"som": {"sigma_end": 1e-100}}, "som.sigma_end: must be >= 1e-06 with the Gaussian kernel, got 1e-100"),
-    ({"som": {"sigma_end": 1e-300}}, "som.sigma_end: must be >= 1e-06 with the Gaussian kernel, got 1e-300"),
+    ({"som": {"sigma_end": 1e-100}}, "som: sigma_end must be >= 1e-06 with the Gaussian kernel, got 1e-100"),
+    ({"som": {"sigma_end": 1e-300}}, "som: sigma_end must be >= 1e-06 with the Gaussian kernel, got 1e-300"),
     ({"joints": ["Hip", "Knee", "Hip"]}, 'joints: must not repeat a value, got ["Hip", "Knee", "Hip"]'),
     ({"sides": ["Right", "Right"]}, 'sides: must not repeat a value, got ["Right", "Right"]'),
     ({"sides": []}, "sides: must be non-empty"),
@@ -316,6 +315,11 @@ def test_settings_a_stage_cannot_run_name_the_key(doc, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict(doc)
     assert str(err.value) == message
+
+
+def test_init_default_is_the_library_schedule_default():
+    assert SOM["init"][1] == TrainSchedule().init.value
+    assert config_from_dict({}).schedule.init is TrainSchedule().init is InitMode.SAMPLE_INIT
 
 
 def test_bubble_kernel_takes_any_sigma_end():

@@ -250,6 +250,12 @@ class TestLoocv:
         with pytest.raises(ValueError, match="at least 2"):
             loocv([Vec(np.zeros(2), "a", A)], FAST_SCHEDULE, rows=2, cols=2)
 
+    def test_repeated_subject_rejected(self):
+        # each copy's fold would train on the other, identical vector
+        data = separable_vectors(n_per_class=2) + [Vec(np.zeros(2), "a1", A)]
+        with pytest.raises(ValueError, match="^subject_id 'a1' repeats; leave-one-out holds out each subject once$"):
+            loocv(data, FAST_SCHEDULE, rows=2, cols=2)
+
 
 def three_class_vectors(n_per_class=5, spread=4.0, seed=4):
     """Overlapping classes, so some folds mispredict and a fold out of

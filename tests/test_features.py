@@ -331,7 +331,7 @@ class TestFeaturesCsv:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        ids=st.lists(st.text(), min_size=1, max_size=3),
+        ids=st.lists(st.text(), min_size=1, max_size=3, unique=True),
         labels=st.lists(st.none() | st.text(min_size=1), min_size=3, max_size=3),
     )
     @example(ids=["a,b", "x\ry", "subject_id"], labels=['q"\n', None, "#c"])
@@ -389,12 +389,12 @@ class TestFeaturesCsv:
 
 
 def _features_file(path, rows):
-    """A features.csv of one-part vectors with these (field, text) edits,
-    one dict per row: e.g. {"f010": "nan?"}."""
+    """A features.csv of one-part vectors, row i of subject s<i>, with
+    these (field, text) edits, one dict per row: e.g. {"f010": "nan?"}."""
     names = ["subject_id", "label", "level", "parts"] + [f"f{i:03d}" for i in range(160)]
     lines = ["# layout", ",".join(names)]
-    for edits in rows:
-        row = dict(zip(names, ["s", "Normal", "HighScale", "Hip:Right"] + ["1.5"] * 160))
+    for i, edits in enumerate(rows):
+        row = dict(zip(names, [f"s{i}", "Normal", "HighScale", "Hip:Right"] + ["1.5"] * 160))
         row.update(edits)
         lines.append(",".join(v for v in row.values() if v is not None))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -437,6 +437,16 @@ class TestFeaturesCsvErrors:
         _features_file(path, [{}, {"f010": "nan?"}])
         assert main(["train", "--features", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"gaitsig: error: {path}:4: f010 'nan?' is not a number\n"
+
+    @pytest.mark.parametrize("stage", ["train", "eval"])
+    def test_stages_refuse_a_repeated_subject(self, tmp_path, capsys, stage):
+        # LOOCV would hold the subject out twice, each fold training on the other copy
+        from gaitsig.cli import main
+
+        path = tmp_path / "features.csv"
+        _features_file(path, [{}, {"label": "CP-dp"}, {"subject_id": "s0"}])
+        assert main([stage, "--features", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"gaitsig: error: {path}:5: subject_id 's0' repeats line 3\n"
 
     @pytest.mark.parametrize("stage", ["train", "eval"])
     @pytest.mark.parametrize(

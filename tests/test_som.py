@@ -159,6 +159,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="sigma_end"):
             TrainSchedule(sigma_end=1e-16).resolve(10, 10)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sigma0": 5, "sigma_end": 1e-7}, "sigma_end must be >= 1e-06 with the Gaussian kernel, got 1e-07"),
+            ({"sigma0": 2e6}, "sigma0 must be <= 1000000, got 2000000.0"),
+        ],
+        ids=["sigma-end", "sigma0"],
+    )
+    def test_config_bounds_hold_for_a_library_schedule(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            TrainSchedule(**kwargs)
+        assert str(err.value) == message
+
     def test_degenerate_fixtures_allowed(self):
         # the update-rule fixed-point and frozen-weights checks need these
         TrainSchedule(alpha0=0.0)
@@ -172,6 +185,16 @@ class TestSomMapInvariants:
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="2 nodes"):
             make_map(1, 1, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (0, 5), (3, 0)])
+    def test_map_and_schedule_refuse_a_grid_with_one_text(self, rows, cols):
+        message = f"the map needs at least 2 nodes, got {rows}x{cols}"
+        with pytest.raises(ValueError) as err:
+            SomMap(rows=rows, cols=cols, weights=np.zeros((max(rows * cols, 1), 3)), schedule=TrainSchedule())
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            TrainSchedule(sigma0=1.0).resolve(rows, cols)
+        assert str(err.value) == message
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="weights shape"):
@@ -201,7 +224,7 @@ class TestInit:
         rng = np.random.default_rng(1)
         samples = rng.uniform(-50, 50, (30, 4)) * np.array([1.0, 10.0, 0.1, 1.0])
         eps = 0.01 * np.ptp(samples, axis=0)
-        m = init(4, 4, TrainSchedule(rng_seed=2), samples=samples)
+        m = init(4, 4, TrainSchedule(rng_seed=2, init=InitMode.RANDOM_SMALL), samples=samples)
         assert np.all(np.abs(m.weights) <= eps[None, :])
         # each dimension actually uses its own range
         assert np.max(np.abs(m.weights[:, 1])) > eps[2]
@@ -490,6 +513,12 @@ class TestUMatrix:
         m = make_map(1, 2, np.array([[0.0], [3.0]]))
         um = umatrix(m)
         assert np.array_equal(um.heights, np.array([[3.0, 3.0]]))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 3), (3, 1)])
+    def test_single_row_or_column_hand_computed(self, rows, cols):
+        # 1-d weights 0, 2, 7 in a line: h0 = 2, h1 = (2 + 5)/2 = 3.5, h2 = 5
+        um = umatrix(make_map(rows, cols, np.array([[0.0], [2.0], [7.0]])))
+        assert np.array_equal(um.heights, np.array([2.0, 3.5, 5.0]).reshape(rows, cols))
 
     def test_2x2_hand_computed(self):
         # 1-d weights 0, 2, 6, 9 on a 2x2 grid:
