@@ -65,8 +65,8 @@ _IS_KIND = {
 # accepted. A key that maps onto a field of a library type takes that
 # field's default. The largest values lie far above any experiment's and
 # keep each stage finite; the wavelet's and sigma0's are those of their
-# library types. A SOM map of n nodes trains on (n, n) tables: 64x64 needs
-# about 400 MB.
+# library types. Training holds a few (rows*cols, dim) arrays: a 1-epoch
+# 128x128 map of 960-value vectors peaks at about 540 MB.
 CONFIG = {
     "seed": (INTEGER, 0),
     "input_csv": (STRING, None),
@@ -114,8 +114,8 @@ FEATURES = {
     "zscore": (BOOLEAN, False),
 }
 SOM = {
-    "rows": (INTEGER, 10, 64),
-    "cols": (INTEGER, 10, 64),
+    "rows": (INTEGER, 10, 128),
+    "cols": (INTEGER, 10, 128),
     "epochs": (INTEGER, TrainSchedule.epochs, 100_000),
     "alpha0": (NUMBER, TrainSchedule.alpha0),
     "sigma0": (NUMBER, None, LARGEST_SIGMA0),  # max(rows, cols) / 2

@@ -50,7 +50,8 @@ def label_nodes(som: SomMap, training: Sequence[FeatureVector]) -> tuple[ClassLa
     # lowest class, and an unhit node to the nearest hit node of lowest
     # index; a hit node is its own nearest, at grid distance 0
     hit = np.flatnonzero(hits.any(axis=1))
-    owner = hit[som.grid_dist2()[:, hit].argmin(axis=1)]
+    g = som.grid_coords()
+    owner = hit[np.square(g[:, None, :] - g[hit]).sum(axis=2).argmin(axis=1)]
     return tuple(np.array(classes, dtype=object)[hits[owner].argmax(axis=1)])
 
 

@@ -137,11 +137,6 @@ class SomMap:
         r, c = np.divmod(np.arange(self.n_nodes), self.cols)
         return np.column_stack([r, c]).astype(float)
 
-    def grid_dist2(self) -> np.ndarray:
-        g = self.grid_coords()
-        diff = g[:, None, :] - g[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
-
 
 def _kernel_values(dist2: np.ndarray, sigma: float, kernel: Kernel) -> np.ndarray:
     if kernel is Kernel.GAUSSIAN:
@@ -195,7 +190,10 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
     schedule = som.schedule
     W = som.weights.copy()
     rng = np.random.default_rng([schedule.rng_seed, _TRAIN_STREAM])
-    dist2 = som.grid_dist2()
+    # squared grid distance of every (row, col) offset, offset (0, 0) at
+    # (R-1, C-1): node (r, c) reads the R x C window from (R-1-r, C-1-c)
+    R, C = som.rows, som.cols
+    dist2 = np.add.outer(np.arange(1 - R, R) ** 2, np.arange(1 - C, C) ** 2).astype(float)
     # Each presentation sets w <- fl(fl((1-c)*w) + p) with 0 <= c <= 1;
     # the reference takes p = fl(c*x) from a broadcast product. The rank-1
     # np.dot of the (nodes, 1) column c and the (1, dim) row x has one term
@@ -262,11 +260,11 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
         bound *= 1.0 + 4.0 * schedule.epochs * len(X) * eps
         radii = ((bound + x_norms) ** 2).tolist()
         for t in range(schedule.epochs):
-            coef_rows = schedule.alpha(t) * _kernel_values(
+            coef_table = schedule.alpha(t) * _kernel_values(
                 dist2, schedule.sigma(t), schedule.kernel
             )
-            keep3 = (1.0 - coef_rows)[:, :, None]
-            coef3 = coef_rows[:, :, None]
+            keep_table = 1.0 - coef_table
+            columns = {}  # winning node -> its (nodes, 1) keep and coef columns
             for idx in rng.permutation(len(X)).tolist():
                 x = xs[idx]
                 np.vecdot(W, W, out=nrm)
@@ -281,11 +279,19 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
                 ):
                     np.subtract(W, x, out=buf)
                     bmu = np.einsum("nd,nd->n", buf, buf, out=d).argmin()
-                np.multiply(W, keep3[bmu], out=W)
+                if bmu not in columns:
+                    r, c = divmod(bmu, C)
+                    window = np.s_[R - 1 - r : 2 * R - 1 - r, C - 1 - c : 2 * C - 1 - c]
+                    columns[bmu] = (
+                        keep_table[window].reshape(-1, 1),
+                        coef_table[window].reshape(-1, 1),
+                    )
+                keep, coef = columns[bmu]
+                np.multiply(W, keep, out=W)
                 if outer:
-                    np.dot(coef3[bmu], x_rows[idx], out=buf)
+                    np.dot(coef, x_rows[idx], out=buf)
                 else:
-                    np.multiply(coef3[bmu], x, out=buf)
+                    np.multiply(coef, x, out=buf)
                 np.add(W, buf, out=W)
     return SomMap(rows=som.rows, cols=som.cols, weights=W, schedule=schedule, trained=True)
 

@@ -60,6 +60,23 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def train_three_vectors(tmp_path, map_dims, *python):
+    # a 1-epoch `gaitsig train` on 3 vectors of 160 values, in a child
+    # process started as `python *python train ...`; returns its stdout
+    rng = np.random.default_rng(0)
+    vectors = [features.FeatureVector(values=rng.uniform(0, 1, 160), subject_id=f"s{i}",
+                                      parts=((Joint.HIP, Side.RIGHT),), level=features.Level.HIGH_SCALE)
+               for i in range(3)]
+    features.write_features_csv(vectors, tmp_path / "features.csv")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, *python, "train", "--features", str(tmp_path / "features.csv"),
+            "--out", str(tmp_path / "out"), "--map-dims", map_dims, "--epochs", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 EXPECTED_ARTIFACTS = [
     "resolved_config.json",
     "dataset.csv",
@@ -191,7 +208,7 @@ class TestRunConfig:
             ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: must be a number within the float range"),
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
              "synth.template.Hip: must be a number within the float range"),
-            ({"som": {"rows": 10**400}}, f"som.rows: must be <= 64, got {10**400}"),
+            ({"som": {"rows": 10**400}}, f"som.rows: must be <= 128, got {10**400}"),
             ({"synth": {"n_subjects": 2, "normal_jitter_sd": -1.0, "pathology": {"jitter_sd": 0.5}}},
              "synth.normal_jitter_sd: must be >= 0, got -1.0"),
             ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
@@ -241,7 +258,7 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"som": {"cols": 65}}, "som.cols: must be <= 64, got 65"),
+            ({"som": {"cols": 129}}, "som.cols: must be <= 128, got 129"),
             ({"som": {"epochs": 10**400}}, f"som.epochs: must be <= 100000, got {10**400}"),
             ({"som": {"epochs": 100_001}}, "som.epochs: must be <= 100000, got 100001"),
             ({"synth": {"n_subjects": 10**400}}, f"synth.n_subjects: must be <= 100000, got {10**400}"),
@@ -266,11 +283,11 @@ class TestRunConfig:
         assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
 
     def test_largest_sizes_accepted(self):
-        doc = small_config(som={"rows": 64, "cols": 64, "epochs": 100_000, "sigma0": 1e6, "sigma_end": 1e-6},
+        doc = small_config(som={"rows": 128, "cols": 128, "epochs": 100_000, "sigma0": 1e6, "sigma_end": 1e-6},
                            wavelet={"truncation_radius": 10, "scales": {"count": 1000, "max": 200}})
         doc["synth"]["n_subjects"] = 100_000
         cfg = config_from_dict(doc)
-        assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (64, 64, 100_000)
+        assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (128, 128, 100_000)
         assert (cfg.synth.n_subjects, len(cfg.scales.scales)) == (100_000, 1000)
         assert (cfg.morlet.truncation_radius, cfg.scales.scales[-1]) == (10.0, 200.0)
         assert (cfg.schedule.sigma0, cfg.schedule.sigma_end) == (1e6, 1e-6)
@@ -278,19 +295,22 @@ class TestRunConfig:
         assert config_from_dict(doc).scales.scales[-1] == 200.0
 
     def test_largest_map_trains(self, tmp_path):
-        # the map bound is one training can allocate: (n, n) node tables
-        rng = np.random.default_rng(0)
-        vectors = [features.FeatureVector(values=rng.uniform(0, 1, 160), subject_id=f"s{i}",
-                                          parts=((Joint.HIP, Side.RIGHT),), level=features.Level.HIGH_SCALE)
-                   for i in range(3)]
-        features.write_features_csv(vectors, tmp_path / "features.csv")
-        src = str(Path(pipeline.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        argv = [sys.executable, "-m", "gaitsig", "train", "--features", str(tmp_path / "features.csv"),
-                "--out", str(tmp_path / "out"), "--map-dims", "64x64", "--epochs", "1"]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert json.loads((tmp_path / "out" / "som.json").read_text())["rows"] == 64
+        train_three_vectors(tmp_path, "128x128", "-m", "gaitsig")
+        assert json.loads((tmp_path / "out" / "som.json").read_text())["rows"] == 128
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_training_memory_is_not_quadratic_in_the_nodes(self, tmp_path):
+        # node-by-node tables of a 64x64 map peaked at 441 MB; its weights
+        # take 5 MB. The child reads its own peak: ru_maxrss, in the child
+        # or as RUSAGE_CHILDREN here, also counts the memory of this
+        # process, which the child shares until it execs.
+        child = ("import sys\n"
+                 "from gaitsig.cli import main\n"
+                 "status = main(sys.argv[1:])\n"
+                 "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+                 "sys.exit(status)\n")
+        peak_kib = int(train_three_vectors(tmp_path, "64x64", "-c", child).split()[-2])
+        assert peak_kib < 100 * 1024
 
     def test_overlong_integer_literal_names_the_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

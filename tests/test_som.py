@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -92,6 +92,14 @@ def training_cases(draw):
         rng_seed=draw(st.integers(0, 2**16)),
         init=draw(st.sampled_from(InitMode)),
     )
+    return init(rows, cols, schedule, samples=data), data
+
+
+def wide_map_case(rows, cols, kernel):
+    # a side past training_cases' 10, and rows != cols: the nodes' windows
+    # lie off the centre of the offset table, unequally along the two axes
+    data = np.random.default_rng(rows * cols).normal(size=(20, 6))
+    schedule = TrainSchedule(epochs=4, sigma_end=0.3, kernel=kernel, rng_seed=rows)
     return init(rows, cols, schedule, samples=data), data
 
 
@@ -378,6 +386,10 @@ class TestTrain:
 
     @settings(max_examples=200, deadline=None)
     @given(case=training_cases())
+    @example(case=wide_map_case(3, 17, Kernel.GAUSSIAN))
+    @example(case=wide_map_case(17, 3, Kernel.GAUSSIAN))
+    @example(case=wide_map_case(3, 17, Kernel.BUBBLE))
+    @example(case=wide_map_case(17, 3, Kernel.BUBBLE))
     def test_matches_reference_loop_bit_for_bit(self, case):
         m0, data = case
         assert train(m0, data).weights.tobytes() == reference_weights(m0, data).tobytes()
