@@ -155,6 +155,10 @@ class Subject:
             raise ValueError("subject id must be non-empty")
         if not self.trajectories:
             raise ValueError("subject must have at least one trajectory")
+        for (joint, side), t in self.trajectories.items():
+            if (t.joint, t.side) != (joint, side):
+                raise ValueError(f"{t.joint.value}/{t.side.value} trajectory filed "
+                                 f"under {joint.value}/{side.value}")
         sizes = {t.grid_size for t in self.trajectories.values()}
         if len(sizes) != 1:
             raise ValueError(f"trajectories disagree on grid_size: {sorted(sizes)}")

@@ -241,13 +241,16 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
     # and d_i - d_m > E - (5.07 D + 13.8)u R >= (15.8 - 5.1)(D+4)u R > 0.
     # Above R = 2**-500, underflow (at most 2**-1075 per product, Higham
     # 2.1) moves each term by far less than u R; below max/4 no s_i and no
-    # s_m + E overflows. A NaN or infinite R fails the range test; B is an
+    # s_m + E overflows. Outside that range, and where R is NaN or
+    # infinite, the sample's limit E is NaN, so no d_i passes it; B is an
     # np.max, so a NaN anywhere in W0 or X makes every R NaN. There, and
     # when several nodes are within E, the reference scan runs.
     eps = np.finfo(float).eps
     margin = 8.0 * (X.shape[1] + 4) * eps
-    r_range = (2.0**-500, np.finfo(float).max / 4)
+    W3 = W.reshape(R, C, som.dim)  # a view: node (r, c) is W3[r, c]
     buf = np.empty_like(W)  # W - x, then the update c*x
+    coef = np.empty((len(W), 1))  # the winner's coef window, contiguous for np.dot
+    coef_grid = coef.reshape(R, C)
     d = np.empty(len(W))
     nrm = np.empty(len(W))
     g = np.empty(len(W))
@@ -258,13 +261,14 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
         x_norms = np.sqrt(np.vecdot(X, X))
         bound = np.max(np.sqrt(np.vecdot(W, W)), initial=np.max(x_norms))
         bound *= 1.0 + 4.0 * schedule.epochs * len(X) * eps
-        radii = ((bound + x_norms) ** 2).tolist()
+        radii = (bound + x_norms) ** 2
+        in_range = (2.0**-500 < radii) & (radii < np.finfo(float).max / 4)
+        limits = np.where(in_range, margin * radii, np.nan).tolist()  # E per sample
         for t in range(schedule.epochs):
             coef_table = schedule.alpha(t) * _kernel_values(
                 dist2, schedule.sigma(t), schedule.kernel
             )
-            keep_table = 1.0 - coef_table
-            columns = {}  # winning node -> its (nodes, 1) keep and coef columns
+            keep_table = (1.0 - coef_table)[:, :, None]
             for idx in rng.permutation(len(X)).tolist():
                 x = xs[idx]
                 np.vecdot(W, W, out=nrm)
@@ -272,22 +276,13 @@ def train(som: SomMap, data: np.ndarray) -> SomMap:
                 np.subtract(nrm, g, out=d)
                 np.subtract(d, g, out=d)
                 bmu = d.argmin()
-                r = radii[idx]
-                if not (
-                    r_range[0] < r < r_range[1]
-                    and np.count_nonzero(np.less_equal(d, d[bmu] + margin * r, out=near)) == 1
-                ):
+                if np.count_nonzero(np.less_equal(d, d[bmu] + limits[idx], out=near)) != 1:
                     np.subtract(W, x, out=buf)
                     bmu = np.einsum("nd,nd->n", buf, buf, out=d).argmin()
-                if bmu not in columns:
-                    r, c = divmod(bmu, C)
-                    window = np.s_[R - 1 - r : 2 * R - 1 - r, C - 1 - c : 2 * C - 1 - c]
-                    columns[bmu] = (
-                        keep_table[window].reshape(-1, 1),
-                        coef_table[window].reshape(-1, 1),
-                    )
-                keep, coef = columns[bmu]
-                np.multiply(W, keep, out=W)
+                r, c = divmod(bmu, C)
+                window = np.s_[R - 1 - r : 2 * R - 1 - r, C - 1 - c : 2 * C - 1 - c]
+                np.multiply(W3, keep_table[window], out=W3)
+                np.copyto(coef_grid, coef_table[window])
                 if outer:
                     np.dot(coef, x_rows[idx], out=buf)
                 else:

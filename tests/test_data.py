@@ -92,6 +92,11 @@ class TestSubject:
                 (Joint.HIP, Side.RIGHT): t1, (Joint.HIP, Side.LEFT): t2,
             })
 
+    def test_refuses_a_trajectory_filed_under_another_part(self):
+        t = make_traj(np.zeros(101), joint=Joint.KNEE, side=Side.LEFT)
+        with pytest.raises(ValueError, match="Knee/Left trajectory filed under Hip/Right"):
+            Subject(id="s", label=NORMAL, trajectories={(Joint.HIP, Side.RIGHT): t})
+
 
 class TestClassLabel:
     def test_known_order(self):

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gaitsig
 from gaitsig.som import (
     BORDER,
     AttractionField,
@@ -332,6 +337,25 @@ class TestTrain:
         a = train(init(3, 3, schedule, samples=data), data)
         b = train(init(3, 3, schedule, samples=data), data)
         assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_training_memory_does_not_grow_with_the_winners(self):
+        # 1,000 vectors win many of the 16,384 nodes, so a copy of node
+        # columns kept per winner grows the peak (148 MB for one (keep,
+        # coef) pair each); the weights take 0.3 MB. The child reads its
+        # own peak, as ru_maxrss would count this process too.
+        child = ("import numpy as np\n"
+                 "from gaitsig.som import TrainSchedule, init, train\n"
+                 "X = np.random.default_rng(0).random((1000, 2))\n"
+                 "train(init(128, 128, TrainSchedule(epochs=1, rng_seed=1), X), X)\n"
+                 "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n")
+        src = str(Path(gaitsig.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        peak_kib = int(done.stdout.split()[-2])
+        assert peak_kib < 80 * 1024
 
     def test_two_cluster_means(self):
         # small-budget version of the clustering oracle (the acceptance
