@@ -144,13 +144,10 @@ def cmd_eval(args) -> int:
 
 def cmd_run(args) -> int:
     result = pl.run_pipeline(_config(args), args.out)
+    scores = ""
     if result.report is not None:
-        print(
-            f"recognition rate: {result.report.recognition_rate:.4f}  "
-            f"kappa: {result.report.kappa:.4f}  clusters: {result.n_clusters}"
-        )
-    else:
-        print(f"clusters: {result.n_clusters}")
+        scores = f"recognition rate: {result.report.recognition_rate:.4f}  kappa: {result.report.kappa:.4f}  "
+    print(f"{scores}clusters: {pl.count_clusters(result.cluster_ids)}")
     print(f"artifacts -> {args.out}")
     return 0
 

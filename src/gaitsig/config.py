@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .data import CP_DP, ClassLabel, Joint, Side
+from .data import CP_DP, ClassLabel, Joint, Side, read_json
 from .features import N_SCALE_SAMPLES, Level
 from .som import LARGEST_SIGMA0, InitMode, Kernel, TrainSchedule, _schedule_to_dict
 from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
@@ -229,6 +229,8 @@ def _synth(doc: Any, seed: int) -> SynthSpec:
     s = _read(doc, SYNTH, "synth")
     if s["pathology"] is not None and s["groups"] is not None:
         raise ConfigError("synth: give either pathology or groups, not both")
+    if s["pathology_label"] is not None and s["pathology"] is None:
+        raise ConfigError("synth.pathology_label: names the label of synth.pathology, which is not given")
     groups = {}
     if s["groups"] is not None:
         for label_text, pdoc in s["groups"].items():
@@ -392,13 +394,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def load_document(path) -> dict:
     """The JSON object of a run-config file, not yet validated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            # also an integer literal over sys.get_int_max_str_digits()
-            # digits, which json.load raises as a plain ValueError
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
@@ -58,18 +59,6 @@ def part_sort_key(joint: Joint, side: Side) -> tuple[int, int]:
     return (_JOINT_ORDER[joint], _SIDE_ORDER[side])
 
 
-_KNOWN_LABELS = (
-    "Normal",
-    "CP-dp",
-    "CP-la",
-    "CP-ra",
-    "CP-lh",
-    "CP-rh",
-    "Polio",
-    "SpinaBifida",
-)
-
-
 @total_ordering
 @dataclass(frozen=True)
 class ClassLabel:
@@ -104,6 +93,7 @@ CP_LH = ClassLabel("CP-lh")
 CP_RH = ClassLabel("CP-rh")
 POLIO = ClassLabel("Polio")
 SPINA_BIFIDA = ClassLabel("SpinaBifida")
+_KNOWN_LABELS = tuple(x.value for x in (NORMAL, CP_DP, CP_LA, CP_RA, CP_LH, CP_RH, POLIO, SPINA_BIFIDA))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,22 +180,22 @@ def resample(traj: GaitTrajectory, new_grid_size: int) -> GaitTrajectory:
 # trajectory must form a complete uniform grid over [0, 100].
 
 
-_JOINTS = {j.value: j for j in Joint}
-_SIDES = {s.value: s for s in Side}
-
-
-def _parse_joint(text: str, where: str) -> Joint:
+def _parse_part(kind, text: str, where: str):
+    """The member of the enum `kind` (Joint or Side) named by text."""
     try:
-        return _JOINTS[text]
-    except (KeyError, TypeError):
-        raise ParseError(f"{where}: unknown joint {text!r}") from None
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"{where}: unknown {kind.__name__.lower()} {text!r}") from None
 
 
-def _parse_side(text: str, where: str) -> Side:
+@contextmanager
+def undecodable_as(error: type[ValueError], path):
+    """Raise a UnicodeDecodeError of the block as `error`, naming path; the
+    decoder reads ahead of the rows, so no line is named."""
     try:
-        return _SIDES[text]
-    except (KeyError, TypeError):
-        raise ParseError(f"{where}: unknown side {text!r}") from None
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def _uniform_grid_samples(pct: np.ndarray, angle: np.ndarray, where: str) -> np.ndarray:
@@ -280,8 +270,8 @@ def _check_run(
         raise ParseError(f"{where}: empty subject_id")
     if not label_text:
         raise SchemaError(f"{where}: missing label")
-    joint = _parse_joint(joint_text, where)
-    side = _parse_side(side_text, where)
+    joint = _parse_part(Joint, joint_text, where)
+    side = _parse_part(Side, side_text, where)
     try:
         pct = np.fromiter(map(float, pct_text), float, len(pct_text))
         angle = np.fromiter(map(float, angle_text), float, len(angle_text))
@@ -318,7 +308,7 @@ def ingest_csv(path) -> list[Subject]:
     the physical line on which that row ends, so a quoted line break in an
     id counts.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, undecodable_as(ParseError, path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -358,7 +348,6 @@ def ingest_csv(path) -> list[Subject]:
         if key is not None:
             finish(key, pct_text, angle_text, lines)
 
-    labels: dict[str, ClassLabel] = {}  # label text -> one shared label
     subjects = []
     for sid, label_text in subject_labels.items():
         where = f"{path}: subject {sid!r}"
@@ -369,8 +358,7 @@ def ingest_csv(path) -> list[Subject]:
                 np.concatenate([angle for _, angle in part_runs]),
                 f"{where} {joint.value}/{side.value}",
             )
-        label = labels.setdefault(label_text, ClassLabel(label_text))
-        subjects.append(_finish_subject(sid, label, parts, where))
+        subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, where))
     if not subjects:
         raise SchemaError(f"{path}: no data rows")
     return subjects
@@ -417,6 +405,17 @@ def write_csv(subjects: Sequence[Subject], path) -> None:
                 fh.write(lead + f"{q}\n{lead}".join(rows) + q + "\n")
 
 
+def read_json(path, error: type[ValueError]):
+    """The JSON document of a file. Bytes that are not UTF-8, text that is
+    not JSON (also an integer literal over sys.get_int_max_str_digits()
+    digits) and nesting too deep for the parser raise `error`, naming path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from None
+
+
 def _json_text(entry: dict, name: str, where: str) -> str:
     """A required non-empty string field of a manifest entry that
     dataset.csv can hold (UTF-8 encodable)."""
@@ -457,8 +456,7 @@ def ingest_json(path) -> list[Subject]:
     and is not kept, as dataset.csv has no column for it. Errors name the
     file, the subject index and the field.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, ParseError)
     if not isinstance(doc, list) or not doc:
         raise SchemaError(f"{path}: manifest must be a non-empty array")
     subjects = []
@@ -479,8 +477,8 @@ def ingest_json(path) -> list[Subject]:
             raise SchemaError(f"{where}: meta must be an object")
         parts: dict[tuple[Joint, Side], np.ndarray] = {}
         for k, t in enumerate(trajs):
-            joint = _parse_joint(t.get("joint", ""), where)
-            side = _parse_side(t.get("side", ""), where)
+            joint = _parse_part(Joint, t.get("joint", ""), where)
+            side = _parse_part(Side, t.get("side", ""), where)
             samples = _json_samples(t.get("angle_deg", []), f"{where} trajectory #{k}")
             if (joint, side) in parts:
                 raise SchemaError(

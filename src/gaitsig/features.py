@@ -24,7 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import STANCE_END_PCT, ClassLabel, Joint, Side, csv_fields, needs_quote_all, part_sort_key
+from .data import (
+    STANCE_END_PCT, ClassLabel, Joint, Side, csv_fields, needs_quote_all, part_sort_key, undecodable_as,
+)
 from .wavelet import Scalogram
 
 N_TIME_SAMPLES = 20
@@ -70,14 +72,14 @@ def split_regions(sc: Scalogram, stance_fraction: float = DEFAULT_STANCE_FRACTIO
     )
 
 
-def level_scale_indices(n_scales: int, level: Level, width: int = N_SCALE_SAMPLES) -> np.ndarray:
-    """Scale-row indices of one level: the `width` smallest scales for
-    LowScale, the `width` largest for HighScale."""
-    if n_scales < width:
-        raise ValueError(f"need at least {width} scales, got {n_scales}")
+def level_scale_indices(n_scales: int, level: Level) -> np.ndarray:
+    """Scale-row indices of one level: the N_SCALE_SAMPLES smallest scales
+    for LowScale, the N_SCALE_SAMPLES largest for HighScale."""
+    if n_scales < N_SCALE_SAMPLES:
+        raise ValueError(f"need at least {N_SCALE_SAMPLES} scales, got {n_scales}")
     if level is Level.LOW_SCALE:
-        return np.arange(0, width)
-    return np.arange(n_scales - width, n_scales)
+        return np.arange(0, N_SCALE_SAMPLES)
+    return np.arange(n_scales - N_SCALE_SAMPLES, n_scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +282,7 @@ def read_features_csv(path) -> list[FeatureVector]:
     """Read a feature matrix of one row per subject, of one level and one parts
     list; an error names the file, the line on which the row ends and the column."""
     vectors, first, lines = [], None, {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, undecodable_as(ValueError, path):
         rows = csv.reader(fh)
         for row in rows:  # the layout comment precedes the header
             if row and row[0] == "subject_id":

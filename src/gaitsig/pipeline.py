@@ -228,10 +228,6 @@ class PipelineResult:
     cluster_ids: np.ndarray
     report: ev.EvalReport | None
 
-    @property
-    def n_clusters(self) -> int:
-        return count_clusters(self.cluster_ids)
-
 
 @contextmanager
 def _stage(name: str, out_dir: Path):

@@ -26,11 +26,13 @@ from .data import CANONICAL_GRID_SIZE, STANCE_END_PCT, ClassLabel, GaitTrajector
 MAX_TEMPLATE_HARMONIC = 15
 HF_HARMONICS = tuple(range(10, 21))
 
-# (harmonic index, amplitude in degrees, phase in radians) per joint.
-# Hip: dominant fundamental plus a small 2nd harmonic. Knee: two-peak
-# pattern from harmonics 0-3 with the swing-phase flexion peak near 60 deg.
-# Ankle: harmonics 1-4. Coefficients are configuration, not ground truth.
-DEFAULT_TEMPLATE: Mapping[Joint, tuple[tuple[int, float, float], ...]] = {
+Harmonic = tuple[int, float, float]  # (harmonic index, amplitude in degrees, phase in radians)
+
+# The components per joint. Hip: dominant fundamental plus a small 2nd
+# harmonic. Knee: two-peak pattern from harmonics 0-3 with the swing-phase
+# flexion peak near 60 deg. Ankle: harmonics 1-4. Coefficients are
+# configuration, not ground truth.
+DEFAULT_TEMPLATE: Mapping[Joint, tuple[Harmonic, ...]] = {
     Joint.HIP: ((1, 30.0, 0.0), (2, 4.0, 0.5)),
     Joint.KNEE: ((0, 24.0, 0.0), (1, 19.7, 1.804), (2, 12.6, -2.642), (3, 2.8, -1.915)),
     Joint.ANKLE: ((0, 0.6, 0.0), (1, 3.4, -1.876), (2, 6.3, 1.444), (3, 3.0, -2.536), (4, 2.5, -0.078)),
@@ -75,13 +77,13 @@ class SynthSpec:
     (unless include_normal is false) and each pathological group.
 
     normal_jitter_sd None gives the Normal class the jitter_sd of the
-    first group in label order (0 without groups). Each error names the
-    field it is about.
+    first group in label order (0 without groups); without the Normal
+    class it must be None. Each error names the field it is about.
     """
 
     n_subjects: int
     rng_seed: int
-    template: Mapping[Joint, tuple[tuple[int, float, float], ...]] = field(
+    template: Mapping[Joint, tuple[Harmonic, ...]] = field(
         default_factory=lambda: dict(DEFAULT_TEMPLATE)
     )
     groups: Mapping[ClassLabel, PerturbationSpec] = field(default_factory=dict)
@@ -95,6 +97,8 @@ class SynthSpec:
             raise ValueError(f"normal_jitter_sd: must be >= 0, got {self.normal_jitter_sd}")
         if not self.include_normal and not self.groups:
             raise ValueError("include_normal: false with no groups generates nothing")
+        if not self.include_normal and self.normal_jitter_sd is not None:
+            raise ValueError("normal_jitter_sd: given with include_normal false, which generates no Normal class")
         # subject ids are <slug>-NNN, so no two classes may share a slug
         owners = {_slug(NORMAL): "the Normal class of include_normal"} if self.include_normal else {}
         for label in sorted(self.groups):
@@ -114,7 +118,7 @@ class SynthSpec:
         object.__setattr__(self, "groups", dict(self.groups))
 
 
-def _hf_components(amplitude: float) -> tuple[tuple[int, float, float], ...]:
+def _hf_components(amplitude: float) -> tuple[Harmonic, ...]:
     """Fixed high-frequency pattern scaled to the requested amplitude.
 
     Equal weights across harmonics 10..20 with a fixed phase stagger; the
@@ -134,30 +138,40 @@ def _region_window(phase_pct: np.ndarray, region: GaitRegion) -> np.ndarray:
     return np.where(stance if region is GaitRegion.STANCE else ~stance, 1.0, 0.0)
 
 
+def _harmonic_sum(phase: np.ndarray, components: Sequence[Harmonic]) -> np.ndarray:
+    """The sum of amp * cos(2 pi h phase/100 + ph) over the components."""
+    y = np.zeros_like(phase)
+    for h, amp, ph in components:
+        y += amp * np.cos(2.0 * np.pi * h * phase / 100.0 + ph)
+    return y
+
+
 def _synth_samples(
     pct: np.ndarray,
-    harmonics: Sequence[tuple[int, float, float]],
-    hf: Sequence[tuple[int, float, float]],
+    harmonics: Sequence[Harmonic],
+    hf: Sequence[Harmonic],
     region: GaitRegion,
     shift: float,
     gain: float,
 ) -> np.ndarray:
     phase = np.mod(pct - shift, 100.0)
-    y = np.zeros_like(pct)
-    for h, amp, ph in harmonics:
-        y += amp * np.cos(2.0 * np.pi * h * phase / 100.0 + ph)
+    y = _harmonic_sum(phase, harmonics)
     if hf:
-        burst = np.zeros_like(pct)
-        for h, amp, ph in hf:
-            burst += amp * np.cos(2.0 * np.pi * h * phase / 100.0 + ph)
-        y += _region_window(phase, region) * burst
+        y += _region_window(phase, region) * _harmonic_sum(phase, hf)
     return gain * y
+
+
+def _jittered(components: Sequence[Harmonic], sd: float, rng: np.random.Generator) -> list[Harmonic]:
+    """The components with one Gaussian jitter draw added to each amplitude;
+    an empty list draws nothing."""
+    jitter = rng.normal(0.0, 1.0, len(components)) * sd
+    return [(h, amp + d, ph) for (h, amp, ph), d in zip(components, jitter)]
 
 
 def _make_subject(
     sid: str,
     label: ClassLabel,
-    template: Mapping[Joint, tuple[tuple[int, float, float], ...]],
+    template: Mapping[Joint, tuple[Harmonic, ...]],
     perturbation: PerturbationSpec,
     rng: np.random.Generator,
 ) -> Subject:
@@ -173,15 +187,9 @@ def _make_subject(
     # canonical joint order fixes the RNG draw sequence regardless of the
     # template mapping's insertion order
     for joint in (j for j in Joint if j in template):
-        # one jitter draw per harmonic amplitude, shared by both sides
-        base = template[joint]
-        jit = rng.normal(0.0, 1.0, len(base)) * jitter_sd
-        harmonics = [(h, amp + d, ph) for (h, amp, ph), d in zip(base, jit)]
-        if hf_base:
-            jit_hf = rng.normal(0.0, 1.0, len(hf_base)) * jitter_sd
-            hf = [(h, amp + d, ph) for (h, amp, ph), d in zip(hf_base, jit_hf)]
-        else:
-            hf = []
+        # one jitter draw per amplitude, shared by both sides
+        harmonics = _jittered(template[joint], jitter_sd, rng)
+        hf = _jittered(hf_base, jitter_sd, rng)
         for side, gain in ((Side.RIGHT, gain_right), (Side.LEFT, gain_left)):
             samples = _synth_samples(pct, harmonics, hf, region, shift, gain)
             try:

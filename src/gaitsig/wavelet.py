@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import ClassLabel, GaitTrajectory, Joint, Side
+from .data import ClassLabel, GaitTrajectory, Joint, Side, undecodable_as
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -265,7 +265,7 @@ def read_scalogram_csv(path) -> Scalogram:
     scales: np.ndarray | None = None
     pct: np.ndarray | None = None
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, undecodable_as(ValueError, path):
         header = csv.reader(fh, delimiter=" ")
         fields = next(header, [])
         if fields[:2] != ["#", "scalogram"]:

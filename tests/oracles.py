@@ -8,8 +8,10 @@ oracle is a frozen copy of the plain broadcast SOM update loop, the
 node-labelling oracle is a per-node loop over plain Python sums, the
 artifact writers are frozen copies of the row-by-row csv.writer and
 json.dump writers, taking plain text and arrays, the dataset error oracle
-checks a dataset CSV one row at a time, and the PGM reader matches the P5
-header with a regular expression.
+checks a dataset CSV one row at a time, the synthetic-subject oracle
+builds each trajectory's cosines one joint at a time from the written
+recipe, and the PGM reader matches the P5 header with a regular
+expression.
 """
 
 import csv
@@ -279,3 +281,46 @@ def reference_read_pgm(path):
     pixels = data[header.end() :]
     assert len(pixels) == rows * cols, (len(pixels), rows, cols)
     return np.frombuffer(pixels, dtype=np.uint8).reshape(rows, cols)
+
+
+def reference_synth_trajectory(template, seed, label, index, hf_amplitude=0.0, region="Stance",
+                               timing_shift=0.0, asymmetry_gain=1.0, jitter_sd=0.0):
+    """The angles of synthetic subject `index` of class `label`, as
+    {(joint, side): 101 samples} with the part names as text. template maps
+    joint names to (harmonic, amplitude, phase) triples.
+
+    The subject's stream is default_rng([seed, the label's UTF-8 bytes as
+    a big-endian integer, index]). Joint by joint in Hip, Knee, Ankle
+    order, it draws one standard normal per template amplitude and then,
+    with hf_amplitude > 0, one per HF amplitude; each draw times jitter_sd
+    is added to its amplitude. The HF components are harmonics 10..20 of
+    amplitude hf_amplitude/sqrt(11) and phase 0.7*h. Both sides sum
+    amp*cos(2*pi*h*phase/100 + ph) over the cycle phase (pct - timing_shift)
+    mod 100; the HF sum is added only where the region's window is 1 (Stance:
+    phase < 60, Swing: phase >= 60, Both: everywhere). Left is scaled by
+    sqrt(asymmetry_gain), right by its inverse."""
+    rng = np.random.default_rng([seed, int.from_bytes(label.encode("utf-8"), "big"), index])
+    phase = np.mod(np.linspace(0.0, 100.0, 101) - timing_shift, 100.0)
+    hf = []
+    if hf_amplitude > 0:
+        hf = [(h, hf_amplitude / math.sqrt(11), 0.7 * h) for h in range(10, 21)]
+    window = {"Stance": phase < 60.0, "Swing": phase >= 60.0, "Both": np.full(101, True)}[region]
+
+    def cosines(components):
+        amps = [amp for _, amp, _ in components] + rng.normal(0.0, 1.0, len(components)) * jitter_sd
+        total = np.zeros(101)
+        for (h, _, ph), amp in zip(components, amps):
+            total += amp * np.cos(2.0 * np.pi * h * phase / 100.0 + ph)
+        return total
+
+    out = {}
+    for joint in JOINT_ORDER:
+        if joint not in template:
+            continue
+        y = cosines(template[joint])
+        if hf:
+            y += np.where(window, 1.0, 0.0) * cosines(hf)
+        root = math.sqrt(asymmetry_gain)
+        out[(joint, "Right")] = (1.0 / root) * y
+        out[(joint, "Left")] = root * y
+    return out

@@ -320,6 +320,13 @@ class TestRunConfig:
         assert err.startswith(f"gaitsig: error: {cfg_path}: not valid JSON (Exceeds the limit"), err
         assert not (tmp_path / "out").exists()
 
+    def test_nesting_too_deep_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gaitsig: error: {cfg_path}: not valid JSON (maximum recursion depth"), err
+
     def test_negative_seed_that_nothing_uses_accepted(self):
         doc = small_config(seed=-1)
         doc["synth"]["rng_seed"] = 3
@@ -576,6 +583,16 @@ class TestRunPipeline:
 
 
 class TestSubcommandChain:
+    def test_features_names_an_undecodable_scalogram(self, tmp_path, capsys):
+        d = tmp_path / "stage"
+        assert main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)]) == 0
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--no-pgm"]) == 0
+        bad = sorted((d / "scalograms").glob("scalogram_*.csv"))[3]
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gaitsig: error: {bad}: 'utf-8' codec can't decode byte 0xff"), err
+
     def test_synth_then_stagewise_pipeline(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())
         d = tmp_path / "stage"

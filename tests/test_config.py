@@ -93,7 +93,6 @@ def synth_sections(draw):
         "rng_seed": st.one_of(st.none(), seeds),
         "template": st.one_of(st.none(), templates),
         "include_normal": st.booleans(),
-        "normal_jitter_sd": st.one_of(st.none(), numbers(0, 2)),
     }))
     form = draw(st.sampled_from(["pathology", "groups", "normal"]))
     if form == "pathology":
@@ -105,6 +104,9 @@ def synth_sections(draw):
             lambda groups: len(set(map(slug, groups))) == len(groups)))
     else:
         doc["include_normal"] = True
+    # without the Normal class, a normal_jitter_sd is refused
+    if doc.get("include_normal", True) and draw(st.booleans()):
+        doc["normal_jitter_sd"] = draw(st.one_of(st.none(), numbers(0, 2)))
     return doc
 
 
@@ -344,6 +346,19 @@ def test_last_epoch_sigma_stays_positive_within_the_bounds(sigma0):
 def test_synth_classes_a_run_cannot_use_name_the_key(synth, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict({"synth": synth})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("synth, message", [
+    ({"groups": {"Polio": {}}, "pathology_label": "Polio"},
+     "synth.pathology_label: names the label of synth.pathology, which is not given"),
+    ({"pathology_label": "Polio"}, "synth.pathology_label: names the label of synth.pathology, which is not given"),
+    ({"pathology": {}, "include_normal": False, "normal_jitter_sd": 3.0},
+     "synth.normal_jitter_sd: given with include_normal false, which generates no Normal class"),
+], ids=["label-with-groups", "label-alone", "jitter-without-normal"])
+def test_synth_keys_that_change_no_output_refused(synth, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"synth": synth, "loocv": False})
     assert str(err.value) == message
 
 

@@ -234,6 +234,12 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match="joint"):
             ingest_csv(path)
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"subject_id,label,joint,side,pct,angle_deg\ns1,Normal,Hip,Left,0.0,\xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+            ingest_csv(path)
+
     def test_wrong_header_is_schema_error(self, tmp_path):
         path = tmp_path / "d.csv"
         _write_rows(path, ["s1,Normal,Hip,Left,0.0,0.0"], header="a,b,c,d,e,f")
@@ -601,6 +607,17 @@ class TestJsonManifest:
         path = tmp_path / "m.json"
         path.write_text(json.dumps([_manifest_entry(subject_id="s0"), _manifest_entry(**fields)]))
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: subject #1:? {message}$"):
+            ingest_json(path)
+
+    @pytest.mark.parametrize("text, message", [
+        (b'[{"subject_id": "a", ', "Expecting property name enclosed in double quotes"),
+        (b'[{"subject_id": "\xff"}]', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["truncated", "undecodable", "nested-too-deep"])
+    def test_unreadable_json_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "m.json"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: not valid JSON ({message}')}"):
             ingest_json(path)
 
     def test_duplicate_subject_id_rejected(self, tmp_path):

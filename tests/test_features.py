@@ -430,6 +430,13 @@ class TestFeaturesCsvErrors:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: f000 '\\?' is not a number$"):
             read_features_csv(path)
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        _features_file(path, [{}, {}])
+        path.write_bytes(path.read_bytes().replace(b"s1", b"\xff", 1))  # the second row's subject_id
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+            read_features_csv(path)
+
     def test_train_reports_the_field(self, tmp_path, capsys):
         from gaitsig.cli import main
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint, NORMAL, Side
 from gaitsig.synth import GaitRegion, PerturbationSpec, SynthSpec, generate
 
-from oracles import band_energy_above
+from oracles import band_energy_above, reference_synth_trajectory
 
 HIP_R = (Joint.HIP, Side.RIGHT)
 HIP_L = (Joint.HIP, Side.LEFT)
@@ -33,6 +33,11 @@ class TestSpecValidation:
     def test_something_to_generate(self):
         with pytest.raises(ValueError, match="generates nothing"):
             SynthSpec(n_subjects=1, rng_seed=0, include_normal=False)
+
+    def test_normal_jitter_sd_refused_without_the_normal_class(self):
+        with pytest.raises(ValueError, match="^normal_jitter_sd: given with include_normal false"):
+            SynthSpec(n_subjects=1, rng_seed=0, groups={CP_DP: PerturbationSpec()},
+                      include_normal=False, normal_jitter_sd=3.0)
 
     @pytest.mark.parametrize("jitter", [-1.0, float("nan")])
     def test_normal_jitter_sd_non_negative(self, jitter):
@@ -170,6 +175,45 @@ class TestGenerate:
             rng_seed=seed,
         )
         _identical_datasets(generate(spec), generate(spec))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        template=st.dictionaries(
+            st.sampled_from(Joint),
+            st.lists(st.tuples(st.integers(0, 15), st.floats(-40, 40), st.floats(-4, 4)), max_size=4),
+            min_size=1,
+        ),
+        label=st.sampled_from(["CP-dp", "Polio", "pt group 2"]),
+        seed=st.integers(0, 2**32 - 1),
+        jitter_sd=st.just(0.0) | st.floats(0, 3),
+        hf_amplitude=st.just(0.0) | st.floats(0, 20),
+        region=st.sampled_from(GaitRegion),
+        timing_shift=st.just(0.0) | st.floats(0, 100),
+        asymmetry_gain=st.just(1.0) | st.floats(0.25, 4),
+    )
+    def test_matches_the_reference_recipe_bit_for_bit(
+        self, template, label, seed, jitter_sd, hf_amplitude, region, timing_shift, asymmetry_gain
+    ):
+        pert = PerturbationSpec(hf_amplitude=hf_amplitude, hf_phase_region=region, asymmetry_gain=asymmetry_gain,
+                                timing_shift=timing_shift, jitter_sd=jitter_sd)
+        spec = SynthSpec(n_subjects=2, rng_seed=seed, template=template, groups={ClassLabel(label): pert},
+                         include_normal=False)
+        names = {j.value: hs for j, hs in template.items()}
+        expected = [
+            reference_synth_trajectory(names, seed, label, k, hf_amplitude, region.value, timing_shift,
+                                       asymmetry_gain, jitter_sd)
+            for k in range(2)
+        ]
+        if max(np.abs(y).max() for subject in expected for y in subject.values()) > 180.0:
+            with pytest.raises(ValueError, match=r"\|angle\| must be <= 180.0 degrees$"):
+                generate(spec)
+            return
+        subjects = generate(spec)
+        for subject, parts in zip(subjects, expected):
+            got = {(j.value, s.value): t.samples for (j, s), t in subject.trajectories.items()}
+            assert got.keys() == parts.keys()
+            for part, y in parts.items():
+                assert got[part].tobytes() == y.tobytes(), part
 
 
 class TestGenerateGroups:

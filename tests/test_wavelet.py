@@ -358,6 +358,15 @@ class TestScalogramCsv:
         with pytest.raises(ValueError, match=r"sc\.csv:6: could not convert"):
             read_scalogram_csv(path)
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "sc.csv"
+        write_scalogram_csv(cwt(make_traj(np.zeros(101))), path)
+        data = path.read_bytes()
+        last = data.rindex(b"\n", 0, -1) + 1  # a byte of the last matrix row
+        path.write_bytes(data[:last] + b"\xff" + data[last + 1:])
+        with pytest.raises(ValueError, match=r"sc\.csv: 'utf-8' codec can't decode byte 0xff"):
+            read_scalogram_csv(path)
+
 
 class TestPgm:
     def test_min_max_normalization(self):
