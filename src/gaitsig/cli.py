@@ -76,9 +76,8 @@ def _apply_overrides(doc: dict, args) -> dict:
                 node = doc[section] = dict(current or {})
             node[name] = v
     if getattr(args, "input", None) is not None:
-        for source in ("input_csv", "input_json", "synth"):
-            doc.pop(source, None)
-        doc["input_json" if args.input.endswith(".json") else "input_csv"] = args.input
+        doc.pop("synth", None)
+        doc["input"] = args.input
     return doc
 
 

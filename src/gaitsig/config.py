@@ -69,8 +69,7 @@ _IS_KIND = {
 # 128x128 map of 960-value vectors peaks at about 540 MB.
 CONFIG = {
     "seed": (INTEGER, 0),
-    "input_csv": (STRING, None),
-    "input_json": (STRING, None),
+    "input": (STRING, None),           # no input file; a .json name is a manifest
     "synth": (OBJECT, None),           # no synthetic input
     "joints": (STRINGS, ["Hip"]),
     "sides": (STRINGS, ["Right", "Left"]),
@@ -294,8 +293,7 @@ class RunConfig:
     cluster_threshold: float | None
     write_pgm: bool
     loocv: bool
-    input_csv: str | None
-    input_json: str | None
+    input: str | None
     synth: SynthSpec | None
 
 
@@ -339,11 +337,10 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         cluster_threshold=top["cluster_threshold"],
         write_pgm=top["write_pgm"],
         loocv=top["loocv"],
-        input_csv=top["input_csv"],
-        input_json=top["input_json"],
+        input=top["input"],
         synth=synth,
     )
-    if sum(x is not None for x in (cfg.input_csv, cfg.input_json, cfg.synth)) > 1:
+    if cfg.input is not None and cfg.synth is not None:
         raise ConfigError("config must name exactly one input source")
     return cfg
 
@@ -370,8 +367,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         }
     return {
         "seed": cfg.seed,
-        "input_csv": cfg.input_csv,
-        "input_json": cfg.input_json,
+        "input": cfg.input,
         "synth": synth,
         "joints": [j.value for j in cfg.joints],
         "sides": [s.value for s in cfg.sides],

@@ -63,13 +63,17 @@ def part_sort_key(joint: Joint, side: Side) -> tuple[int, int]:
 @dataclass(frozen=True)
 class ClassLabel:
     """Diagnostic class. Known values sort in declaration order; any other
-    non-empty string is an "other" label sorting after the known ones."""
+    non-empty UTF-8 text is an "other" label sorting after the known ones."""
 
     value: str
 
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("class label must be a non-empty string")
+        try:
+            self.value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"class label {self.value!r} is not valid UTF-8 text") from None
 
     @property
     def sort_key(self) -> tuple[int, str]:
@@ -364,12 +368,12 @@ def ingest_csv(path) -> list[Subject]:
     return subjects
 
 
-def csv_fields(fields: Sequence[str], quote_all: bool) -> str:
-    """fields as the csv module writes them in one row, without the line
-    end: quoted where needed, or every one quoted when quote_all is set."""
+def csv_fields(fields: Sequence[str], delimiter: str = ",") -> str:
+    """fields as the csv module writes them in one record, without the line
+    end: quoted where needed, or every one quoted when needs_quote_all."""
     line = io.StringIO()
-    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
-    csv.writer(line, lineterminator="\n", quoting=quoting).writerow(fields)
+    quoting = csv.QUOTE_ALL if needs_quote_all(*fields) else csv.QUOTE_MINIMAL
+    csv.writer(line, delimiter=delimiter, lineterminator="\n", quoting=quoting).writerow(fields)
     return line.getvalue()[:-1]
 
 
@@ -392,15 +396,14 @@ def write_csv(subjects: Sequence[Subject], path) -> None:
         # (grid size, quote) -> each row's text between the part and the angle
         pct_cells: dict[tuple[int, str], list[str]] = {}
         for subj in subjects:
-            quote_all = needs_quote_all(subj.id, subj.label.value)
-            q = '"' if quote_all else ""
+            q = '"' if needs_quote_all(subj.id, subj.label.value) else ""
             for joint, side in subj.sorted_parts():
                 traj = subj.trajectories[(joint, side)]
                 cells = pct_cells.get((traj.grid_size, q))
                 if cells is None:
                     cells = [f",{q}{p!r}{q},{q}" for p in traj.pct_axis.tolist()]
                     pct_cells[(traj.grid_size, q)] = cells
-                lead = csv_fields([subj.id, subj.label.value, joint.value, side.value], quote_all)
+                lead = csv_fields([subj.id, subj.label.value, joint.value, side.value])
                 rows = map(str.__add__, cells, map(float.__repr__, traj.samples.tolist()))
                 fh.write(lead + f"{q}\n{lead}".join(rows) + q + "\n")
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClassLabel, csv_fields, needs_quote_all
+from .data import ClassLabel, csv_fields
 from .features import FeatureVector
 from .pool import fork_map
 from .som import SomMap, TrainSchedule, best_match, init, train
@@ -200,6 +200,6 @@ def write_confusion_csv(report: EvalReport, path) -> None:
     label text reads back."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         names = [c.value for c in report.classes]
-        fh.write(csv_fields(["true\\predicted", *names], needs_quote_all(*names)) + "\n")
+        fh.write(csv_fields(["true\\predicted", *names]) + "\n")
         for name, row in zip(names, report.confusion):
-            fh.write(csv_fields([name, *(str(int(v)) for v in row)], needs_quote_all(name)) + "\n")
+            fh.write(csv_fields([name, *(str(int(v)) for v in row)]) + "\n")

@@ -215,26 +215,38 @@ TEXT_COLUMNS = ("subject_id", "label", "level", "parts")
 def write_features_csv(vectors: Sequence[FeatureVector], path) -> None:
     """Write the feature matrix as the csv module writes it, one row at a
     time, so any subject id and label text reads back unchanged; ids
-    without a comma, quote or line break give plain comma-joined rows."""
+    without a comma, quote or line break give plain comma-joined rows.
+    Mixed levels or parts and a repeated subject_id, which read_features_csv
+    refuses, are refused before the file is opened."""
     if not vectors:
         raise ValueError("no feature vectors to write")
-    width = len(vectors[0].values)
+    rows = [[v.subject_id, str(v.label or ""), v.level.value, _parts_token(v.parts)] for v in vectors]
+    seen = set()
+    for row in rows:
+        _check_like_first(row, rows[0], f"subject {row[0]!r}: ")
+        if row[0] in seen:
+            raise ValueError(f"subject_id {row[0]!r} repeats")
+        seen.add(row[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(
             f"# layout: n_time={N_TIME_SAMPLES} n_scale={N_SCALE_SAMPLES} "
             "per part, time-major, parts concatenated in canonical order\n"
         )
-        fh.write(",".join([*TEXT_COLUMNS, *(f"f{i:03d}" for i in range(width))]) + "\n")
-        for v in vectors:
-            if len(v.values) != width:
-                raise ValueError("feature vectors have mixed lengths")
-            label = v.label.value if v.label is not None else ""
-            quote_all = needs_quote_all(v.subject_id, label)
-            lead = csv_fields([v.subject_id, label, v.level.value, _parts_token(v.parts)], quote_all)
+        fh.write(",".join([*TEXT_COLUMNS, *(f"f{i:03d}" for i in range(len(vectors[0].values)))]) + "\n")
+        for v, row in zip(vectors, rows):
             cells = map(float.__repr__, v.values.tolist())
-            if quote_all:
+            if needs_quote_all(*row):
                 cells = map('"{}"'.format, cells)
-            fh.write(",".join([lead, *cells]) + "\n")
+            fh.write(",".join([csv_fields(row), *cells]) + "\n")
+
+
+def _check_like_first(row: list[str], first: list[str], where: str = "") -> None:
+    """Refuse a features.csv row, naming it by where, whose level or parts
+    differ from the first row's (texts equal exactly when the values do)."""
+    for name in ("level", "parts"):
+        col = TEXT_COLUMNS.index(name)
+        if row[col] != first[col]:
+            raise ValueError(f"{where}{name} {row[col]!r} differs from the first row's {first[col]!r}")
 
 
 def _feature_row(row: list[str]) -> FeatureVector:
@@ -293,10 +305,7 @@ def read_features_csv(path) -> list[FeatureVector]:
             try:
                 vectors.append(_feature_row(row))
                 first = first or row
-                for name in ("level", "parts"):  # texts equal exactly when the parsed values do
-                    col = TEXT_COLUMNS.index(name)
-                    if row[col] != first[col]:
-                        raise ValueError(f"{name} {row[col]!r} differs from the first row's {first[col]!r}")
+                _check_like_first(row, first)
                 if lines.setdefault(row[0], rows.line_num) != rows.line_num:
                     raise ValueError(f"subject_id {row[0]!r} repeats line {lines[row[0]]}")
             except ValueError as exc:

@@ -42,13 +42,13 @@ RUN_ARTIFACTS = {
 }
 
 
-def remove_artifacts(stage: str, out_dir: Path, inputs=()) -> None:
+def remove_artifacts(stage: str, out_dir: Path, keep=None) -> None:
     """Delete the files under out_dir that `stage` writes, except the
-    input files named in `inputs` (None names none)."""
-    keep = {Path(p).resolve() for p in inputs if p is not None}
+    input file `keep` (None keeps none)."""
+    keep = None if keep is None else Path(keep).resolve()
     for pattern in RUN_ARTIFACTS[stage]:
         for path in out_dir.glob(pattern):
-            if path.resolve() not in keep:
+            if path.resolve() != keep:
                 path.unlink()
 
 
@@ -58,25 +58,25 @@ class StageError(RuntimeError):
 
 
 def _require_input(cfg: RunConfig) -> None:
-    if cfg.input_csv is None and cfg.input_json is None and cfg.synth is None:
-        raise ConfigError("config needs an input: input_csv, input_json, or synth")
+    if cfg.input is None and cfg.synth is None:
+        raise ConfigError("config needs an input: input or synth")
 
 
 def load_dataset(cfg: RunConfig) -> list[gd.Subject]:
     """The subjects of cfg's one input source: generated from its synth
-    section, or read from its dataset CSV or JSON manifest."""
+    section, or read from its JSON manifest (a .json name) or dataset CSV."""
     _require_input(cfg)
     if cfg.synth is not None:
         return synth.generate(cfg.synth)
-    if cfg.input_csv is not None:
-        return gd.ingest_csv(cfg.input_csv)
-    return gd.ingest_json(cfg.input_json)
+    if cfg.input.endswith(".json"):
+        return gd.ingest_json(cfg.input)
+    return gd.ingest_csv(cfg.input)
 
 
 def write_dataset(cfg: RunConfig, out_dir: Path) -> list[gd.Subject]:
     """The dataset stage: load cfg's input source and write it on the
     canonical grid as out_dir/dataset.csv."""
-    remove_artifacts("dataset", out_dir, (cfg.input_csv, cfg.input_json))
+    remove_artifacts("dataset", out_dir, cfg.input)
     subjects = load_dataset(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     gd.write_csv(subjects, out_dir / "dataset.csv")
@@ -165,12 +165,6 @@ def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> list[ft.Fea
     for part in fork_map(partial(_part_vector, level), paths):
         by_subject.setdefault(part.subject_id, []).append(part)
     vectors = [ft.combine_joints(by_subject[sid]) for sid in sorted(by_subject)]
-    expected = vectors[0].parts
-    for v in vectors:
-        if v.parts != expected:
-            raise ConfigError(
-                f"subject {v.subject_id!r} has parts {v.parts}, expected {expected}"
-            )
     out_dir.mkdir(parents=True, exist_ok=True)
     ft.write_features_csv(vectors, out_dir / "features.csv")
     return vectors
@@ -245,15 +239,14 @@ def _stage(name: str, out_dir: Path):
 def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
     # input preconditions checked before anything is written
     _require_input(cfg)
-    for path in (cfg.input_csv, cfg.input_json):
-        if path is not None and not Path(path).is_file():
-            raise ConfigError(f"input file not found: {path}")
+    if cfg.input is not None and not Path(cfg.input).is_file():
+        raise ConfigError(f"input file not found: {cfg.input}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "FAILED").unlink(missing_ok=True)
     for stage in RUN_ARTIFACTS:
         # keeps the run's input, e.g. an earlier run's dataset.csv
-        remove_artifacts(stage, out_dir, (cfg.input_csv, cfg.input_json))
+        remove_artifacts(stage, out_dir, cfg.input)
     scalogram_dir = out_dir / "scalograms"
     if scalogram_dir.is_dir() and not any(scalogram_dir.iterdir()):
         scalogram_dir.rmdir()

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import ClassLabel, GaitTrajectory, Joint, Side, undecodable_as
+from .data import ClassLabel, GaitTrajectory, Joint, Side, csv_fields, undecodable_as
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -250,11 +250,8 @@ def write_scalogram_csv(sc: Scalogram, path) -> None:
         f"joint={sc.joint.value}",
         f"side={sc.side.value}",
     ]
-    # the writer may leave a lone "\r" unquoted (Python 3.11 does), and a
-    # reader would end the record there
-    quoting = csv.QUOTE_ALL if any("\r" in f or "\n" in f for f in header) else csv.QUOTE_MINIMAL
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=" ", lineterminator="\n", quoting=quoting).writerow(header)
+        fh.write(csv_fields(header, " ") + "\n")
         fh.write("# scales=" + ",".join(map(repr, sc.scale_axis.scales.tolist())) + "\n")
         fh.write("# pct=" + ",".join(map(repr, sc.time_axis.tolist())) + "\n")
         for row in sc.values.tolist():

@@ -116,22 +116,40 @@ class TestRunConfig:
         out = tmp_path / "out"
         argv = ["run", "--config", str(write_config(tmp_path, {"seed": 1})), "--out", str(out)]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "gaitsig: error: config needs an input: input_csv, input_json, or synth\n"
+        assert capsys.readouterr().err == "gaitsig: error: config needs an input: input or synth\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, synth, key", [
+        ("run", {"n_subjects": 2, "groups": {"\ud800": {}}}, "synth.groups[\ud800]"),
+        ("synth", {"n_subjects": 2, "pathology": {}, "pathology_label": "\udfff"}, "synth.pathology_label"),
+    ])
+    def test_label_utf8_cannot_encode_fails_before_output(self, tmp_path, command, synth, key):
+        # in a child process: stderr writes a lone surrogate as its
+        # backslash escape, where pytest's captured stream would refuse it
+        cfg_path = write_config(tmp_path, {"synth": synth, "loocv": False})
+        out = tmp_path / "out"
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "gaitsig", command, "--config", str(cfg_path), "--out", str(out)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        label = synth.get("pathology_label") or next(iter(synth["groups"]))
+        message = f"gaitsig: error: {key}: class label {label!r} is not valid UTF-8 text\n"
+        assert (done.returncode, done.stderr) == (1, message.encode("utf-8", "backslashreplace").decode())
         assert not out.exists()
 
     def test_document_without_input_parses(self):
         cfg = config_from_dict({"seed": 1})
-        assert (cfg.input_csv, cfg.input_json, cfg.synth) == (None, None, None)
+        assert (cfg.input, cfg.synth) == (None, None)
 
     def test_stage_refuses_two_sources(self, tmp_path, capsys):
-        cfg_path = str(write_config(tmp_path, small_config(input_csv="x.csv")))
+        cfg_path = str(write_config(tmp_path, small_config(input="x.csv")))
         argv = ["train", "--features", str(tmp_path / "features.csv"), "--config", cfg_path]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "gaitsig: error: config must name exactly one input source\n"
 
     def test_two_sources_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
-            config_from_dict(small_config(input_csv="x.csv"))
+            config_from_dict(small_config(input="x.csv"))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -175,7 +193,7 @@ class TestRunConfig:
             ({"som": {"alpha0": "0.5"}}, 'som.alpha0: must be a number, got "0.5"'),
             ({"synth": {"n_subjects": 2.5}}, "synth.n_subjects: must be an integer, got 2.5"),
             ({"wavelet": {"scales": {"count": 12.9}}}, "wavelet.scales.count: must be an integer, got 12.9"),
-            ({"input_csv": 5}, "input_csv: must be a string, got 5"),
+            ({"input": 5}, "input: must be a string, got 5"),
             ({"som": {"kernel": "x"}}, "som.kernel: 'x' is not a valid Kernel"),
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[40, 1.0, 0.0]]}}},
              r"synth.template.Hip: harmonic index 40 outside \[0, 15\]"),
@@ -404,7 +422,7 @@ class TestRunPipeline:
         assert "input" in capsys.readouterr().err
 
     def test_missing_input_file_fails_before_output(self, tmp_path, capsys):
-        cfg = {"seed": 1, "input_csv": str(tmp_path / "nope.csv")}
+        cfg = {"seed": 1, "input": str(tmp_path / "nope.csv")}
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -414,7 +432,7 @@ class TestRunPipeline:
     def test_stage_error_writes_failed_marker(self, tmp_path, capsys):
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("subject_id,label,joint,side,pct,angle_deg\ns1,Normal,Hip,Left,0.0,nan\n")
-        cfg = {"seed": 1, "input_csv": str(bad_csv), "som": {"rows": 4, "cols": 4}}
+        cfg = {"seed": 1, "input": str(bad_csv), "som": {"rows": 4, "cols": 4}}
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -437,7 +455,7 @@ class TestRunPipeline:
         assert capsys.readouterr().err == f"gaitsig: [dataset] {message}\n"
 
     def test_colliding_file_stems_rejected(self, tmp_path, capsys):
-        cfg = {"seed": 1, "input_csv": str(write_colliding_dataset(tmp_path)),
+        cfg = {"seed": 1, "input": str(write_colliding_dataset(tmp_path)),
                "joints": ["Hip"], "sides": ["Right"], "som": {"rows": 2, "cols": 2}}
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
@@ -527,7 +545,7 @@ class TestRunPipeline:
         (out / "notes.txt").write_text("mine\n")
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("subject_id,label,joint,side,pct,angle_deg\ns1,Normal,Hip,Left,0.0,nan\n")
-        cfg_path = write_config(tmp_path, {"seed": 1, "input_csv": str(bad_csv)}, "bad.json")
+        cfg_path = write_config(tmp_path, {"seed": 1, "input": str(bad_csv)}, "bad.json")
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.rglob("*")) == ["FAILED", "notes.txt", "resolved_config.json"]
         assert (out / "notes.txt").read_text() == "mine\n"
@@ -536,7 +554,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
         before = tree_bytes(out)
-        doc = {"seed": 7, "input_csv": str(out / "dataset.csv"), "joints": ["Hip"], "sides": ["Right"],
+        doc = {"seed": 7, "input": str(out / "dataset.csv"), "joints": ["Hip"], "sides": ["Right"],
                "som": {"rows": 4, "cols": 4, "epochs": 30}, "loocv": True}
         assert main(["run", "--config", str(write_config(tmp_path, doc, "again.json")), "--out", str(out)]) == 0
         after = tree_bytes(out)
@@ -658,7 +676,7 @@ class TestSubcommandChain:
         cfg_path = write_config(tmp_path, small_config())
         d = tmp_path / "stage"
         assert main(["synth", "--config", str(cfg_path), "--out", str(d)]) == 0
-        missing = write_config(tmp_path, {"input_json": str(tmp_path / "none.json"), "joints": ["Knee"]}, "m.json")
+        missing = write_config(tmp_path, {"input": str(tmp_path / "none.json"), "joints": ["Knee"]}, "m.json")
         for config, part, count in ((cfg_path, "_Hip_Right", 8), (missing, "_Knee_", 16)):
             assert main(["cwt", "--config", str(config), "--input", str(d / "dataset.csv"), "--out", str(d)]) == 0
             names = [p.name for p in (d / "scalograms").glob("scalogram_*.csv")]
@@ -711,7 +729,7 @@ class TestSubcommandChain:
             for side in ("Right", "Left"):
                 lines += [f"{sid},{label},Hip,{side},{pct}.0,{20.0 * math.sin(pct / 16.0)!r}" for pct in range(101)]
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        cfg_path = str(write_config(tmp_path, {"input_csv": str(data), "joints": ["Hip", "Knee"]}))
+        cfg_path = str(write_config(tmp_path, {"input": str(data), "joints": ["Hip", "Knee"]}))
         message = "subject 's1' lacks a Knee/Right trajectory"
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == f"gaitsig: [cwt] {message}\n"
@@ -723,6 +741,23 @@ class TestSubcommandChain:
         # without --config, --joints and --sides: every part each subject has
         assert main(["cwt", "--input", str(data), "--out", str(out), "--no-pgm"]) == 0
         assert len(list((out / "scalograms").glob("scalogram_*_Hip_*.csv"))) == 4
+
+    def test_features_refuses_subjects_with_other_parts(self, tmp_path, capsys):
+        # cwt without --config, --joints and --sides takes the parts each
+        # subject has, so s1's scalograms cover a part that s2's lack
+        data = tmp_path / "parts.csv"
+        lines = ["subject_id,label,joint,side,pct,angle_deg"]
+        for sid, label, joints in (("s1", "Normal", ("Hip", "Knee")), ("s2", "CP-dp", ("Hip",))):
+            for joint in joints:
+                lines += [f"{sid},{label},{joint},Right,{pct}.0,{20.0 * math.sin(pct / 16.0)!r}" for pct in range(101)]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "stage"
+        assert main(["cwt", "--input", str(data), "--out", str(out), "--no-pgm"]) == 0
+        capsys.readouterr()
+        assert main(["features", "--scalograms", str(out / "scalograms"), "--out", str(out)]) == 1
+        message = "subject 's2': parts 'Hip:Right' differs from the first row's 'Hip:Right|Knee:Right'"
+        assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
+        assert not (out / "features.csv").exists()
 
     def test_cwt_colliding_file_stems_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

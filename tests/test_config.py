@@ -151,8 +151,8 @@ def documents(draw):
         "write_pgm": st.booleans(),
         "loocv": st.booleans(),
     }))
-    source = draw(st.sampled_from(["input_csv", "input_json", "synth"]))
-    doc[source] = draw(synth_sections()) if source == "synth" else "data." + source[6:]
+    source = draw(st.sampled_from(["input", "synth"]))
+    doc[source] = draw(synth_sections()) if source == "synth" else draw(st.sampled_from(["data.csv", "data.json"]))
     if source == "synth" and synth_classes(doc["synth"]) < 2:
         doc["loocv"] = False  # leave-one-out needs 2 classes
     return doc
@@ -182,7 +182,7 @@ def test_resolved_config_is_a_fixed_point(doc):
 
 
 def test_omitted_keys_resolve_to_the_table_defaults():
-    resolved = config_to_dict(config_from_dict({"input_csv": "data.csv"}))
+    resolved = config_to_dict(config_from_dict({"input": "data.csv"}))
     for section, table in ((None, CONFIG), ("wavelet", WAVELET), ("features", FEATURES), ("som", SOM)):
         values = resolved if section is None else resolved[section]
         for key, (kind, default, *_) in table.items():
@@ -240,7 +240,7 @@ def test_listed_numbers_must_be_finite(doc, message):
 
 
 def test_resolved_config_written_as_standard_json(tmp_path):
-    cfg = config_from_dict({"input_csv": "data.csv"})
+    cfg = config_from_dict({"input": "data.csv"})
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_resolved_config(dataclasses.replace(cfg, cluster_threshold=math.nan), tmp_path / "c.json")
 
@@ -373,8 +373,7 @@ def test_one_class_synth_accepted_without_loocv():
 # degrees. The keys that size the work are always drawn.
 TINY = {
     "seed": seeds,
-    "input_csv": st.none(),
-    "input_json": st.none(),
+    "input": st.none(),
     "joints": st.lists(names(Joint), min_size=1, max_size=3, unique=True),
     "sides": st.lists(st.sampled_from(["Right", "Left"]), min_size=1, max_size=2, unique=True),
     "cluster_threshold": st.one_of(st.none(), numbers(0, 2)),

@@ -109,6 +109,12 @@ class TestClassLabel:
         with pytest.raises(ValueError):
             ClassLabel("")
 
+    @pytest.mark.parametrize("text", ["\ud800", "CP-\udfff"])
+    def test_text_utf8_cannot_encode_rejected(self, text):
+        with pytest.raises(ValueError) as err:
+            ClassLabel(text)
+        assert str(err.value) == f"class label {text!r} is not valid UTF-8 text"
+
 
 class TestResample:
     def test_constant_invariant(self):

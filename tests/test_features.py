@@ -359,7 +359,7 @@ class TestFeaturesCsv:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        texts=st.lists(st.tuples(_TEXT, st.none() | _TEXT), min_size=1, max_size=3),
+        texts=st.lists(st.tuples(_TEXT, st.none() | _TEXT), min_size=1, max_size=3, unique_by=lambda t: t[0]),
         parts=st.lists(st.sampled_from(_PARTS), min_size=1, max_size=2, unique=True),
         level=st.sampled_from(Level),
         data=st.data(),
@@ -429,6 +429,29 @@ class TestFeaturesCsvErrors:
         _features_file(path, [{"subject_id": '"a\nb"'}, {"f000": "?"}])
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: f000 '\\?' is not a number$"):
             read_features_csv(path)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"parts": ((Joint.HIP, Side.RIGHT),)},
+             "subject 's2': parts 'Hip:Right' differs from the first row's 'Hip:Right|Knee:Right'"),
+            ({"level": Level.LOW_SCALE}, "subject 's2': level 'LowScale' differs from the first row's 'HighScale'"),
+            ({"parts": ((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT), (Joint.KNEE, Side.RIGHT))},
+             "subject 's2': parts 'Hip:Right|Hip:Left|Knee:Right' differs from the first row's 'Hip:Right|Knee:Right'"),
+            ({"subject_id": "s1"}, "subject_id 's1' repeats"),
+        ],
+        ids=["parts", "level", "length", "repeated-id"],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, second, message):
+        def vector(subject_id="s1", parts=((Joint.HIP, Side.RIGHT), (Joint.KNEE, Side.RIGHT)),
+                   level=Level.HIGH_SCALE):
+            return FeatureVector(values=np.ones(SINGLE_JOINT_LENGTH * len(parts)), subject_id=subject_id,
+                                 parts=parts, level=level, label=NORMAL)
+
+        path = tmp_path / "features.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_features_csv([vector(), vector(**{"subject_id": "s2", **second})], path)
+        assert not path.exists()
 
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "features.csv"

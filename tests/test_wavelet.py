@@ -326,6 +326,18 @@ class TestScalogramCsv:
         first = (tmp_path / "sc.csv").read_text(encoding="utf-8").split("\n")[0]
         assert first == "# scalogram subject=pt-0.b label=CP-dp joint=Hip side=Right"
 
+    @pytest.mark.parametrize("sid, record", [
+        ("a\nb", '# scalogram "subject=a\nb" "label=CP dp" joint=Hip side=Right'),
+        ("a\rb", '"#" "scalogram" "subject=a\rb" "label=CP dp" "joint=Hip" "side=Right"'),
+    ], ids=["line-feed", "carriage-return"])
+    def test_header_quoted_as_every_csv_record(self, tmp_path, sid, record):
+        # a "\r" quotes every field, as in dataset.csv and features.csv;
+        # otherwise only the fields that need it are quoted
+        sc = replace(cwt(make_traj(np.zeros(101))), subject_id=sid, label=ClassLabel("CP dp"))
+        write_scalogram_csv(sc, tmp_path / "sc.csv")
+        assert (tmp_path / "sc.csv").read_bytes().startswith(f"{record}\n# scales=".encode())
+        assert read_scalogram_csv(tmp_path / "sc.csv").subject_id == sid
+
     @settings(max_examples=60, deadline=None)
     @given(sid=st.text(), label=st.none() | st.text(min_size=1))
     @example(sid="pt 0, visit=2", label="CP dp")
