@@ -216,8 +216,7 @@ def write_features_csv(vectors: Sequence[FeatureVector], path) -> None:
     """Write the feature matrix as the csv module writes it, one row at a
     time, so any subject id and label text reads back unchanged; ids
     without a comma, quote or line break give plain comma-joined rows.
-    Mixed levels or parts and a repeated subject_id, which read_features_csv
-    refuses, are refused before the file is opened."""
+    Mixed levels or parts and repeated ids are refused before path opens."""
     if not vectors:
         raise ValueError("no feature vectors to write")
     rows = [[v.subject_id, str(v.label or ""), v.level.value, _parts_token(v.parts)] for v in vectors]

@@ -682,6 +682,21 @@ class TestSubcommandChain:
             names = [p.name for p in (d / "scalograms").glob("scalogram_*.csv")]
             assert len(names) == count and all(part in n for n in names)
 
+    def test_input_read_by_its_name(self, tmp_path):
+        # a name ending in .json is a JSON manifest, any other a dataset CSV
+        d = tmp_path / "synth"
+        assert main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)]) == 0
+        manifest = [
+            {"subject_id": s.id, "label": s.label.value, "trajectories": [
+                {"joint": j.value, "side": side.value, "angle_deg": s.trajectories[(j, side)].samples.tolist()}
+                for j, side in s.sorted_parts()]}
+            for s in ingest_csv(d / "dataset.csv")
+        ]
+        (tmp_path / "d.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for path in (tmp_path / "d.json", d / "dataset.csv"):
+            pipeline.write_dataset(config_from_dict({"input": str(path)}), tmp_path / "out")
+            assert (tmp_path / "out" / "dataset.csv").read_bytes() == (d / "dataset.csv").read_bytes()
+
     def test_stage_config_validated_in_full(self, tmp_path, capsys):
         doc = small_config()
         doc["synth"]["typo"] = 1
