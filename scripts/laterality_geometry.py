@@ -27,8 +27,9 @@ def main(run_dir: Path) -> int:
     ids = np.loadtxt(run_dir / "clusters.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)[:, 2]
     coords = som.grid_coords()
     nodes = {}
-    for v in read_features_csv(run_dir / "features.csv"):
-        nodes.setdefault(v.label, []).append(best_match(som, v.values))
+    features = read_features_csv(run_dir / "features.csv")
+    for label, row in zip(features.labels, features.values):
+        nodes.setdefault(label, []).append(best_match(som, row))
     hits = {label: {int(ids[n]) for n in nodes[label]} for label in (CP_LH, CP_RH, CP_DP)}
     centroid = {label: coords[nodes[label]].mean(axis=0) for label in hits}
     for label, (row, col) in centroid.items():

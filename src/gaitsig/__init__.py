@@ -24,13 +24,7 @@ from .data import (
     write_csv,
 )
 from .evaluate import EvalReport, kappa, label_nodes, loocv
-from .features import (
-    FeatureVector,
-    Level,
-    combine_joints,
-    extract_features,
-    split_regions,
-)
+from .features import FeatureMatrix, Level, extract_features, split_regions
 from .som import (
     BORDER,
     InitMode,

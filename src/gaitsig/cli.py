@@ -117,18 +117,18 @@ def cmd_cwt(args) -> int:
 def cmd_features(args) -> int:
     cfg = _config(args)
     out = Path(args.out)
-    vectors = pl.write_features(args.scalograms, cfg.level, out)
-    print(f"wrote {len(vectors)} feature vectors -> {out / 'features.csv'}")
+    matrix = pl.write_features(args.scalograms, cfg.level, out)
+    print(f"wrote {len(matrix.subject_ids)} feature vectors -> {out / 'features.csv'}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    vectors = ft.read_features_csv(args.features)
+    matrix = ft.read_features_csv(args.features)
     out = Path(args.out)
-    _, ids = pl.write_map(vectors, cfg, out)
+    _, ids = pl.write_map(matrix, cfg, out)
     print(
-        f"trained {cfg.som_rows}x{cfg.som_cols} map on {len(vectors)} vectors; "
+        f"trained {cfg.som_rows}x{cfg.som_cols} map on {len(matrix.subject_ids)} vectors; "
         f"{pl.count_clusters(ids)} clusters -> {out}"
     )
     return 0

@@ -233,7 +233,8 @@ def _synth(doc: Any, seed: int) -> SynthSpec:
     groups = {}
     if s["groups"] is not None:
         for label_text, pdoc in s["groups"].items():
-            where = f"synth.groups[{label_text}]"
+            # a lone surrogate, which UTF-8 cannot encode, as its escape
+            where = f"synth.groups[{label_text.encode('utf-8', 'backslashreplace').decode()}]"
             groups[_member(ClassLabel, label_text, where)] = _perturbation(pdoc, where)
     elif s["pathology"] is not None:
         label = CP_DP if s["pathology_label"] is None else _member(

@@ -17,7 +17,6 @@ arithmetic is that of a serial run, so the report is the same.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -25,27 +24,27 @@ from typing import Sequence
 import numpy as np
 
 from .data import ClassLabel, csv_fields
-from .features import FeatureVector
+from .features import FeatureMatrix
 from .pool import fork_map
 from .som import SomMap, TrainSchedule, best_match, init, train
 
 
-def label_nodes(som: SomMap, training: Sequence[FeatureVector]) -> tuple[ClassLabel, ...]:
-    """Node labels: the majority label of the training vectors each node
+def label_nodes(som: SomMap, x: np.ndarray, labels: Sequence[ClassLabel]) -> tuple[ClassLabel, ...]:
+    """Node labels: the majority label of the training rows x each node
     best matches, and for a node that matches none, the label of the
     nearest labeled node."""
     if not som.trained:
         raise RuntimeError("cannot label an untrained map")
-    if not training:
+    if len(x) == 0:
         raise ValueError("training set must be non-empty")
-    if any(fv.label is None for fv in training):
+    if any(label is None for label in labels):
         raise ValueError("training vectors must be labeled")
 
-    classes = sorted({fv.label for fv in training})
+    classes = sorted(set(labels))
     column = {label: j for j, label in enumerate(classes)}
     hits = np.zeros((som.n_nodes, len(classes)), dtype=int)  # node x class vote
-    for fv in training:
-        hits[best_match(som, fv.values), column[fv.label]] += 1
+    for row, label in zip(x, labels, strict=True):
+        hits[best_match(som, row), column[label]] += 1
     # argmin and argmax take the first extreme: a tied vote goes to the
     # lowest class, and an unhit node to the nearest hit node of lowest
     # index; a hit node is its own nearest, at grid distance 0
@@ -100,47 +99,41 @@ class EvalReport:
             raise ValueError("kappa must be in [-1, 1]")
 
 
-def _fold(
-    data: Sequence[FeatureVector], schedule: TrainSchedule, rows: int, cols: int, i: int
-) -> ClassLabel:
-    """Fold i of leave-one-out: train on every vector but data[i], seeded
-    with schedule.rng_seed + i, and predict data[i] from the node labels."""
-    training = [fv for j, fv in enumerate(data) if j != i]
-    x_train = np.stack([fv.values for fv in training])
+def _fold(matrix: FeatureMatrix, schedule: TrainSchedule, rows: int, cols: int, i: int) -> ClassLabel:
+    """Fold i of leave-one-out: train on every row of the matrix but row i,
+    seeded with schedule.rng_seed + i, and predict row i from the node
+    labels."""
+    x_train = np.delete(matrix.values, i, 0)
     fold_schedule = replace(schedule, rng_seed=schedule.rng_seed + i)
     som = init(rows, cols, fold_schedule, x_train)
     som = train(som, x_train)
-    return label_nodes(som, training)[best_match(som, data[i].values)]
+    node_labels = label_nodes(som, x_train, matrix.labels[:i] + matrix.labels[i + 1 :])
+    return node_labels[best_match(som, matrix.values[i])]
 
 
-def loocv(
-    data: Sequence[FeatureVector], schedule: TrainSchedule, rows: int, cols: int
-) -> EvalReport:
-    """Leave-one-out validation: N train/label/classify rounds on
-    rows x cols maps, fold i seeded with schedule.rng_seed + i."""
-    n = len(data)
+def loocv(matrix: FeatureMatrix, schedule: TrainSchedule, rows: int, cols: int) -> EvalReport:
+    """Leave-one-out validation: one train/label/classify round per
+    subject on rows x cols maps, fold i seeded with schedule.rng_seed + i."""
+    n = len(matrix.subject_ids)
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 samples")
-    if any(fv.label is None for fv in data):
+    if any(label is None for label in matrix.labels):
         raise ValueError("all vectors must be labeled")
-    repeated = [sid for sid, count in Counter(fv.subject_id for fv in data).items() if count > 1]
-    if repeated:
-        raise ValueError(f"subject_id {repeated[0]!r} repeats; leave-one-out holds out each subject once")
-    classes = tuple(sorted({fv.label for fv in data}))
+    classes = tuple(sorted(set(matrix.labels)))
     if len(classes) < 2:
         raise ValueError("kappa undefined for single-class data")
     index = {lab: i for i, lab in enumerate(classes)}
 
     # map keeps fold order, so the report is assembled as in a serial loop
-    predictions = fork_map(partial(_fold, data, schedule, rows, cols), range(n))
+    predictions = fork_map(partial(_fold, matrix, schedule, rows, cols), range(n))
 
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     outcomes = np.zeros(n)
     folds = []
-    for i, (held_out, predicted) in enumerate(zip(data, predictions)):
-        confusion[index[held_out.label], index[predicted]] += 1
-        outcomes[i] = 1.0 if predicted == held_out.label else 0.0
-        folds.append(FoldRecord(held_out=held_out.subject_id, true=held_out.label, predicted=predicted))
+    for i, (held_out, true, predicted) in enumerate(zip(matrix.subject_ids, matrix.labels, predictions)):
+        confusion[index[true], index[predicted]] += 1
+        outcomes[i] = 1.0 if predicted == true else 0.0
+        folds.append(FoldRecord(held_out=held_out, true=true, predicted=predicted))
 
     return EvalReport(
         classes=classes,

@@ -18,9 +18,10 @@ canonical (joint, side) order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,33 +83,6 @@ def level_scale_indices(n_scales: int, level: Level) -> np.ndarray:
     return np.arange(n_scales - N_SCALE_SAMPLES, n_scales)
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Flattened scalogram samples: per joint-side part, 20 time x 8 scale
-    values in time-major order (t1s1..t1s8, t2s1, ...); parts concatenated
-    in canonical order."""
-
-    values: np.ndarray
-    subject_id: str
-    parts: tuple[tuple[Joint, Side], ...]
-    level: Level
-    label: ClassLabel | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
-        expected = SINGLE_JOINT_LENGTH * len(self.parts)
-        if arr.ndim != 1 or len(arr) != expected:
-            raise ValueError(
-                f"feature vector must have length {expected} "
-                f"(160 x {len(self.parts)} parts), got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("feature values must be finite and >= 0")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "parts", tuple(tuple(p) for p in self.parts))
-
-
 def _time_sample_columns(time_axis: np.ndarray) -> np.ndarray:
     targets = np.arange(N_TIME_SAMPLES) * 5.0  # 0, 5, .., 95
     hits = np.abs(time_axis[:, None] - targets) < 1e-9  # (columns, targets)
@@ -120,60 +94,87 @@ def _time_sample_columns(time_axis: np.ndarray) -> np.ndarray:
     return hits.argmax(axis=0)
 
 
-def extract_features(sc: Scalogram, level: Level = Level.HIGH_SCALE) -> FeatureVector:
-    """Sample one scale level of a canonical-grid scalogram into a 160-long
-    single-joint feature vector."""
+def extract_features(sc: Scalogram, level: Level = Level.HIGH_SCALE) -> np.ndarray:
+    """Sample one scale level of a canonical-grid scalogram into the 160
+    values of its part: 20 time x 8 scale samples, time-major."""
     cols = _time_sample_columns(sc.time_axis)
     rows = level_scale_indices(len(sc.scale_axis), level)
-    block = sc.values[np.ix_(rows, cols)]  # (8 scales, 20 times)
-    return FeatureVector(
-        values=block.T.reshape(-1),  # time-major
-        subject_id=sc.subject_id,
-        parts=((sc.joint, sc.side),),
-        level=level,
-        label=sc.label,
-    )
+    return sc.values[np.ix_(rows, cols)].T.reshape(-1)  # (20 times, 8 scales), flattened
 
 
-def combine_joints(parts: Sequence[FeatureVector]) -> FeatureVector:
-    """Concatenate single-joint vectors of one subject in canonical order
-    (joint-major, right before left), regardless of input order."""
-    if not parts:
-        raise ValueError("no parts to combine")
-    first = parts[0]
-    for p in parts:
-        if len(p.parts) != 1:
-            raise ValueError("combine_joints takes single-joint parts")
-        if p.subject_id != first.subject_id:
-            raise ValueError(
-                f"mixed subjects: {p.subject_id!r} vs {first.subject_id!r}"
-            )
-        if p.level is not first.level:
-            raise ValueError(f"mixed levels: {p.level} vs {first.level}")
-        if p.label != first.label:
-            raise ValueError("mixed labels across parts")
-    ordered = sorted(parts, key=lambda p: part_sort_key(*p.parts[0]))
-    seen = [p.parts[0] for p in ordered]
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"duplicate parts: {seen}")
-    return FeatureVector(
-        values=np.concatenate([p.values for p in ordered]),
-        subject_id=first.subject_id,
-        parts=tuple(seen),
-        level=first.level,
-        label=first.label,
-    )
+def _parts_token(parts: Sequence[tuple[Joint, Side]]) -> str:
+    return "|".join(f"{j.value}:{s.value}" for j, s in parts)
 
 
 @dataclass(frozen=True, eq=False)
-class StandardizedVector:
-    """Per-vector z-scored copy of a FeatureVector. Standardized values go
-    negative, so they live outside the FeatureVector invariant; this
-    carrier keeps the provenance the classifier needs."""
+class FeatureMatrix:
+    """One feature vector per subject, the set a SOM is trained on. Row i
+    holds subject_ids[i]'s values: per part 20 time x 8 scale samples in
+    time-major order (t1s1..t1s8, t2s1, ...), parts concatenated in
+    canonical order. Values may go negative (a z-scored matrix), but
+    features.csv holds only values >= 0."""
 
-    values: np.ndarray
-    subject_id: str
-    label: ClassLabel | None
+    values: np.ndarray  # (subjects, 160 x parts), read-only
+    subject_ids: tuple[str, ...]
+    labels: tuple[ClassLabel | None, ...]
+    level: Level
+    parts: tuple[tuple[Joint, Side], ...]
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2 or len(values) == 0:
+            raise ValueError(f"a feature matrix needs a 2-d array of at least one row, got {values.shape}")
+        parts = tuple(map(tuple, self.parts))
+        if not parts:
+            raise ValueError("a feature matrix needs at least one part")
+        keys = [part_sort_key(*p) for p in parts]
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"parts {_parts_token(parts)!r} hold a duplicate")
+        if keys != sorted(keys):
+            raise ValueError(f"parts {_parts_token(parts)!r} are not in canonical order")
+        width = SINGLE_JOINT_LENGTH * len(parts)
+        if values.shape[1] != width:
+            raise ValueError(f"rows must have length {width} (160 x {len(parts)} parts), got {values.shape[1]}")
+        ids, labels = tuple(self.subject_ids), tuple(self.labels)
+        if len(ids) != len(values) or len(labels) != len(values):
+            raise ValueError(
+                f"{len(values)} rows need {len(values)} subject ids and labels, got {len(ids)} and {len(labels)}"
+            )
+        repeated = [sid for sid, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise ValueError(f"subject_id {repeated[0]!r} repeats")
+        if not np.isfinite(values).all():
+            raise ValueError("feature values must be finite")
+        values.setflags(write=False)
+        for name, value in (("values", values), ("subject_ids", ids), ("labels", labels), ("parts", parts)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_parts(
+        cls, rows: Iterable[tuple[str, ClassLabel | None, tuple[Joint, Side], np.ndarray]], level: Level
+    ) -> FeatureMatrix:
+        """The matrix of single-part rows (subject_id, label, (joint, side),
+        160 values) given in any order: one row per subject in id order, its
+        parts in canonical order. Every subject must have the parts of the
+        first and one label."""
+        subjects: dict[str, list] = {}
+        for sid, label, part, values in sorted(rows, key=lambda r: (r[0], part_sort_key(*r[2]))):
+            subjects.setdefault(sid, []).append((label, part, values))
+        first = None
+        for sid, own in subjects.items():
+            token = _parts_token([part for _, part, _ in own])
+            first = first or token
+            if token != first:
+                raise ValueError(f"subject {sid!r}: parts {token!r} differs from the first row's {first!r}")
+            if len({label for label, _, _ in own}) > 1:
+                raise ValueError(f"subject {sid!r}: mixed labels across parts")
+        return cls(
+            values=[np.concatenate([v for _, _, v in own]) for own in subjects.values()],
+            subject_ids=tuple(subjects),
+            labels=tuple(own[0][0] for own in subjects.values()),
+            level=level,
+            parts=tuple(part for _, part, _ in next(iter(subjects.values()), [])),
+        )
 
 
 def zscore(values: np.ndarray) -> np.ndarray:
@@ -185,20 +186,13 @@ def zscore(values: np.ndarray) -> np.ndarray:
     return centered / sd if sd > 0 else centered
 
 
-def standardize(vectors: Sequence[FeatureVector]) -> list[StandardizedVector]:
-    """Optional per-vector z-scoring ahead of SOM training (off by default
+def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
+    """Optional per-row z-scoring ahead of SOM training (off by default
     in run configs; the canonical pipeline feeds raw magnitudes)."""
-    return [
-        StandardizedVector(values=zscore(v.values), subject_id=v.subject_id, label=v.label)
-        for v in vectors
-    ]
+    return replace(matrix, values=[zscore(row) for row in matrix.values])
 
 
 # --- feature matrix CSV -----------------------------------------------------
-
-
-def _parts_token(parts: Sequence[tuple[Joint, Side]]) -> str:
-    return "|".join(f"{j.value}:{s.value}" for j, s in parts)
 
 
 def _parse_parts_token(token: str) -> tuple[tuple[Joint, Side], ...]:
@@ -212,44 +206,47 @@ def _parse_parts_token(token: str) -> tuple[tuple[Joint, Side], ...]:
 TEXT_COLUMNS = ("subject_id", "label", "level", "parts")
 
 
-def write_features_csv(vectors: Sequence[FeatureVector], path) -> None:
+def write_features_csv(matrix: FeatureMatrix, path) -> None:
     """Write the feature matrix as the csv module writes it, one row at a
     time, so any subject id and label text reads back unchanged; ids
     without a comma, quote or line break give plain comma-joined rows.
-    Mixed levels or parts and repeated ids are refused before path opens."""
-    if not vectors:
-        raise ValueError("no feature vectors to write")
-    rows = [[v.subject_id, str(v.label or ""), v.level.value, _parts_token(v.parts)] for v in vectors]
-    seen = set()
-    for row in rows:
-        _check_like_first(row, rows[0], f"subject {row[0]!r}: ")
-        if row[0] in seen:
-            raise ValueError(f"subject_id {row[0]!r} repeats")
-        seen.add(row[0])
+    A negative value, as a z-scored matrix holds, is refused before path
+    opens."""
+    negative = np.argwhere(matrix.values < 0)
+    if len(negative):
+        i, j = negative[0]
+        raise ValueError(
+            f"subject {matrix.subject_ids[i]!r}: f{j:03d} {matrix.values[i, j].item()!r}: "
+            "feature values must be >= 0"
+        )
+    texts = [matrix.level.value, _parts_token(matrix.parts)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(
             f"# layout: n_time={N_TIME_SAMPLES} n_scale={N_SCALE_SAMPLES} "
             "per part, time-major, parts concatenated in canonical order\n"
         )
-        fh.write(",".join([*TEXT_COLUMNS, *(f"f{i:03d}" for i in range(len(vectors[0].values)))]) + "\n")
-        for v, row in zip(vectors, rows):
-            cells = map(float.__repr__, v.values.tolist())
+        fh.write(",".join([*TEXT_COLUMNS, *(f"f{i:03d}" for i in range(matrix.values.shape[1]))]) + "\n")
+        for sid, label, values in zip(matrix.subject_ids, matrix.labels, matrix.values):
+            row = [sid, str(label or ""), *texts]
+            # one row's list at a time: a list of the whole matrix costs 32 bytes a value
+            cells = map(float.__repr__, values.tolist())
             if needs_quote_all(*row):
                 cells = map('"{}"'.format, cells)
             fh.write(",".join([csv_fields(row), *cells]) + "\n")
 
 
-def _check_like_first(row: list[str], first: list[str], where: str = "") -> None:
-    """Refuse a features.csv row, naming it by where, whose level or parts
-    differ from the first row's (texts equal exactly when the values do)."""
+def _check_like_first(row: list[str], first: list[str]) -> None:
+    """Refuse a features.csv row whose level or parts differ from the first
+    row's (texts equal exactly when the values do)."""
     for name in ("level", "parts"):
         col = TEXT_COLUMNS.index(name)
         if row[col] != first[col]:
-            raise ValueError(f"{where}{name} {row[col]!r} differs from the first row's {first[col]!r}")
+            raise ValueError(f"{name} {row[col]!r} differs from the first row's {first[col]!r}")
 
 
-def _feature_row(row: list[str]) -> FeatureVector:
-    """One features.csv row as a vector; a ValueError names the column."""
+def _feature_row(row: list[str]) -> tuple:
+    """One features.csv row as (subject_id, label, level, parts, values); a
+    ValueError names the column."""
     if len(row) < len(TEXT_COLUMNS):
         raise ValueError(f"row has {len(row)} fields, needs {', '.join(TEXT_COLUMNS)} and the values")
     sid, label_text, level_text, parts_token = row[: len(TEXT_COLUMNS)]
@@ -280,35 +277,33 @@ def _feature_row(row: list[str]) -> FeatureVector:
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"f{i:03d} {texts[i]!r}: feature values must be finite and >= 0")
-    return FeatureVector(
-        values=values,
-        subject_id=sid,
-        parts=parts,
-        level=level,
-        label=ClassLabel(label_text) if label_text else None,
-    )
+    return sid, ClassLabel(label_text) if label_text else None, level, parts, values
 
 
-def read_features_csv(path) -> list[FeatureVector]:
+def read_features_csv(path) -> FeatureMatrix:
     """Read a feature matrix of one row per subject, of one level and one parts
     list; an error names the file, the line on which the row ends and the column."""
-    vectors, first, lines = [], None, {}
+    rows, first, lines = [], None, {}
     with open(path, "r", encoding="utf-8", newline="") as fh, undecodable_as(ValueError, path):
-        rows = csv.reader(fh)
-        for row in rows:  # the layout comment precedes the header
+        reader = csv.reader(fh)
+        for row in reader:  # the layout comment precedes the header
             if row and row[0] == "subject_id":
                 break
-        for row in rows:
+        for row in reader:
             if not row:
                 continue
             try:
-                vectors.append(_feature_row(row))
+                rows.append(_feature_row(row))
                 first = first or row
                 _check_like_first(row, first)
-                if lines.setdefault(row[0], rows.line_num) != rows.line_num:
+                if lines.setdefault(row[0], reader.line_num) != reader.line_num:
                     raise ValueError(f"subject_id {row[0]!r} repeats line {lines[row[0]]}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{rows.line_num}: {exc}") from None
-    if not vectors:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
         raise ValueError(f"{path}: no feature rows")
-    return vectors
+    ids, labels, levels, parts, values = zip(*rows)
+    try:
+        return FeatureMatrix(values=values, subject_ids=ids, labels=labels, level=levels[0], parts=parts[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

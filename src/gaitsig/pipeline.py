@@ -142,46 +142,42 @@ def write_scalograms(
     return sum(fork_map(partial(_cwt_subject, cfg, scalogram_dir), jobs))
 
 
-def _part_vector(level: ft.Level, path: Path) -> ft.FeatureVector:
-    """The single-part feature vector of one scalogram file; a pool task
-    of the features stage."""
+def _part_row(level: ft.Level, path: Path) -> tuple:
+    """The single-part row (subject_id, label, (joint, side), values) of
+    one scalogram file; a pool task of the features stage."""
     sc = wv.read_scalogram_csv(path)
     try:
-        return ft.extract_features(sc, level)
+        return sc.subject_id, sc.label, (sc.joint, sc.side), ft.extract_features(sc, level)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> list[ft.FeatureVector]:
-    """The features stage: one feature vector per subject from the
-    scalogram CSVs under scalogram_dir, one pool task per file, its parts
-    combined in canonical order. Every subject must have the same parts.
-    Writes out_dir/features.csv in subject-id order and returns its rows."""
+def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> ft.FeatureMatrix:
+    """The features stage: the feature matrix of the scalogram CSVs under
+    scalogram_dir, one pool task per file; every subject must have the
+    same parts. Writes out_dir/features.csv and returns the matrix."""
     remove_artifacts("features", out_dir)
     paths = sorted(Path(scalogram_dir).glob("scalogram_*.csv"))
     if not paths:
         raise ConfigError(f"no scalogram_*.csv files under {scalogram_dir}")
-    by_subject: dict[str, list[ft.FeatureVector]] = {}
-    for part in fork_map(partial(_part_vector, level), paths):
-        by_subject.setdefault(part.subject_id, []).append(part)
-    vectors = [ft.combine_joints(by_subject[sid]) for sid in sorted(by_subject)]
+    matrix = ft.FeatureMatrix.from_parts(fork_map(partial(_part_row, level), paths), level)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ft.write_features_csv(vectors, out_dir / "features.csv")
-    return vectors
+    ft.write_features_csv(matrix, out_dir / "features.csv")
+    return matrix
 
 
-def _som_input(vectors, cfg: RunConfig):
-    return ft.standardize(vectors) if cfg.zscore else vectors
+def _som_input(matrix: ft.FeatureMatrix, cfg: RunConfig) -> ft.FeatureMatrix:
+    return ft.standardize(matrix) if cfg.zscore else matrix
 
 
-def write_map(vectors, cfg: RunConfig, out_dir: Path) -> tuple[sm.SomMap, np.ndarray]:
+def write_map(matrix: ft.FeatureMatrix, cfg: RunConfig, out_dir: Path) -> tuple[sm.SomMap, np.ndarray]:
     """The train stage: a cfg.som_rows x cfg.som_cols SOM trained on the
-    vectors' values (z-scored with cfg.zscore), written with its U-Matrix,
+    matrix (z-scored with cfg.zscore), written with its U-Matrix,
     attraction field and clusters under out_dir; the U-Matrix carries
     cfg.cluster_threshold when it is set. Returns the map and the per-node
     cluster ids."""
     remove_artifacts("train", out_dir)
-    x = np.stack([v.values for v in _som_input(vectors, cfg)])
+    x = _som_input(matrix, cfg).values
     som_map = sm.train(sm.init(cfg.som_rows, cfg.som_cols, cfg.schedule, x), x)
     out_dir.mkdir(parents=True, exist_ok=True)
     sm.save_map_json(som_map, out_dir / "som.json")
@@ -202,12 +198,12 @@ def count_clusters(cluster_ids: np.ndarray) -> int:
     return len(set(cluster_ids[cluster_ids >= 0].tolist()))
 
 
-def write_eval(vectors, cfg: RunConfig, out_dir: Path) -> ev.EvalReport:
+def write_eval(matrix: ft.FeatureMatrix, cfg: RunConfig, out_dir: Path) -> ev.EvalReport:
     """The eval stage: leave-one-out validation of cfg.som_rows x
-    cfg.som_cols maps on the vectors (z-scored with cfg.zscore), written
+    cfg.som_cols maps on the matrix (z-scored with cfg.zscore), written
     as eval.json, eval.txt and confusion.csv under out_dir."""
     remove_artifacts("eval", out_dir)
-    report = ev.loocv(_som_input(vectors, cfg), cfg.schedule, rows=cfg.som_rows, cols=cfg.som_cols)
+    report = ev.loocv(_som_input(matrix, cfg), cfg.schedule, rows=cfg.som_rows, cols=cfg.som_cols)
     out_dir.mkdir(parents=True, exist_ok=True)
     ev.write_report_json(report, out_dir / "eval.json")
     ev.write_report_table(report, out_dir / "eval.txt")
@@ -217,7 +213,7 @@ def write_eval(vectors, cfg: RunConfig, out_dir: Path) -> ev.EvalReport:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    vectors: list[ft.FeatureVector]
+    features: ft.FeatureMatrix
     som: sm.SomMap
     cluster_ids: np.ndarray
     report: ev.EvalReport | None
@@ -259,14 +255,14 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
         write_scalograms(subjects, cfg, out_dir)
 
     with _stage("features", out_dir):
-        vectors = write_features(out_dir / "scalograms", cfg.level, out_dir)
+        matrix = write_features(out_dir / "scalograms", cfg.level, out_dir)
 
     with _stage("train", out_dir):
-        som_map, cluster_ids = write_map(vectors, cfg, out_dir)
+        som_map, cluster_ids = write_map(matrix, cfg, out_dir)
 
     report = None
     if cfg.loocv:
         with _stage("eval", out_dir):
-            report = write_eval(vectors, cfg, out_dir)
+            report = write_eval(matrix, cfg, out_dir)
 
-    return PipelineResult(vectors=vectors, som=som_map, cluster_ids=cluster_ids, report=report)
+    return PipelineResult(features=matrix, som=som_map, cluster_ids=cluster_ids, report=report)

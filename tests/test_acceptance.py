@@ -15,7 +15,7 @@ import pytest
 from gaitsig.cli import main as cli_main
 from gaitsig.data import CP_DP, CP_LH, CP_RH, GaitTrajectory, Joint, Side
 from gaitsig.evaluate import kappa, loocv
-from gaitsig.features import Level, combine_joints, extract_features, split_regions
+from gaitsig.features import FeatureMatrix, Level, extract_features, split_regions
 from gaitsig.som import (
     InitMode,
     Kernel,
@@ -100,9 +100,12 @@ def test_c04_feature_geometry():
             subject_id=subject.id, label=subject.label,
         )
         parts[side] = extract_features(sc, Level.HIGH_SCALE)
-        assert len(parts[side].values) == 160
-    combined = combine_joints([parts[Side.LEFT], parts[Side.RIGHT]])
-    assert len(combined.values) == 320
+        assert len(parts[side]) == 160
+    combined = FeatureMatrix.from_parts(
+        [(subject.id, subject.label, (Joint.HIP, side), parts[side]) for side in (Side.LEFT, Side.RIGHT)],
+        Level.HIGH_SCALE,
+    )
+    assert len(combined.values[0]) == 320
     assert combined.parts == ((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT))
 
     sc = cwt(_traj(np.abs(np.sin(PCT / 7.0)) * 40.0))
@@ -206,18 +209,16 @@ LATERALITY_SCHEDULE = TrainSchedule(epochs=200, rng_seed=21, init=InitMode.SAMPL
 
 
 def _hip_vectors(subjects, sides, level=Level.HIGH_SCALE):
-    out = []
-    for s in subjects:
-        parts = []
-        for side in sides:
-            sc = replace(
-                cwt(s.trajectories[(Joint.HIP, side)]),
-                subject_id=s.id, label=s.label,
-            )
-            parts.append(extract_features(sc, level))
-        out.append(combine_joints(parts))
-    out.sort(key=lambda v: v.subject_id)
-    return out
+    """The feature matrix of the subjects' hip parts on these sides, one
+    row per subject in id order."""
+    return FeatureMatrix.from_parts(
+        [
+            (s.id, s.label, (Joint.HIP, side), extract_features(cwt(s.trajectories[(Joint.HIP, side)]), level))
+            for s in subjects
+            for side in sides
+        ],
+        level,
+    )
 
 
 def test_c09_end_to_end_discrimination():
@@ -245,14 +246,14 @@ def test_c09_end_to_end_discrimination():
 def test_c10_laterality_separation():
     subjects = generate(LATERALITY_SPEC)
     vectors = _hip_vectors(subjects, sides=LATERALITY_SIDES)
-    x = np.stack([v.values for v in vectors])
+    x = vectors.values
     som = train(init(*MAP_DIMS, LATERALITY_SCHEDULE, samples=x), x)
     ids = clusters(umatrix(som)).reshape(-1)  # default threshold
     coords = som.grid_coords()
 
     nodes = {}
-    for v in vectors:
-        nodes.setdefault(v.label, []).append(best_match(som, v.values))
+    for label, row in zip(vectors.labels, x):
+        nodes.setdefault(label, []).append(best_match(som, row))
     left_clusters = {int(ids[n]) for n in nodes[CP_LH]} - {-1}
     right_clusters = {int(ids[n]) for n in nodes[CP_RH]} - {-1}
     assert left_clusters and right_clusters

@@ -64,10 +64,10 @@ def train_three_vectors(tmp_path, map_dims, *python):
     # a 1-epoch `gaitsig train` on 3 vectors of 160 values, in a child
     # process started as `python *python train ...`; returns its stdout
     rng = np.random.default_rng(0)
-    vectors = [features.FeatureVector(values=rng.uniform(0, 1, 160), subject_id=f"s{i}",
-                                      parts=((Joint.HIP, Side.RIGHT),), level=features.Level.HIGH_SCALE)
-               for i in range(3)]
-    features.write_features_csv(vectors, tmp_path / "features.csv")
+    matrix = features.FeatureMatrix(values=[rng.uniform(0, 1, 160) for i in range(3)],
+                                    subject_ids=[f"s{i}" for i in range(3)], labels=[None] * 3,
+                                    level=features.Level.HIGH_SCALE, parts=((Joint.HIP, Side.RIGHT),))
+    features.write_features_csv(matrix, tmp_path / "features.csv")
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, *python, "train", "--features", str(tmp_path / "features.csv"),
@@ -710,8 +710,11 @@ class TestSubcommandChain:
         assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
         som_flags = ["--map-dims", "4x4", "--epochs", "30", "--seed", "7"]
         assert main(["eval", "--features", str(out / "features.csv"), "--out", str(out), *som_flags]) == 0
-        normal = [v for v in read_features_csv(out / "features.csv") if v.label.value == "Normal"]
-        features.write_features_csv(normal, tmp_path / "normal.csv")
+        m = read_features_csv(out / "features.csv")
+        normal = [i for i, label in enumerate(m.labels) if label.value == "Normal"]
+        subset = replace(m, values=m.values[normal], subject_ids=[m.subject_ids[i] for i in normal],
+                         labels=[m.labels[i] for i in normal])
+        features.write_features_csv(subset, tmp_path / "normal.csv")
         assert main(["eval", "--features", str(tmp_path / "normal.csv"), "--out", str(out), *som_flags]) == 1
         assert "single-class" in capsys.readouterr().err
         assert not any((out / name).exists() for name in ("eval.json", "eval.txt", "confusion.csv"))
@@ -819,7 +822,7 @@ class TestSubcommandChain:
         d = tmp_path / "stage"
         assert main(["cwt", "--input", str(tmp_path / "d.csv"), "--out", str(d)]) == 0
         assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 0
-        assert [v.subject_id for v in read_features_csv(d / "features.csv")] == ids
+        assert list(read_features_csv(d / "features.csv").subject_ids) == ids
 
     def test_cwt_rerun_removes_stale_scalograms(self, tmp_path):
         big, small = small_config(), small_config(seed=8)

@@ -284,8 +284,8 @@ def test_laterality_reader_prints_the_run_geometry(tmp_path, capsys):
     doc["write_pgm"] = doc["loocv"] = False
     result = run_pipeline(config_from_dict(doc), tmp_path)
     nodes = {}
-    for v in result.vectors:
-        nodes.setdefault(v.label, []).append(best_match(result.som, v.values))
+    for label, row in zip(result.features.labels, result.features.values):
+        nodes.setdefault(label, []).append(best_match(result.som, row))
     c = {label: result.som.grid_coords()[n].mean(axis=0) for label, n in nodes.items()}
     axis = c[CP_RH] - c[CP_LH]
     t = float((c[CP_DP] - c[CP_LH]) @ axis / (axis @ axis))
@@ -360,6 +360,19 @@ def test_synth_keys_that_change_no_output_refused(synth, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict({"synth": synth, "loocv": False})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("groups, message", [
+    ({"Polio": {"typo": 1}}, "synth.groups[Polio]: unknown keys ['typo']"),
+    ({"aé": {"typo": 1}}, "synth.groups[aé]: unknown keys ['typo']"),
+    ({"\ud800": {}}, "synth.groups[\\ud800]: class label '\\ud800' is not valid UTF-8 text"),
+], ids=["plain", "non-ascii", "lone-surrogate"])
+def test_group_key_message_encodes(groups, message):
+    # stderr and the FAILED file take the message as UTF-8
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"synth": {"n_subjects": 2, "groups": groups}})
+    assert str(err.value) == message
+    str(err.value).encode("utf-8")
 
 
 def test_one_class_synth_accepted_without_loocv():

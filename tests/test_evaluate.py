@@ -29,12 +29,26 @@ B = ClassLabel("Polio")
 
 @dataclass
 class Vec:
-    """Minimal labeled vector for evaluation tests (duck-typed stand-in
-    for a full FeatureVector)."""
+    """Minimal labeled vector for evaluation tests."""
 
     values: np.ndarray
     subject_id: str
     label: ClassLabel
+
+
+@dataclass
+class Rows:
+    """The rows of labeled vectors, as loocv reads a FeatureMatrix (a
+    duck-typed stand-in of any width)."""
+
+    values: np.ndarray
+    subject_ids: tuple[str, ...]
+    labels: tuple[ClassLabel, ...]
+
+
+def rows_of(vectors):
+    return Rows(np.stack([v.values for v in vectors]), tuple(v.subject_id for v in vectors),
+                tuple(v.label for v in vectors))
 
 
 def make_map(rows, cols, weights, trained=True):
@@ -104,36 +118,25 @@ class TestKappa:
 class TestLabelMap:
     def test_single_label_covers_all_nodes(self):
         m = make_map(2, 2, np.array([[0.0], [1.0], [2.0], [3.0]]))
-        labels = label_nodes(m, [Vec(np.array([0.1]), "a", A), Vec(np.array([2.9]), "b", A)])
+        labels = label_nodes(m, np.array([[0.1], [2.9]]), [A, A])
         assert all(lab == A for lab in labels)
 
     def test_one_vector_per_node_keeps_own_label(self):
         labels = [ClassLabel(v) for v in ("Normal", "CP-dp", "Polio", "SpinaBifida")]
         m = make_map(2, 2, np.array([[0.0], [10.0], [20.0], [30.0]]))
-        training = [
-            Vec(np.array([10.0 * i]), f"s{i}", lab) for i, lab in enumerate(labels)
-        ]
-        assert list(label_nodes(m, training)) == labels
+        x = np.array([[10.0 * i] for i in range(len(labels))])
+        assert list(label_nodes(m, x, labels)) == labels
 
     def test_majority_tie_takes_lowest_class_order(self):
         m = make_map(1, 2, np.array([[0.0], [100.0]]))
-        training = [
-            Vec(np.array([0.0]), "a", POLIO),
-            Vec(np.array([0.1]), "b", POLIO),
-            Vec(np.array([-0.1]), "c", NORMAL),
-            Vec(np.array([0.2]), "d", NORMAL),
-        ]
-        assert label_nodes(m, training)[0] == NORMAL  # Normal sorts before Polio
+        x = np.array([[0.0], [0.1], [-0.1], [0.2]])
+        assert label_nodes(m, x, [POLIO, POLIO, NORMAL, NORMAL])[0] == NORMAL  # Normal sorts before Polio
 
     def test_empty_node_inherits_nearest_by_row_major_tie(self):
         # node 1 is grid-equidistant from labeled nodes 0 and 2: the lower
         # row-major index wins even though its label sorts later
         m = make_map(1, 3, np.array([[0.0], [50.0], [100.0]]))
-        training = [
-            Vec(np.array([0.0]), "a", POLIO),
-            Vec(np.array([100.0]), "b", NORMAL),
-        ]
-        labels = label_nodes(m, training)
+        labels = label_nodes(m, np.array([[0.0], [100.0]]), [POLIO, NORMAL])
         assert labels[0] == POLIO
         assert labels[1] == POLIO  # inherited from node 0
         assert labels[2] == NORMAL
@@ -141,12 +144,12 @@ class TestLabelMap:
     def test_untrained_map_is_state_error(self):
         m = make_map(1, 2, np.array([[0.0], [1.0]]), trained=False)
         with pytest.raises(RuntimeError, match="untrained"):
-            label_nodes(m, [Vec(np.array([0.0]), "a", A)])
+            label_nodes(m, np.array([[0.0]]), [A])
 
     def test_unlabeled_vectors_rejected(self):
         m = make_map(1, 2, np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError, match="labeled"):
-            label_nodes(m, [Vec(np.array([0.0]), "a", None)])
+            label_nodes(m, np.array([[0.0]]), [None])
 
 
 class TestClassify:
@@ -155,24 +158,19 @@ class TestClassify:
 
     def test_training_vector_gets_its_node_label(self):
         m = make_map(1, 2, np.array([[0.0, 0.0], [5.0, 5.0]]))
-        training = [
-            Vec(np.array([0.0, 0.0]), "a", A),
-            Vec(np.array([5.0, 5.0]), "b", B),
-        ]
-        labels = label_nodes(m, training)
+        labels = label_nodes(m, np.array([[0.0, 0.0], [5.0, 5.0]]), [A, B])
         assert labels[best_match(m, np.array([0.0, 0.0]))] == A
         assert labels[best_match(m, np.array([5.0, 5.0]))] == B
 
     def test_total_function_far_from_weights(self):
         m = make_map(1, 2, np.array([[0.0, 0.0], [5.0, 5.0]]))
-        labels = label_nodes(m, [Vec(np.array([0.0, 0.0]), "a", A),
-                                 Vec(np.array([5.0, 5.0]), "b", B)])
+        labels = label_nodes(m, np.array([[0.0, 0.0], [5.0, 5.0]]), [A, B])
         assert labels[best_match(m, np.array([1e6, -1e6]))] in (A, B)
 
     def test_dimension_mismatch(self):
         m = make_map(1, 2, np.array([[0.0, 0.0], [5.0, 5.0]]))
         with pytest.raises(ValueError, match="dimension"):
-            label_nodes(m, [Vec(np.zeros(3), "a", A)])
+            label_nodes(m, np.zeros((1, 3)), [A])
 
 
 def separable_vectors(n_per_class=5, dim=2, spread=0.0, seed=0):
@@ -191,7 +189,7 @@ FAST_SCHEDULE = TrainSchedule(epochs=25, rng_seed=0, init=InitMode.SAMPLE_INIT)
 class TestLoocv:
     def test_separable_clusters_perfect(self):
         data = separable_vectors()
-        report = loocv(data, FAST_SCHEDULE, rows=2, cols=2)
+        report = loocv(rows_of(data), FAST_SCHEDULE, rows=2, cols=2)
         assert report.recognition_rate == 1.0
         assert report.kappa == pytest.approx(1.0, abs=1e-12)
         assert report.rate_dispersion == 0.0
@@ -200,7 +198,7 @@ class TestLoocv:
 
     def test_fold_records_complete(self):
         data = separable_vectors(n_per_class=3)
-        report = loocv(data, FAST_SCHEDULE, rows=2, cols=2)
+        report = loocv(rows_of(data), FAST_SCHEDULE, rows=2, cols=2)
         assert [f.held_out for f in report.folds] == [v.subject_id for v in data]
         assert all(f.true == f.predicted for f in report.folds)
 
@@ -220,13 +218,13 @@ class TestLoocv:
                 continue
             schedule = TrainSchedule(epochs=25, rng_seed=1000 + shuffle,
                                      init=InitMode.SAMPLE_INIT)
-            kappas.append(loocv(shuffled, schedule, rows=2, cols=2).kappa)
+            kappas.append(loocv(rows_of(shuffled), schedule, rows=2, cols=2).kappa)
         assert abs(float(np.mean(kappas))) < 0.3
 
     def test_deterministic_per_base_seed(self):
         data = separable_vectors(n_per_class=3, spread=0.5, seed=2)
-        a = loocv(data, FAST_SCHEDULE, rows=3, cols=3)
-        b = loocv(data, FAST_SCHEDULE, rows=3, cols=3)
+        a = loocv(rows_of(data), FAST_SCHEDULE, rows=3, cols=3)
+        b = loocv(rows_of(data), FAST_SCHEDULE, rows=3, cols=3)
         assert np.array_equal(a.confusion, b.confusion)
         assert a.folds == b.folds
         assert a.kappa == b.kappa and a.recognition_rate == b.recognition_rate
@@ -236,25 +234,19 @@ class TestLoocv:
         swapped = [
             Vec(v.values, v.subject_id, B if v.label == A else A) for v in data
         ]
-        r1 = loocv(data, FAST_SCHEDULE, rows=2, cols=2)
-        r2 = loocv(swapped, FAST_SCHEDULE, rows=2, cols=2)
+        r1 = loocv(rows_of(data), FAST_SCHEDULE, rows=2, cols=2)
+        r2 = loocv(rows_of(swapped), FAST_SCHEDULE, rows=2, cols=2)
         assert r1.recognition_rate == r2.recognition_rate
         assert r1.kappa == pytest.approx(r2.kappa, abs=1e-12)
 
     def test_single_class_rejected(self):
         data = [Vec(np.array([float(i), 0.0]), f"s{i}", A) for i in range(4)]
         with pytest.raises(ValueError, match="single-class"):
-            loocv(data, FAST_SCHEDULE, rows=2, cols=2)
+            loocv(rows_of(data), FAST_SCHEDULE, rows=2, cols=2)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            loocv([Vec(np.zeros(2), "a", A)], FAST_SCHEDULE, rows=2, cols=2)
-
-    def test_repeated_subject_rejected(self):
-        # each copy's fold would train on the other, identical vector
-        data = separable_vectors(n_per_class=2) + [Vec(np.zeros(2), "a1", A)]
-        with pytest.raises(ValueError, match="^subject_id 'a1' repeats; leave-one-out holds out each subject once$"):
-            loocv(data, FAST_SCHEDULE, rows=2, cols=2)
+            loocv(rows_of([Vec(np.zeros(2), "a", A)]), FAST_SCHEDULE, rows=2, cols=2)
 
 
 def three_class_vectors(n_per_class=5, spread=4.0, seed=4):
@@ -303,17 +295,17 @@ class TestLoocvWorkers:
 
     def test_pool_equals_serial_loop(self):
         assert len(self.DATA) > len(os.sched_getaffinity(0))
-        self.assert_matches_serial(loocv(self.DATA, self.SCHEDULE, rows=3, cols=3))
+        self.assert_matches_serial(loocv(rows_of(self.DATA), self.SCHEDULE, rows=3, cols=3))
 
     def test_one_cpu_equals_serial_loop(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        self.assert_matches_serial(loocv(self.DATA, self.SCHEDULE, rows=3, cols=3))
+        self.assert_matches_serial(loocv(rows_of(self.DATA), self.SCHEDULE, rows=3, cols=3))
 
 
 class TestReportOutput:
     def _report(self):
         data = separable_vectors(n_per_class=3)
-        return loocv(data, FAST_SCHEDULE, rows=2, cols=2)
+        return loocv(rows_of(data), FAST_SCHEDULE, rows=2, cols=2)
 
     def test_json_deterministic(self, tmp_path):
         report = self._report()

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitsig.data import ClassLabel, Joint, NORMAL, Side
+from gaitsig.data import ClassLabel, Joint, NORMAL, POLIO, Side, part_sort_key
 from gaitsig.features import (
-    FeatureVector,
+    FeatureMatrix,
     Level,
     SINGLE_JOINT_LENGTH,
-    combine_joints,
     extract_features,
     level_scale_indices,
     read_features_csv,
     split_regions,
+    standardize,
     write_features_csv,
 )
-from gaitsig.wavelet import ScaleGrid, Scalogram, cwt
+from gaitsig.pipeline import write_features
+from gaitsig.wavelet import ScaleGrid, Scalogram, cwt, write_scalogram_csv
 
 from conftest import harmonic_signal, make_traj
 from oracles import reference_write_features_csv
@@ -103,15 +104,15 @@ class TestLevelIndices:
 class TestExtractFeatures:
     def test_zero_scalogram(self):
         fv = extract_features(make_scalogram(np.zeros((12, 101))))
-        assert len(fv.values) == SINGLE_JOINT_LENGTH == 160
-        assert np.array_equal(fv.values, np.zeros(160))
+        assert len(fv) == SINGLE_JOINT_LENGTH == 160
+        assert np.array_equal(fv, np.zeros(160))
 
     def test_scale_index_rows_high_level(self):
         # value = scale row index, constant per row: every time block must
         # equal the high-level indices 4..11
         values = np.tile(np.arange(12.0)[:, None], (1, 101))
         fv = extract_features(make_scalogram(values), Level.HIGH_SCALE)
-        blocks = fv.values.reshape(20, 8)
+        blocks = fv.reshape(20, 8)
         assert np.array_equal(blocks, np.tile(np.arange(4.0, 12.0), (20, 1)))
 
     def test_time_major_ordering(self):
@@ -122,26 +123,28 @@ class TestExtractFeatures:
         expected = np.array(
             [100.0 * (5.0 * t) + s for t in range(20) for s in range(8)]
         )
-        assert np.allclose(fv.values, expected, rtol=0, atol=1e-9)
+        assert np.allclose(fv, expected, rtol=0, atol=1e-9)
 
     def test_sample_columns_are_every_5_percent(self):
         values = np.zeros((12, 101))
         values[:, ::5] = 1.0  # mark 0,5,..,100
         values[:, 100] = 1.0
         fv = extract_features(make_scalogram(values))
-        assert np.array_equal(fv.values, np.ones(160))  # only marked columns sampled
+        assert np.array_equal(fv, np.ones(160))  # only marked columns sampled
 
     def test_incompatible_time_axis_rejected(self):
         sc = make_scalogram(np.zeros((12, 51)))  # every 2%: lacks 5% columns
         with pytest.raises(ValueError, match="5%"):
             extract_features(sc)
 
-    def test_provenance_carried(self):
+    def test_provenance_carried(self, tmp_path):
+        # the features stage takes a row's subject, label and part from its scalogram
         sc = make_scalogram(np.zeros((12, 101)), subject_id="abc", label=ClassLabel("Polio"),
                             joint=Joint.KNEE, side=Side.LEFT)
-        fv = extract_features(sc)
-        assert fv.subject_id == "abc"
-        assert fv.label == ClassLabel("Polio")
+        write_scalogram_csv(sc, tmp_path / "scalogram_abc.csv")
+        fv = write_features(tmp_path, Level.HIGH_SCALE, tmp_path)
+        assert fv.subject_ids == ("abc",)
+        assert fv.labels == (ClassLabel("Polio"),)
         assert fv.parts == ((Joint.KNEE, Side.LEFT),)
 
     def test_determinism_bit_exact(self):
@@ -149,7 +152,7 @@ class TestExtractFeatures:
         values = rng.uniform(0, 3, (12, 101))
         a = extract_features(make_scalogram(values))
         b = extract_features(make_scalogram(values))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_normal_template_band_energies(self):
         # derived with the full-scalogram region-sum oracle: above the
@@ -167,47 +170,48 @@ class TestExtractFeatures:
         # aliased lowest scale; recorded, not hidden:
         hi = extract_features(sc, Level.HIGH_SCALE)
         lo = extract_features(sc, Level.LOW_SCALE)
-        assert np.linalg.norm(lo.values) > np.linalg.norm(hi.values)
+        assert np.linalg.norm(lo) > np.linalg.norm(hi)
+
+
+def _combine(rows):
+    return FeatureMatrix.from_parts(rows, Level.HIGH_SCALE)
 
 
 class TestCombineJoints:
-    def _fv(self, joint, side, fill, subject="s1", level=Level.HIGH_SCALE):
-        return FeatureVector(
-            values=np.full(160, float(fill)),
-            subject_id=subject,
-            parts=((joint, side),),
-            level=level,
-            label=NORMAL,
-        )
+    """FeatureMatrix.from_parts joins each subject's single-part rows in
+    canonical order."""
+
+    def _fv(self, joint, side, fill, subject="s1"):
+        return subject, NORMAL, (joint, side), np.full(160, float(fill))
 
     def test_single_part_identity(self):
         fv = self._fv(Joint.HIP, Side.RIGHT, 2.0)
-        out = combine_joints([fv])
-        assert np.array_equal(out.values, fv.values)
-        assert out.parts == fv.parts
+        out = _combine([fv])
+        assert np.array_equal(out.values[0], fv[3])
+        assert out.parts == (fv[2],)
 
     def test_right_left_hip_is_320(self):
-        out = combine_joints([
+        out = _combine([
             self._fv(Joint.HIP, Side.LEFT, 2.0),
             self._fv(Joint.HIP, Side.RIGHT, 1.0),
         ])
-        assert len(out.values) == 320
+        assert len(out.values[0]) == 320
         # canonical order: right block first regardless of input order
-        assert np.array_equal(out.values[:160], np.ones(160))
-        assert np.array_equal(out.values[160:], np.full(160, 2.0))
+        assert np.array_equal(out.values[0, :160], np.ones(160))
+        assert np.array_equal(out.values[0, 160:], np.full(160, 2.0))
         assert out.parts == ((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT))
 
     def test_order_insensitive(self):
-        a = combine_joints([
+        a = _combine([
             self._fv(Joint.HIP, Side.RIGHT, 1.0), self._fv(Joint.HIP, Side.LEFT, 2.0),
         ])
-        b = combine_joints([
+        b = _combine([
             self._fv(Joint.HIP, Side.LEFT, 2.0), self._fv(Joint.HIP, Side.RIGHT, 1.0),
         ])
         assert np.array_equal(a.values, b.values) and a.parts == b.parts
 
     def test_joint_major_order(self):
-        out = combine_joints([
+        out = _combine([
             self._fv(Joint.KNEE, Side.RIGHT, 3.0),
             self._fv(Joint.HIP, Side.LEFT, 2.0),
             self._fv(Joint.HIP, Side.RIGHT, 1.0),
@@ -216,42 +220,72 @@ class TestCombineJoints:
             (Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT), (Joint.KNEE, Side.RIGHT),
         )
 
-    def test_mixed_subjects_rejected(self):
-        with pytest.raises(ValueError, match="mixed subjects"):
-            combine_joints([
-                self._fv(Joint.HIP, Side.RIGHT, 1.0, subject="a"),
-                self._fv(Joint.HIP, Side.LEFT, 1.0, subject="b"),
-            ])
-
-    def test_mixed_levels_rejected(self):
-        with pytest.raises(ValueError, match="mixed levels"):
-            combine_joints([
-                self._fv(Joint.HIP, Side.RIGHT, 1.0, level=Level.HIGH_SCALE),
-                self._fv(Joint.HIP, Side.LEFT, 1.0, level=Level.LOW_SCALE),
-            ])
+    def test_mixed_labels_rejected(self):
+        rows = [self._fv(Joint.HIP, Side.RIGHT, 1.0), ("s1", POLIO, (Joint.HIP, Side.LEFT), np.ones(160))]
+        with pytest.raises(ValueError, match="^subject 's1': mixed labels across parts$"):
+            _combine(rows)
 
     def test_duplicate_parts_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            combine_joints([
+            _combine([
                 self._fv(Joint.HIP, Side.RIGHT, 1.0),
                 self._fv(Joint.HIP, Side.RIGHT, 2.0),
             ])
 
 
+def _matrix(**fields):
+    """A one-part matrix of two subjects, s1 and s2, with these fields
+    replaced."""
+    return FeatureMatrix(**{
+        "values": np.ones((2, 160)), "subject_ids": ("s1", "s2"), "labels": (NORMAL, POLIO),
+        "level": Level.HIGH_SCALE, "parts": ((Joint.HIP, Side.RIGHT),), **fields,
+    })
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"values": np.ones((0, 160)), "subject_ids": (), "labels": ()},
+             "a feature matrix needs a 2-d array of at least one row, got (0, 160)"),
+            ({"values": np.ones((2, 0)), "parts": ()}, "a feature matrix needs at least one part"),
+            ({"values": np.ones((2, 320)), "parts": ((Joint.HIP, Side.LEFT), (Joint.HIP, Side.RIGHT))},
+             "parts 'Hip:Left|Hip:Right' are not in canonical order"),
+            ({"values": np.ones((2, 320)), "parts": ((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.RIGHT))},
+             "parts 'Hip:Right|Hip:Right' hold a duplicate"),
+            ({"values": np.ones((2, 161))}, "rows must have length 160 (160 x 1 parts), got 161"),
+            ({"subject_ids": ("s1", "s1")}, "subject_id 's1' repeats"),
+            ({"labels": (NORMAL,)}, "2 rows need 2 subject ids and labels, got 2 and 1"),
+            ({"values": [np.ones(160), np.full(160, np.inf)]}, "feature values must be finite"),
+        ],
+        ids=["no-rows", "empty-parts", "part-order", "repeated-part", "width", "repeated-id", "label-count",
+             "non-finite"],
+    )
+    def test_refuses(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _matrix(**fields)
+
+    def test_values_read_only(self):
+        m = _matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            m.values[0, 0] = 2.0
+
+
 class TestFeatureVectorInvariants:
+    """A matrix row is a subject's feature vector: 160 values per part,
+    and >= 0 where features.csv stores it (a z-scored row goes negative)."""
+
     def test_length_law(self):
         with pytest.raises(ValueError, match="length"):
-            FeatureVector(
-                values=np.zeros(161), subject_id="s",
-                parts=((Joint.HIP, Side.RIGHT),), level=Level.HIGH_SCALE,
-            )
+            _matrix(values=np.zeros((1, 161)), subject_ids=("s",), labels=(None,))
 
-    def test_negative_values_rejected(self):
+    def test_negative_values_rejected(self, tmp_path):
         v = np.zeros(160)
         v[0] = -1.0
+        path = tmp_path / "features.csv"
         with pytest.raises(ValueError, match=">= 0"):
-            FeatureVector(values=v, subject_id="s",
-                          parts=((Joint.HIP, Side.RIGHT),), level=Level.HIGH_SCALE)
+            write_features_csv(_matrix(values=[v], subject_ids=("s",), labels=(None,)), path)
+        assert not path.exists()
 
 
 class TestStandardize:
@@ -269,16 +303,10 @@ class TestStandardize:
         assert np.array_equal(zscore(np.full(8, 3.0)), np.zeros(8))
 
     def test_standardize_keeps_provenance(self):
-        from gaitsig.features import standardize
-
-        fv = FeatureVector(
-            values=np.linspace(0, 5, 160), subject_id="s9",
-            parts=((Joint.HIP, Side.RIGHT),), level=Level.HIGH_SCALE,
-            label=ClassLabel("Polio"),
-        )
-        (sv,) = standardize([fv])
-        assert sv.subject_id == "s9" and sv.label == ClassLabel("Polio")
-        assert np.any(sv.values < 0)  # lives outside the FeatureVector invariant
+        fv = _matrix(values=[np.linspace(0, 5, 160)], subject_ids=("s9",), labels=(ClassLabel("Polio"),))
+        sv = standardize(fv)
+        assert sv.subject_ids == ("s9",) and sv.labels == (ClassLabel("Polio"),)
+        assert np.any(sv.values < 0)  # which features.csv refuses
 
 
 _PARTS = [(j, s) for j in Joint for s in Side]
@@ -292,32 +320,25 @@ _VALUES = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, 3.
 class TestFeaturesCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        vectors = [
-            FeatureVector(
-                values=rng.uniform(0, 4, 320),
-                subject_id=f"s{i}",
-                parts=((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT)),
-                level=Level.HIGH_SCALE,
-                label=ClassLabel("CP-rh") if i % 2 else NORMAL,
-            )
-            for i in range(4)
-        ]
+        a = _matrix(
+            values=[rng.uniform(0, 4, 320) for i in range(4)],
+            subject_ids=[f"s{i}" for i in range(4)],
+            parts=((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT)),
+            level=Level.HIGH_SCALE,
+            labels=[ClassLabel("CP-rh") if i % 2 else NORMAL for i in range(4)],
+        )
         path = tmp_path / "features.csv"
-        write_features_csv(vectors, path)
-        back = read_features_csv(path)
-        for a, b in zip(vectors, back):
-            assert np.array_equal(a.values, b.values)
-            assert (a.subject_id, a.parts, a.level, a.label) == (
-                b.subject_id, b.parts, b.level, b.label
-            )
+        write_features_csv(a, path)
+        b = read_features_csv(path)
+        assert np.array_equal(a.values, b.values)
+        assert (a.subject_ids, a.parts, a.level, a.labels) == (
+            b.subject_ids, b.parts, b.level, b.labels
+        )
 
     def test_plain_ids_are_comma_joined(self, tmp_path):
         # readers that split rows on "," rely on unquoted plain rows
         values = np.array([0.25, 1e-05] + [3.0] * 158)
-        v = [FeatureVector(values=values, subject_id="pt 0.b-1", parts=((Joint.HIP, Side.RIGHT),),
-                           level=Level.HIGH_SCALE, label=ClassLabel("CP-dp")),
-             FeatureVector(values=values, subject_id="s2", parts=((Joint.HIP, Side.RIGHT),),
-                           level=Level.HIGH_SCALE)]
+        v = _matrix(values=[values, values], subject_ids=("pt 0.b-1", "s2"), labels=(ClassLabel("CP-dp"), None))
         path = tmp_path / "features.csv"
         write_features_csv(v, path)
         vals = ",".join(repr(float(x)) for x in values)
@@ -336,22 +357,22 @@ class TestFeaturesCsv:
     )
     @example(ids=["a,b", "x\ry", "subject_id"], labels=['q"\n', None, "#c"])
     def test_round_trip_any_id_and_label_text(self, ids, labels):
-        vectors = [
-            FeatureVector(values=np.full(160, float(i)), subject_id=sid, parts=((Joint.KNEE, Side.LEFT),),
-                          level=Level.LOW_SCALE, label=None if lab is None else ClassLabel(lab))
-            for i, (sid, lab) in enumerate(zip(ids, labels))
-        ]
+        rows = list(zip(ids, labels))
+        vectors = _matrix(
+            values=[np.full(160, float(i)) for i in range(len(rows))], subject_ids=[sid for sid, _ in rows],
+            parts=((Joint.KNEE, Side.LEFT),), level=Level.LOW_SCALE,
+            labels=[None if lab is None else ClassLabel(lab) for _, lab in rows],
+        )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "features.csv"
             write_features_csv(vectors, path)
             back = read_features_csv(path)
-        assert [(b.subject_id, b.label) for b in back] == [(a.subject_id, a.label) for a in vectors]
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(vectors, back))
+        assert list(zip(back.subject_ids, back.labels)) == list(zip(vectors.subject_ids, vectors.labels))
+        assert np.array_equal(vectors.values, back.values)
 
     def test_write_twice_identical_bytes(self, tmp_path):
-        v = [FeatureVector(values=np.linspace(0, 1, 160), subject_id="s",
-                           parts=((Joint.HIP, Side.RIGHT),), level=Level.LOW_SCALE,
-                           label=NORMAL)]
+        v = _matrix(values=[np.linspace(0, 1, 160)], subject_ids=("s",), level=Level.LOW_SCALE,
+                    labels=(NORMAL,))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_features_csv(v, p1)
         write_features_csv(v, p2)
@@ -367,16 +388,16 @@ class TestFeaturesCsv:
     @example(texts=[("a,b", 'a"b'), ("a\rb", None), ("a\nb", " é")], parts=[(Joint.HIP, Side.LEFT)],
              level=Level.HIGH_SCALE, data=None)
     def test_bytes_equal_row_by_row_writer(self, texts, parts, level, data):
+        parts = sorted(parts, key=lambda p: part_sort_key(*p))  # the order a matrix holds
         width = SINGLE_JOINT_LENGTH * len(parts)
         rows = []
         for i, (sid, label) in enumerate(texts):
             values = data.draw(st.lists(_VALUES, min_size=width, max_size=width)) if data else [5e-324 * i] * width
             rows.append((sid, label, values))
-        vectors = [
-            FeatureVector(values=np.array(values), subject_id=sid, parts=tuple(parts), level=level,
-                          label=None if label is None else ClassLabel(label))
-            for sid, label, values in rows
-        ]
+        vectors = _matrix(
+            values=[values for _, _, values in rows], subject_ids=[sid for sid, _, _ in rows], parts=parts,
+            level=level, labels=[None if label is None else ClassLabel(label) for _, label, _ in rows],
+        )
         with tempfile.TemporaryDirectory() as tmp:
             path, reference = Path(tmp) / "features.csv", Path(tmp) / "reference.csv"
             write_features_csv(vectors, path)
@@ -386,6 +407,14 @@ class TestFeaturesCsv:
                 reference,
             )
             assert path.read_bytes() == reference.read_bytes()
+
+
+def _two_subjects(*second):
+    """From single-part rows: s1 with the hip and knee on the right, s2
+    with the parts second."""
+    first = ((Joint.HIP, Side.RIGHT), (Joint.KNEE, Side.RIGHT))
+    rows = [("s1", NORMAL, part, np.ones(160)) for part in first] + [("s2", NORMAL, part, np.ones(160)) for part in second]
+    return FeatureMatrix.from_parts(rows, Level.HIGH_SCALE)
 
 
 def _features_file(path, rows):
@@ -431,27 +460,23 @@ class TestFeaturesCsvErrors:
             read_features_csv(path)
 
     @pytest.mark.parametrize(
-        "second, message",
+        "matrix, message",
         [
-            ({"parts": ((Joint.HIP, Side.RIGHT),)},
+            (lambda: _two_subjects((Joint.HIP, Side.RIGHT)),
              "subject 's2': parts 'Hip:Right' differs from the first row's 'Hip:Right|Knee:Right'"),
-            ({"level": Level.LOW_SCALE}, "subject 's2': level 'LowScale' differs from the first row's 'HighScale'"),
-            ({"parts": ((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT), (Joint.KNEE, Side.RIGHT))},
+            (lambda: _two_subjects((Joint.HIP, Side.RIGHT), (Joint.HIP, Side.LEFT), (Joint.KNEE, Side.RIGHT)),
              "subject 's2': parts 'Hip:Right|Hip:Left|Knee:Right' differs from the first row's 'Hip:Right|Knee:Right'"),
-            ({"subject_id": "s1"}, "subject_id 's1' repeats"),
+            (lambda: _matrix(subject_ids=("s1", "s1")), "subject_id 's1' repeats"),
         ],
-        ids=["parts", "level", "length", "repeated-id"],
+        ids=["parts", "length", "repeated-id"],
     )
-    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, second, message):
-        def vector(subject_id="s1", parts=((Joint.HIP, Side.RIGHT), (Joint.KNEE, Side.RIGHT)),
-                   level=Level.HIGH_SCALE):
-            return FeatureVector(values=np.ones(SINGLE_JOINT_LENGTH * len(parts)), subject_id=subject_id,
-                                 parts=parts, level=level, label=NORMAL)
-
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, matrix, message):
+        # no matrix holds them, so no file is written
         path = tmp_path / "features.csv"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            write_features_csv([vector(), vector(**{"subject_id": "s2", **second})], path)
+            write_features_csv(matrix(), path)
         assert not path.exists()
+
 
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "features.csv"
