@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .data import CP_DP, ClassLabel, Joint, Side, read_json
+from .data import CP_DP, ClassLabel, Joint, Side, json_form, read_json
 from .features import N_SCALE_SAMPLES, Level
-from .som import LARGEST_SIGMA0, InitMode, Kernel, TrainSchedule, _schedule_to_dict
+from .som import LARGEST_SIGMA0, InitMode, Kernel, TrainSchedule
 from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
 from .wavelet import (
     DEFAULT_SCALE_COUNT,
@@ -347,42 +347,28 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Fully resolved form: every default and derived seed made explicit."""
+    """Fully resolved form: every default and derived seed made explicit.
+    The synth spec, the Morlet parameters and the schedule are their
+    records' json_form; the pathology shorthand resolves to groups."""
     synth = None
     if cfg.synth is not None:
-        synth = {
-            "n_subjects": cfg.synth.n_subjects,
-            "rng_seed": cfg.synth.rng_seed,
-            "template": {
-                j.value: [[h, a, p] for h, a, p in hs]
-                for j, hs in sorted(cfg.synth.template.items(), key=lambda kv: kv[0].value)
-            },
-            "pathology": None,
-            "pathology_label": None,
-            "groups": {
-                lab.value: dict(vars(p), hf_phase_region=p.hf_phase_region.value)
-                for lab, p in sorted(cfg.synth.groups.items())
-            },
-            "include_normal": cfg.synth.include_normal,
-            "normal_jitter_sd": cfg.synth.normal_jitter_sd,
-        }
+        synth = {**json_form(cfg.synth), "pathology": None, "pathology_label": None}
     return {
         "seed": cfg.seed,
         "input": cfg.input,
         "synth": synth,
-        "joints": [j.value for j in cfg.joints],
-        "sides": [s.value for s in cfg.sides],
+        "joints": json_form(cfg.joints),
+        "sides": json_form(cfg.sides),
         "wavelet": {
-            "nu0": cfg.morlet.nu0,
-            "truncation_radius": cfg.morlet.truncation_radius,
+            **json_form(cfg.morlet),
             "boundary": cfg.boundary.value,
-            "scales": [float(s) for s in cfg.scales.scales],
+            "scales": json_form(cfg.scales.scales),
         },
         "features": {
             "level": cfg.level.value,
             "zscore": cfg.zscore,
         },
-        "som": {"rows": cfg.som_rows, "cols": cfg.som_cols, **_schedule_to_dict(cfg.schedule)},
+        "som": {"rows": cfg.som_rows, "cols": cfg.som_cols, **json_form(cfg.schedule)},
         "cluster_threshold": cfg.cluster_threshold,
         "write_pgm": cfg.write_pgm,
         "loocv": cfg.loocv,
@@ -403,9 +389,3 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         # sections with rng_seed: null derive their seed from this value
         doc["seed"] = seed_override
     return config_from_dict(doc)
-
-
-def write_resolved_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")

@@ -14,7 +14,7 @@ import json
 import math
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import total_ordering
 from typing import Mapping, Sequence
@@ -417,6 +417,36 @@ def read_json(path, error: type[ValueError]):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def json_form(value):
+    """value as a JSON document: a record as an object of its dataclass
+    fields, an enum or ClassLabel as its text, a mapping as an object with
+    its keys converted the same way, a tuple, list or array as a list, and
+    a numpy scalar as its Python number."""
+    if isinstance(value, (Enum, ClassLabel)):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {json_form(k): json_form(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [json_form(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def json_text(value) -> str:
+    """The text of every JSON artifact: json_form(value) indented by 2,
+    keys sorted, and strict JSON, so a NaN or infinity is an error."""
+    return json.dumps(json_form(value), indent=2, sort_keys=True, allow_nan=False)
+
+
+def write_json(value, path) -> None:
+    """Write value's json_text and a newline to path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(value) + "\n")
 
 
 def _json_text(entry: dict, name: str, where: str) -> str:

@@ -16,7 +16,6 @@ arithmetic is that of a serial run, so the report is the same.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -146,26 +145,6 @@ def loocv(matrix: FeatureMatrix, schedule: TrainSchedule, rows: int, cols: int) 
 
 
 # --- report output ----------------------------------------------------------
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "classes": [c.value for c in report.classes],
-        "confusion": [[int(v) for v in row] for row in report.confusion],
-        "recognition_rate": report.recognition_rate,
-        "rate_dispersion": report.rate_dispersion,
-        "kappa": report.kappa,
-        "folds": [
-            {"held_out": f.held_out, "true": f.true.value, "predicted": f.predicted.value}
-            for f in report.folds
-        ],
-    }
-
-
-def write_report_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def format_report_table(report: EvalReport) -> str:

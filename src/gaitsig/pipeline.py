@@ -24,7 +24,7 @@ from . import pgm
 from . import som as sm
 from . import synth
 from . import wavelet as wv
-from .config import ConfigError, RunConfig, write_resolved_config
+from .config import ConfigError, RunConfig, config_to_dict
 from .pool import fork_map
 
 
@@ -205,7 +205,7 @@ def write_eval(matrix: ft.FeatureMatrix, cfg: RunConfig, out_dir: Path) -> ev.Ev
     remove_artifacts("eval", out_dir)
     report = ev.loocv(_som_input(matrix, cfg), cfg.schedule, rows=cfg.som_rows, cols=cfg.som_cols)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ev.write_report_json(report, out_dir / "eval.json")
+    gd.write_json(report, out_dir / "eval.json")
     ev.write_report_table(report, out_dir / "eval.txt")
     ev.write_confusion_csv(report, out_dir / "confusion.csv")
     return report
@@ -246,7 +246,7 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
     scalogram_dir = out_dir / "scalograms"
     if scalogram_dir.is_dir() and not any(scalogram_dir.iterdir()):
         scalogram_dir.rmdir()
-    write_resolved_config(cfg, out_dir / "resolved_config.json")
+    gd.write_json(config_to_dict(cfg), out_dir / "resolved_config.json")
 
     with _stage("dataset", out_dir):
         subjects = write_dataset(cfg, out_dir)

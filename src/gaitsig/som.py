@@ -20,11 +20,12 @@ field is the negative discrete gradient of those heights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+
+from .data import json_text, read_json
 
 BORDER = -1  # cluster id for nodes at or above the threshold
 THRESHOLD_QUANTILE = 0.60  # of the U-Matrix heights: the default cluster threshold
@@ -159,7 +160,7 @@ def init(rows: int, cols: int, schedule: TrainSchedule, samples: np.ndarray) -> 
     n_nodes = rows * cols
     if schedule.init is InitMode.SAMPLE_INIT:
         idx = rng.choice(len(samples), size=n_nodes, replace=len(samples) < n_nodes)
-        weights = samples[idx].copy()
+        weights = samples[idx]
     else:
         eps = 0.01 * np.ptp(samples, axis=0)
         weights = rng.uniform(-1.0, 1.0, (n_nodes, samples.shape[1])) * eps
@@ -384,18 +385,6 @@ def clusters(um: UMatrix) -> np.ndarray:
 # --- serialization ----------------------------------------------------------
 
 
-def _schedule_to_dict(s: TrainSchedule) -> dict:
-    return {
-        "epochs": s.epochs,
-        "alpha0": s.alpha0,
-        "sigma0": s.sigma0,
-        "sigma_end": s.sigma_end,
-        "kernel": s.kernel.value,
-        "rng_seed": s.rng_seed,
-        "init": s.init.value,
-    }
-
-
 def _schedule_from_dict(d: dict) -> TrainSchedule:
     return TrainSchedule(
         epochs=int(d["epochs"]),
@@ -409,18 +398,10 @@ def _schedule_from_dict(d: dict) -> TrainSchedule:
 
 
 def save_map_json(som: SomMap, path) -> None:
-    """Write the map as json.dump(doc, indent=2, sort_keys=True) does, with
-    the flat weights streamed one node at a time (the weights are finite,
+    """Write the map's fields and dim as data.write_json does, with the
+    weights flat and streamed one node at a time (the weights are finite,
     so each is its float repr)."""
-    doc = {
-        "rows": som.rows,
-        "cols": som.cols,
-        "dim": som.dim,
-        "trained": som.trained,
-        "schedule": _schedule_to_dict(som.schedule),
-        "weights": [],
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json_text({**vars(som), "dim": som.dim, "weights": []})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text[: -len("[]\n}")])  # "weights" sorts last: the text ends '[]\n}'
         opener = "[\n    "
@@ -432,18 +413,25 @@ def save_map_json(som: SomMap, path) -> None:
 
 
 def load_map_json(path) -> SomMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    weights = np.array(doc["weights"], dtype=float).reshape(
-        doc["rows"] * doc["cols"], doc["dim"]
-    )
-    return SomMap(
-        rows=int(doc["rows"]),
-        cols=int(doc["cols"]),
-        weights=weights,
-        schedule=_schedule_from_dict(doc["schedule"]),
-        trained=bool(doc["trained"]),
-    )
+    """The map of a som.json file. Bytes that are not UTF-8, text that is
+    not JSON and a document that is not a map raise ValueError, naming
+    path."""
+    doc = read_json(path, ValueError)
+    try:
+        weights = np.array(doc["weights"], dtype=float).reshape(
+            doc["rows"] * doc["cols"], doc["dim"]
+        )
+        return SomMap(
+            rows=int(doc["rows"]),
+            cols=int(doc["cols"]),
+            weights=weights,
+            schedule=_schedule_from_dict(doc["schedule"]),
+            trained=bool(doc["trained"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a map ({exc})") from None
 
 
 def write_umatrix_csv(um: UMatrix, path) -> None:

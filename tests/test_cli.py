@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +13,22 @@ import pytest
 
 from gaitsig import features, pipeline, wavelet
 from gaitsig.cli import SETTING_FLAGS, build_parser, main
-from gaitsig.config import ConfigError, config_from_dict, load_config
+from gaitsig.config import (
+    CONFIG,
+    FEATURES,
+    PERTURBATION,
+    SOM,
+    SYNTH,
+    WAVELET,
+    ConfigError,
+    config_from_dict,
+    load_config,
+)
 from gaitsig.data import Joint, Side, ingest_csv, write_csv
+from gaitsig.evaluate import EvalReport
 from gaitsig.features import read_features_csv
 from gaitsig.pipeline import RUN_ARTIFACTS
+from gaitsig.som import TrainSchedule
 
 from oracles import same_partition, union_find_components
 
@@ -381,6 +393,25 @@ class TestRunPipeline:
         assert "recognition rate" in stdout and "kappa" in stdout and "clusters" in stdout
         report = json.loads((out / "eval.json").read_text())
         assert report["recognition_rate"] >= 0.9  # trivially separable classes
+
+    def test_json_artifacts_hold_exactly_their_record_keys(self, tmp_path):
+        # a record field added later (say, a wall-clock time) must not reach
+        # the byte-compared tree unnoticed
+        cfg_path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        doc = {name: json.loads((out / name).read_text(encoding="utf-8"))
+               for name in ("resolved_config.json", "eval.json", "som.json")}
+        resolved = doc["resolved_config.json"]
+        assert set(resolved) == set(CONFIG)
+        assert set(resolved["synth"]) == set(SYNTH)
+        assert [set(group) for group in resolved["synth"]["groups"].values()] == [set(PERTURBATION)]
+        for section, table in (("wavelet", WAVELET), ("features", FEATURES), ("som", SOM)):
+            assert set(resolved[section]) == set(table), section
+        assert set(doc["eval.json"]) == {f.name for f in fields(EvalReport)}
+        assert {tuple(sorted(fold)) for fold in doc["eval.json"]["folds"]} == {("held_out", "predicted", "true")}
+        assert set(doc["som.json"]) == {"rows", "cols", "dim", "trained", "schedule", "weights"}
+        assert set(doc["som.json"]["schedule"]) == {f.name for f in fields(TrainSchedule)}
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())

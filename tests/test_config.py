@@ -26,9 +26,8 @@ from gaitsig.config import (
     config_to_dict,
     load_config,
     load_document,
-    write_resolved_config,
 )
-from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint
+from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint, write_json
 from gaitsig.features import N_SCALE_SAMPLES, Level
 from gaitsig.pipeline import run_pipeline
 from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, Kernel, TrainSchedule, best_match
@@ -242,7 +241,7 @@ def test_listed_numbers_must_be_finite(doc, message):
 def test_resolved_config_written_as_standard_json(tmp_path):
     cfg = config_from_dict({"input": "data.csv"})
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_resolved_config(dataclasses.replace(cfg, cluster_threshold=math.nan), tmp_path / "c.json")
+        write_json(config_to_dict(dataclasses.replace(cfg, cluster_threshold=math.nan)), tmp_path / "c.json")
 
 
 # Each shipped config and the acceptance test's synth spec, schedule and

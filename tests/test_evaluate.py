@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitsig.data import ClassLabel, NORMAL, POLIO
+from gaitsig.data import ClassLabel, NORMAL, POLIO, write_json
 from gaitsig.evaluate import (
     EvalReport,
     FoldRecord,
@@ -17,7 +17,6 @@ from gaitsig.evaluate import (
     label_nodes,
     loocv,
     write_confusion_csv,
-    write_report_json,
 )
 from gaitsig.som import InitMode, SomMap, TrainSchedule, best_match, init, train
 
@@ -310,8 +309,8 @@ class TestReportOutput:
     def test_json_deterministic(self, tmp_path):
         report = self._report()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_report_json(report, p1)
-        write_report_json(report, p2)
+        write_json(report, p1)
+        write_json(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
         import json
 
