@@ -37,7 +37,7 @@ RUN_ARTIFACTS = {
     "dataset": ("dataset.csv",),
     "cwt": ("scalograms/scalogram_*.csv", "scalograms/scalogram_*.pgm"),
     "features": ("features.csv",),
-    "train": ("som.json", "umatrix.csv", "umatrix.pgm", "attraction.csv", "clusters.csv"),
+    "train": ("som.json", "umatrix.csv", "umatrix.pgm", "attraction.csv", "clusters.csv", "bmus.csv"),
     "eval": ("eval.json", "eval.txt", "confusion.csv"),
 }
 
@@ -174,8 +174,9 @@ def write_map(matrix: ft.FeatureMatrix, cfg: RunConfig, out_dir: Path) -> tuple[
     """The train stage: a cfg.som_rows x cfg.som_cols SOM trained on the
     matrix (z-scored with cfg.zscore), written with its U-Matrix,
     attraction field and clusters under out_dir; the U-Matrix carries
-    cfg.cluster_threshold when it is set. Returns the map and the per-node
-    cluster ids."""
+    cfg.cluster_threshold when it is set. bmus.csv holds each subject's
+    best-matching node for the vector the map was trained on, in matrix
+    order. Returns the map and the per-node cluster ids."""
     remove_artifacts("train", out_dir)
     x = _som_input(matrix, cfg).values
     som_map = sm.train(sm.init(cfg.som_rows, cfg.som_cols, cfg.schedule, x), x)
@@ -190,6 +191,11 @@ def write_map(matrix: ft.FeatureMatrix, cfg: RunConfig, out_dir: Path) -> tuple[
     sm.write_attraction_csv(sm.attraction_field(um), out_dir / "attraction.csv")
     cluster_ids = sm.clusters(um)
     sm.write_clusters_csv(cluster_ids, out_dir / "clusters.csv")
+    with open(out_dir / "bmus.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("subject_id,label,row,col\n")
+        for sid, label, vector in zip(matrix.subject_ids, matrix.labels, x):
+            row, col = divmod(sm.best_match(som_map, vector), som_map.cols)
+            fh.write(gd.csv_fields([sid, str(label or ""), str(row), str(col)]) + "\n")
     return som_map, cluster_ids
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import json_text, read_json
+from .data import json_text
 
 BORDER = -1  # cluster id for nodes at or above the threshold
 THRESHOLD_QUANTILE = 0.60  # of the U-Matrix heights: the default cluster threshold
@@ -385,18 +385,6 @@ def clusters(um: UMatrix) -> np.ndarray:
 # --- serialization ----------------------------------------------------------
 
 
-def _schedule_from_dict(d: dict) -> TrainSchedule:
-    return TrainSchedule(
-        epochs=int(d["epochs"]),
-        alpha0=float(d["alpha0"]),
-        sigma0=None if d["sigma0"] is None else float(d["sigma0"]),
-        sigma_end=float(d["sigma_end"]),
-        kernel=Kernel(d["kernel"]),
-        rng_seed=int(d["rng_seed"]),
-        init=InitMode(d["init"]),
-    )
-
-
 def save_map_json(som: SomMap, path) -> None:
     """Write the map's fields and dim as data.write_json does, with the
     weights flat and streamed one node at a time (the weights are finite,
@@ -410,28 +398,6 @@ def save_map_json(som: SomMap, path) -> None:
                 fh.write(opener + ",\n    ".join(map(float.__repr__, node.tolist())))
                 opener = ",\n    "
         fh.write("\n  ]\n}\n" if som.weights.size else "[]\n}\n")
-
-
-def load_map_json(path) -> SomMap:
-    """The map of a som.json file. Bytes that are not UTF-8, text that is
-    not JSON and a document that is not a map raise ValueError, naming
-    path."""
-    doc = read_json(path, ValueError)
-    try:
-        weights = np.array(doc["weights"], dtype=float).reshape(
-            doc["rows"] * doc["cols"], doc["dim"]
-        )
-        return SomMap(
-            rows=int(doc["rows"]),
-            cols=int(doc["cols"]),
-            weights=weights,
-            schedule=_schedule_from_dict(doc["schedule"]),
-            trained=bool(doc["trained"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a map ({exc})") from None
 
 
 def write_umatrix_csv(um: UMatrix, path) -> None:

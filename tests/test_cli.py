@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -24,13 +25,13 @@ from gaitsig.config import (
     config_from_dict,
     load_config,
 )
-from gaitsig.data import Joint, Side, ingest_csv, write_csv
+from gaitsig.data import ClassLabel, Joint, Side, ingest_csv, write_csv
 from gaitsig.evaluate import EvalReport
 from gaitsig.features import read_features_csv
 from gaitsig.pipeline import RUN_ARTIFACTS
 from gaitsig.som import TrainSchedule
 
-from oracles import same_partition, union_find_components
+from oracles import reference_best_match, same_partition, union_find_components
 
 
 def small_config(**overrides):
@@ -72,14 +73,20 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def write_vectors(path, ids, labels):
+    """features.csv of one random hip vector of 160 values per id; a label
+    None leaves the subject unlabeled."""
+    rng = np.random.default_rng(0)
+    matrix = features.FeatureMatrix(values=[rng.uniform(0, 1, 160) for _ in ids], subject_ids=ids,
+                                    labels=[label and ClassLabel(label) for label in labels],
+                                    level=features.Level.HIGH_SCALE, parts=((Joint.HIP, Side.RIGHT),))
+    features.write_features_csv(matrix, path)
+
+
 def train_three_vectors(tmp_path, map_dims, *python):
     # a 1-epoch `gaitsig train` on 3 vectors of 160 values, in a child
     # process started as `python *python train ...`; returns its stdout
-    rng = np.random.default_rng(0)
-    matrix = features.FeatureMatrix(values=[rng.uniform(0, 1, 160) for i in range(3)],
-                                    subject_ids=[f"s{i}" for i in range(3)], labels=[None] * 3,
-                                    level=features.Level.HIGH_SCALE, parts=((Joint.HIP, Side.RIGHT),))
-    features.write_features_csv(matrix, tmp_path / "features.csv")
+    write_vectors(tmp_path / "features.csv", [f"s{i}" for i in range(3)], [None] * 3)
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, *python, "train", "--features", str(tmp_path / "features.csv"),
@@ -98,6 +105,7 @@ EXPECTED_ARTIFACTS = [
     "umatrix.pgm",
     "attraction.csv",
     "clusters.csv",
+    "bmus.csv",
     "eval.json",
     "eval.txt",
     "confusion.csv",
@@ -113,6 +121,27 @@ def write_colliding_dataset(tmp_path) -> Path:
             lines.append(f"{sid},{label},Hip,Right,{pct}.0,{20.0 * math.sin(pct / 16.0)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def read_csv_rows(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def oracle_bmus(out: Path, zscore: bool = False) -> list[list[str]]:
+    """bmus.csv as its rows should read: each features.csv row's first
+    nearest node of the som.json weights, z-scored first with zscore."""
+    with open(out / "som.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    weights = np.reshape(doc["weights"], (doc["rows"] * doc["cols"], doc["dim"]))
+    rows = [["subject_id", "label", "row", "col"]]
+    for sid, label, _, _, *values in read_csv_rows(out / "features.csv")[2:]:
+        x = np.array(values, dtype=float)
+        if zscore:
+            x = (x - x.mean()) / x.std()
+        row, col = divmod(reference_best_match(weights, x), doc["cols"])
+        rows.append([sid, label, str(row), str(col)])
+    return rows
 
 
 def tree_bytes(root: Path) -> dict:
@@ -884,3 +913,39 @@ class TestSubcommandChain:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestBmus:
+    @pytest.mark.parametrize("zscore", [False, True], ids=["raw", "zscore"])
+    def test_run_records_each_subjects_best_match(self, tmp_path, zscore):
+        out = tmp_path / "out"
+        doc = small_config(loocv=False, features={"zscore": zscore}, som={"rows": 6, "cols": 6, "epochs": 30})
+        doc["synth"]["n_subjects"] = 10
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        bmus = read_csv_rows(out / "bmus.csv")
+        assert len(bmus) == 1 + 20 and bmus == oracle_bmus(out, zscore)
+        # this map tells the vectors it was trained on from the others
+        assert bmus != oracle_bmus(out, not zscore)
+
+    @pytest.mark.parametrize("ids, labels", [
+        (["a,b", 'say "hi"', "line\nbreak", "cr\rhere", "plain"], ["CP,x", 'q"\n', "a\rb", None, "Normal"]),
+        (["s0", "s1", "s2"], [None] * 3),
+    ], ids=["quoted", "unlabeled"])
+    def test_train_writes_any_id_and_label_back(self, tmp_path, ids, labels):
+        write_vectors(tmp_path / "features.csv", ids, labels)
+        assert main(["train", "--features", str(tmp_path / "features.csv"), "--out", str(tmp_path),
+                     "--map-dims", "3x3", "--epochs", "5"]) == 0
+        bmus = read_csv_rows(tmp_path / "bmus.csv")
+        assert [row[:2] for row in bmus[1:]] == [[sid, label or ""] for sid, label in zip(ids, labels)]
+        assert bmus == oracle_bmus(tmp_path)
+
+    def test_failed_rerun_leaves_no_stale_bmus(self, tmp_path, monkeypatch):
+        def no_training(*args):
+            raise ValueError("no training")
+
+        write_vectors(tmp_path / "features.csv", ["s0", "s1", "s2"], [None] * 3)
+        argv = ["train", "--features", str(tmp_path / "features.csv"), "--out", str(tmp_path), "--map-dims", "2x2"]
+        assert main(argv) == 0 and (tmp_path / "bmus.csv").exists()
+        monkeypatch.setattr(pipeline.sm, "train", no_training)
+        assert main(argv) == 1
+        assert not (tmp_path / "bmus.csv").exists()

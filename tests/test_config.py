@@ -28,7 +28,7 @@ from gaitsig.config import (
     load_document,
 )
 from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint, write_json
-from gaitsig.features import N_SCALE_SAMPLES, Level
+from gaitsig.features import N_SCALE_SAMPLES, Level, standardize
 from gaitsig.pipeline import run_pipeline
 from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, Kernel, TrainSchedule, best_match
 from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion, _slug
@@ -276,25 +276,51 @@ def test_shipped_config_matches_its_acceptance_test(name):
     assert cfg.level is Level.HIGH_SCALE
 
 
-def test_laterality_reader_prints_the_run_geometry(tmp_path, capsys):
+def laterality_geometry(tmp_path, capsys, zscore):
+    """What scripts/laterality_geometry.py should print on a small
+    laterality run, from the vectors the map was trained on, and what it
+    does print."""
     doc = load_document(CONFIGS / "laterality.json")
     doc["synth"]["n_subjects"] = 3
     doc["som"] = {"rows": 4, "cols": 4, "epochs": 5, "init": "SampleInit"}
+    doc["features"]["zscore"] = zscore
     doc["write_pgm"] = doc["loocv"] = False
     result = run_pipeline(config_from_dict(doc), tmp_path)
+    trained_on = standardize(result.features) if zscore else result.features
     nodes = {}
-    for label, row in zip(result.features.labels, result.features.values):
+    for label, row in zip(trained_on.labels, trained_on.values):
         nodes.setdefault(label, []).append(best_match(result.som, row))
-    c = {label: result.som.grid_coords()[n].mean(axis=0) for label, n in nodes.items()}
+    hits = {label: {int(result.cluster_ids.flat[n]) for n in nodes[label]} for label in (CP_LH, CP_RH, CP_DP)}
+    c = {label: result.som.grid_coords()[nodes[label]].mean(axis=0) for label in hits}
+    left, right = hits[CP_LH] - {-1}, hits[CP_RH] - {-1}
     axis = c[CP_RH] - c[CP_LH]
     t = float((c[CP_DP] - c[CP_LH]) @ axis / (axis @ axis))
     assert math.isfinite(t)
+    expected = "".join(
+        f"{label.value}: clusters {sorted(hits[label])}, map centroid ({c[label][0]:.2f}, {c[label][1]:.2f})\n"
+        for label in hits
+    ) + (
+        f"left/right clusters disjoint: {bool(left and right and not left & right)}\n"
+        f"symmetric-group centroid along the left-right axis: t = {t:.3f} (between for 0 < t < 1)\n"
+    )
 
     spec = importlib.util.spec_from_file_location("laterality_geometry", SCRIPTS / "laterality_geometry.py")
     reader = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reader)
     assert reader.main(tmp_path) == 0
-    assert f"along the left-right axis: t = {t:.3f} " in capsys.readouterr().out
+    return expected, capsys.readouterr().out
+
+
+def test_laterality_reader_prints_the_run_geometry(tmp_path, capsys):
+    expected, printed = laterality_geometry(tmp_path, capsys, zscore=False)
+    assert printed == expected
+
+
+def test_laterality_reader_reads_the_zscored_run(tmp_path, capsys):
+    # the map of a z-scored run was trained on z-scored vectors, not on
+    # the raw rows of features.csv
+    expected, printed = laterality_geometry(tmp_path, capsys, zscore=True)
+    assert printed == expected
 
 
 @pytest.mark.parametrize("doc, message", [

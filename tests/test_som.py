@@ -26,7 +26,6 @@ from gaitsig.som import (
     best_match,
     clusters,
     init,
-    load_map_json,
     save_map_json,
     train,
     umatrix,
@@ -667,31 +666,6 @@ class TestClusters:
 
 
 class TestSerialization:
-    def test_map_json_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(17)
-        data = rng.normal(0, 1, (10, 3))
-        schedule = TrainSchedule(epochs=20, rng_seed=18, init=InitMode.SAMPLE_INIT)
-        m = train(init(3, 3, schedule, samples=data), data)
-        path = tmp_path / "som.json"
-        save_map_json(m, path)
-        back = load_map_json(path)
-        assert np.array_equal(back.weights, m.weights)
-        assert back.schedule == m.schedule
-        assert (back.rows, back.cols, back.trained) == (m.rows, m.cols, m.trained)
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda text: b"\xff" + text, "not valid JSON ('utf-8' codec can't decode byte 0xff"),
-        (lambda text: text[: len(text) // 2], "not valid JSON (Expecting"),
-        (lambda text: text.replace(b'"weights"', b'"weight"'), "missing key 'weights'"),
-    ], ids=["not-utf8", "truncated", "missing-key"])
-    def test_unreadable_map_names_the_file(self, tmp_path, edit, message):
-        path = tmp_path / "som.json"
-        save_map_json(make_map(1, 2, np.array([[0.1], [0.2]])), path)
-        path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(ValueError) as err:
-            load_map_json(path)
-        assert str(err.value).startswith(f"{path}: {message}"), err.value
-
     def test_save_twice_identical_bytes(self, tmp_path):
         m = make_map(1, 2, np.array([[0.1], [0.2]]))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
