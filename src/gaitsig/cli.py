@@ -11,70 +11,30 @@ from pathlib import Path
 from . import evaluate as ev
 from . import features as ft
 from . import pipeline as pl
-from . import som as sm
-from . import wavelet as wv
 from .config import ConfigError, config_from_dict, load_document
 
 
-def _map_dims(text: str) -> tuple[int, int]:
-    try:
-        rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects ROWSxCOLS, got {text!r}") from None
-
-
-def _scales(text: str) -> dict:
-    try:
-        lo, hi, count = text.split(":")
-        return {"min": float(lo), "max": float(hi), "count": int(count)}
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects MIN:MAX:COUNT, got {text!r}") from None
-
-
-def _comma_list(text: str) -> list[str]:
-    return text.split(",")
-
-
-# Each setting flag: the config keys its value replaces (--map-dims gives
-# one value per key) and its argparse options. None has a default, so a
-# flag left out keeps the config's value.
-SETTING_FLAGS = {
-    "--seed": (("seed",), {"type": int}),
-    "--joints": (("joints",), {"type": _comma_list, "help": (
-        "comma list, e.g. Hip,Knee; without --config, --joints and --sides, cwt "
-        "takes every joint and side each subject has, the one stage default not in config.py")}),
-    "--sides": (("sides",), {"type": _comma_list, "help": "comma list, e.g. Right,Left"}),
-    "--nu0": (("wavelet.nu0",), {"type": float}),
-    "--truncation-radius": (("wavelet.truncation_radius",), {"type": float}),
-    "--boundary": (("wavelet.boundary",), {"choices": [b.value for b in wv.Boundary]}),
-    "--scales": (("wavelet.scales",), {"type": _scales, "help": "MIN:MAX:COUNT, log-spaced"}),
-    "--level": (("features.level",), {"choices": [l.value for l in ft.Level]}),
-    "--map-dims": (("som.rows", "som.cols"), {"type": _map_dims, "help": "ROWSxCOLS"}),
-    "--epochs": (("som.epochs",), {"type": int}),
-    "--kernel": (("som.kernel",), {"choices": [k.value for k in sm.Kernel]}),
-    "--init": (("som.init",), {"choices": [i.value for i in sm.InitMode]}),
-    "--threshold": (("cluster_threshold",), {"type": float, "help": "cluster threshold"}),
-    "--pgm": (("write_pgm",), {"action": argparse.BooleanOptionalAction}),
-}
+# Each setting flag, an integer, and the config key its value replaces.
+# Every other setting comes from --config. Neither flag has a default, so
+# a flag left out keeps the config's value.
+SETTING_FLAGS = {"--seed": "seed", "--epochs": "som.epochs"}
 
 
 def _apply_overrides(doc: dict, args) -> dict:
     """doc with the value of each setting flag given in place of its config
-    keys, and --input in place of doc's input source."""
-    for flag, (keys, _) in SETTING_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+    key, and --input in place of doc's input source."""
+    for flag, key in SETTING_FLAGS.items():
+        value = getattr(args, flag[2:], None)
         if value is None:
             continue
-        for key, v in zip(keys, value if len(keys) > 1 else (value,)):
-            section, _, name = key.rpartition(".")
-            node = doc
-            if section:
-                current = doc.get(section)
-                if not isinstance(current, (dict, type(None))):
-                    continue  # the config parser names the section
-                node = doc[section] = dict(current or {})
-            node[name] = v
+        section, _, name = key.rpartition(".")
+        node = doc
+        if section:
+            current = doc.get(section)
+            if not isinstance(current, (dict, type(None))):
+                continue  # the config parser names the section
+            node = doc[section] = dict(current or {})
+        node[name] = value
     if getattr(args, "input", None) is not None:
         doc.pop("synth", None)
         doc["input"] = args.input
@@ -107,9 +67,8 @@ def cmd_synth(args) -> int:
 
 def cmd_cwt(args) -> int:
     cfg = _config(args)
-    every_part = args.config is None and args.joints is None and args.sides is None
     out = Path(args.out)
-    count = pl.write_scalograms(pl.load_dataset(cfg), cfg, out, every_part)
+    count = pl.write_scalograms(pl.load_dataset(cfg), cfg, out, args.config is None)
     print(f"wrote {count} scalograms -> {out / 'scalograms'}")
     return 0
 
@@ -158,9 +117,9 @@ def _subcommand(sub, name: str, func, help: str, paths: dict, settings=(), stage
     for flag, text in paths.items():
         p.add_argument(flag, required=True, help=text)
     if stage:
-        p.add_argument("--config", help="run config JSON, as run reads it; the flags override it")
+        p.add_argument("--config", help="run config JSON, as run reads it; --seed and --epochs override it")
     for flag in settings:
-        p.add_argument(flag, **SETTING_FLAGS[flag][1])
+        p.add_argument(flag, type=int, help=f"sets {SETTING_FLAGS[flag]}")
     p.set_defaults(func=func)
 
 
@@ -171,26 +130,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     dataset = "dataset CSV or JSON manifest"
-    som = ("--map-dims", "--epochs", "--kernel", "--init", "--seed")
     _subcommand(sub, "ingest", cmd_ingest, "validate a dataset and write it on the canonical grid",
                 {"--input": dataset, "--out": None})
     _subcommand(sub, "synth", cmd_synth, "generate a synthetic labeled dataset",
                 {"--config": "run config JSON with a synth section", "--out": None}, ["--seed"])
-    _subcommand(sub, "cwt", cmd_cwt, "compute Morlet scalograms for a dataset",
-                {"--input": dataset + "; replaces the config's input", "--out": None},
-                ["--scales", "--nu0", "--truncation-radius", "--boundary", "--joints", "--sides", "--pgm"],
-                stage=True)
+    _subcommand(sub, "cwt", cmd_cwt, "compute Morlet scalograms for a dataset; without --config, "
+                "of every joint and side each subject has",
+                {"--input": dataset + "; replaces the config's input", "--out": None}, stage=True)
     _subcommand(sub, "features", cmd_features, "extract feature vectors from scalogram CSVs",
-                {"--scalograms": "directory of scalogram_*.csv files", "--out": None},
-                ["--level"], stage=True)
+                {"--scalograms": "directory of scalogram_*.csv files", "--out": None}, stage=True)
     _subcommand(sub, "train", cmd_train, "train a SOM on a feature matrix",
-                {"--features": "features.csv path", "--out": None},
-                [*som, "--threshold", "--pgm"], stage=True)
+                {"--features": "features.csv path", "--out": None}, ["--epochs", "--seed"], stage=True)
     _subcommand(sub, "eval", cmd_eval, "leave-one-out evaluation of a feature matrix",
-                {"--features": "features.csv path", "--out": None}, som, stage=True)
+                {"--features": "features.csv path", "--out": None}, ["--epochs", "--seed"], stage=True)
     _subcommand(sub, "run", cmd_run, "run the whole pipeline from a config file",
-                {"--config": "run config JSON", "--out": None},
-                ["--seed", "--scales", "--map-dims", "--level", "--threshold"])
+                {"--config": "run config JSON", "--out": None}, ["--seed"])
     return parser
 
 

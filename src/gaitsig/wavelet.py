@@ -268,6 +268,9 @@ def read_scalogram_csv(path) -> Scalogram:
         if fields[:2] != ["#", "scalogram"]:
             raise ValueError(f"{path}: missing scalogram header lines")
         meta = dict(f.partition("=")[::2] for f in fields[2:])
+        for key in ("joint", "side"):
+            if key not in meta:
+                raise ValueError(f"{path}:1: provenance line has no {key}= field")
         for lineno, line in enumerate(fh, start=header.line_num + 1):
             line = line.strip()
             try:
@@ -276,18 +279,21 @@ def read_scalogram_csv(path) -> Scalogram:
                 elif line.startswith("# pct="):
                     pct = np.array(list(map(float, line[len("# pct="):].split(","))))
                 elif line and not line.startswith("#"):
-                    rows.append(list(map(float, line.split(","))))
+                    rows.append((lineno, list(map(float, line.split(",")))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if scales is None or pct is None:
         raise ValueError(f"{path}: missing scalogram header lines")
+    for lineno, row in rows:
+        if len(row) != len(pct):
+            raise ValueError(f"{path}:{lineno}: {len(row)} values, but the # pct= axis has {len(pct)}")
     try:
         return Scalogram(
-            values=np.array(rows),
+            values=np.array([row for _, row in rows]),
             time_axis=pct,
             scale_axis=ScaleGrid(scales),
-            joint=Joint(meta.get("joint")),
-            side=Side(meta.get("side")),
+            joint=Joint(meta["joint"]),
+            side=Side(meta["side"]),
             subject_id=meta.get("subject", ""),
             label=ClassLabel(meta["label"]) if meta.get("label") else None,
         )

@@ -56,7 +56,9 @@ def small_config(**overrides):
     return doc
 
 
-# Settings the stagewise chain must reproduce; None runs it on flags alone.
+# Settings the stagewise chain must reproduce; None runs the benchmark's
+# chain: cwt and features without a config, train and eval on --epochs
+# and --seed alone.
 STAGEWISE_CASES = {
     "flags": None,
     "default": {},
@@ -65,6 +67,9 @@ STAGEWISE_CASES = {
     "random_small": {"som": {"init": "RandomSmall"}},
     "alpha_sigma": {"som": {"alpha0": 0.3, "sigma0": 3.0, "sigma_end": 1.0}},
 }
+
+
+EVERY_PART = {"joints": ["Hip", "Knee", "Ankle"], "sides": ["Right", "Left"]}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -83,14 +88,16 @@ def write_vectors(path, ids, labels):
     features.write_features_csv(matrix, path)
 
 
-def train_three_vectors(tmp_path, map_dims, *python):
-    # a 1-epoch `gaitsig train` on 3 vectors of 160 values, in a child
-    # process started as `python *python train ...`; returns its stdout
+def train_three_vectors(tmp_path, size, *python):
+    # a 1-epoch `gaitsig train` of a size x size map on 3 vectors of 160
+    # values, in a child process started as `python *python train ...`;
+    # returns its stdout
     write_vectors(tmp_path / "features.csv", [f"s{i}" for i in range(3)], [None] * 3)
+    cfg_path = write_config(tmp_path, {"som": {"rows": size, "cols": size}})
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, *python, "train", "--features", str(tmp_path / "features.csv"),
-            "--out", str(tmp_path / "out"), "--map-dims", map_dims, "--epochs", "1"]
+            "--out", str(tmp_path / "out"), "--config", str(cfg_path), "--epochs", "1"]
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -307,13 +314,6 @@ class TestRunConfig:
         assert err == f"gaitsig: error: {message}\n", err
         assert not (tmp_path / "out").exists()
 
-    def test_non_finite_threshold_flag_names_the_key(self, tmp_path, capsys):
-        # checked with the settings, before the features are read
-        argv = ["train", "--features", str(tmp_path / "features.csv"), "--threshold", "nan"]
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "gaitsig: error: cluster_threshold: must be finite, got nan\n"
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -354,7 +354,7 @@ class TestRunConfig:
         assert config_from_dict(doc).scales.scales[-1] == 200.0
 
     def test_largest_map_trains(self, tmp_path):
-        train_three_vectors(tmp_path, "128x128", "-m", "gaitsig")
+        train_three_vectors(tmp_path, 128, "-m", "gaitsig")
         assert json.loads((tmp_path / "out" / "som.json").read_text())["rows"] == 128
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -368,7 +368,7 @@ class TestRunConfig:
                  "status = main(sys.argv[1:])\n"
                  "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
                  "sys.exit(status)\n")
-        peak_kib = int(train_three_vectors(tmp_path, "64x64", "-c", child).split()[-2])
+        peak_kib = int(train_three_vectors(tmp_path, 64, "-c", child).split()[-2])
         assert peak_kib < 100 * 1024
 
     def test_overlong_integer_literal_names_the_file(self, tmp_path, capsys):
@@ -533,13 +533,11 @@ class TestRunPipeline:
         del t1["resolved_config.json"], t2["resolved_config.json"]
         assert t1 == t2
 
-    def test_map_dims_and_level_overrides(self, tmp_path):
-        cfg_path = write_config(tmp_path, small_config())
+    def test_map_size_level_and_threshold_reach_the_artifacts(self, tmp_path):
+        doc = small_config(som={"rows": 3, "cols": 5, "epochs": 30}, features={"level": "LowScale"},
+                           cluster_threshold=0.5)
         out = tmp_path / "out"
-        assert main([
-            "run", "--config", str(cfg_path), "--out", str(out),
-            "--map-dims", "3x5", "--level", "LowScale", "--threshold", "0.5",
-        ]) == 0
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
         som = json.loads((out / "som.json").read_text())
         assert (som["rows"], som["cols"]) == (3, 5)
         resolved = json.loads((out / "resolved_config.json").read_text())
@@ -664,7 +662,8 @@ class TestSubcommandChain:
     def test_features_names_an_undecodable_scalogram(self, tmp_path, capsys):
         d = tmp_path / "stage"
         assert main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)]) == 0
-        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--no-pgm"]) == 0
+        cwt_cfg = write_config(tmp_path, {**EVERY_PART, "write_pgm": False}, "cwt.json")
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--config", str(cwt_cfg)]) == 0
         bad = sorted((d / "scalograms").glob("scalogram_*.csv"))[3]
         bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
         assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 1
@@ -678,10 +677,8 @@ class TestSubcommandChain:
         subjects = ingest_csv(d / "dataset.csv")
         assert len(subjects) == 8
 
-        assert main([
-            "cwt", "--input", str(d / "dataset.csv"), "--out", str(d),
-            "--joints", "Hip", "--sides", "Right", "--no-pgm",
-        ]) == 0
+        cwt_cfg = write_config(tmp_path, {"joints": ["Hip"], "sides": ["Right"], "write_pgm": False}, "cwt.json")
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--config", str(cwt_cfg)]) == 0
         assert len(list((d / "scalograms").glob("*.csv"))) == 8
 
         assert main([
@@ -689,37 +686,35 @@ class TestSubcommandChain:
         ]) == 0
         assert (d / "features.csv").exists()
 
-        assert main([
-            "train", "--features", str(d / "features.csv"), "--out", str(d),
-            "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
-        ]) == 0
+        som_flags = ["--config", str(write_config(tmp_path, {"som": {"rows": 4, "cols": 4}}, "map.json")),
+                     "--epochs", "30", "--seed", "7"]
+        assert main(["train", "--features", str(d / "features.csv"), "--out", str(d), *som_flags]) == 0
         assert (d / "som.json").exists() and (d / "umatrix.csv").exists()
 
-        assert main([
-            "eval", "--features", str(d / "features.csv"), "--out", str(d),
-            "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
-        ]) == 0
+        assert main(["eval", "--features", str(d / "features.csv"), "--out", str(d), *som_flags]) == 0
         report = json.loads((d / "eval.json").read_text())
         assert report["recognition_rate"] >= 0.9
 
     @pytest.mark.parametrize("case", list(STAGEWISE_CASES))
     def test_stagewise_matches_run_artifacts(self, tmp_path, case):
         # the chained stages and the all-in-one run write identical
-        # artifacts, whether the stages read run's config or only flags
+        # artifacts, whether the stages read run's config or, as the
+        # benchmark runs them, no config and only --epochs and --seed
         doc = small_config()
         for section, values in (STAGEWISE_CASES[case] or {}).items():
             doc[section] = {**doc.get(section, {}), **values}
+        flags_only = STAGEWISE_CASES[case] is None
+        if flags_only:
+            # every other setting at its default, as in the flag-only stages
+            doc.update(EVERY_PART, som={"epochs": 30})
         cfg_path = write_config(tmp_path, doc)
         run_dir, d = tmp_path / "run", tmp_path / "stage"
-        if STAGEWISE_CASES[case] is None:
-            cwt_flags, feature_flags = ["--joints", "Hip", "--sides", "Right"], []
-            som_flags = ["--map-dims", "4x4", "--epochs", "30", "--seed", "7"]
-        else:
-            cwt_flags = feature_flags = som_flags = ["--config", str(cfg_path)]
+        config = [] if flags_only else ["--config", str(cfg_path)]
+        som_flags = ["--epochs", "30", "--seed", "7"] if flags_only else config
         assert main(["run", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
         assert main(["synth", "--config", str(cfg_path), "--out", str(d)]) == 0
-        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), *cwt_flags]) == 0
-        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d), *feature_flags]) == 0
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), *config]) == 0
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d), *config]) == 0
         for stage in ("train", "eval"):
             assert main([stage, "--features", str(d / "features.csv"), "--out", str(d), *som_flags]) == 0
         expected = tree_bytes(run_dir)
@@ -768,7 +763,8 @@ class TestSubcommandChain:
     def test_failed_eval_leaves_no_report(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
-        som_flags = ["--map-dims", "4x4", "--epochs", "30", "--seed", "7"]
+        som_flags = ["--config", str(write_config(tmp_path, {"som": {"rows": 4, "cols": 4}}, "map.json")),
+                     "--epochs", "30", "--seed", "7"]
         assert main(["eval", "--features", str(out / "features.csv"), "--out", str(out), *som_flags]) == 0
         m = read_features_csv(out / "features.csv")
         normal = [i for i, label in enumerate(m.labels) if label.value == "Normal"]
@@ -794,9 +790,10 @@ class TestSubcommandChain:
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out)]) == 0
         assert (out / "umatrix.pgm").exists()
+        cfg_path = write_config(tmp_path, {"som": {"rows": 3, "cols": 3}, "write_pgm": False}, "no_pgm.json")
         assert main([
             "train", "--features", str(out / "features.csv"), "--out", str(out),
-            "--map-dims", "3x3", "--epochs", "30", "--seed", "7", "--no-pgm",
+            "--config", str(cfg_path), "--epochs", "30", "--seed", "7",
         ]) == 0
         assert not (out / "umatrix.pgm").exists()
 
@@ -812,17 +809,16 @@ class TestSubcommandChain:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == f"gaitsig: [cwt] {message}\n"
         out = tmp_path / "stage"
-        for flags in (["--config", cfg_path], ["--joints", "Hip,Knee"]):
-            assert main(["cwt", "--input", str(data), "--out", str(out), *flags]) == 1
-            assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
-            assert not list(out.rglob("scalogram_*"))
-        # without --config, --joints and --sides: every part each subject has
-        assert main(["cwt", "--input", str(data), "--out", str(out), "--no-pgm"]) == 0
+        assert main(["cwt", "--input", str(data), "--out", str(out), "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
+        assert not list(out.rglob("scalogram_*"))
+        # without --config: every part each subject has
+        assert main(["cwt", "--input", str(data), "--out", str(out)]) == 0
         assert len(list((out / "scalograms").glob("scalogram_*_Hip_*.csv"))) == 4
 
     def test_features_refuses_subjects_with_other_parts(self, tmp_path, capsys):
-        # cwt without --config, --joints and --sides takes the parts each
-        # subject has, so s1's scalograms cover a part that s2's lack
+        # cwt without --config takes the parts each subject has, so s1's
+        # scalograms cover a part that s2's lack
         data = tmp_path / "parts.csv"
         lines = ["subject_id,label,joint,side,pct,angle_deg"]
         for sid, label, joints in (("s1", "Normal", ("Hip", "Knee")), ("s2", "CP-dp", ("Hip",))):
@@ -830,7 +826,7 @@ class TestSubcommandChain:
                 lines += [f"{sid},{label},{joint},Right,{pct}.0,{20.0 * math.sin(pct / 16.0)!r}" for pct in range(101)]
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "stage"
-        assert main(["cwt", "--input", str(data), "--out", str(out), "--no-pgm"]) == 0
+        assert main(["cwt", "--input", str(data), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["features", "--scalograms", str(out / "scalograms"), "--out", str(out)]) == 1
         message = "subject 's2': parts 'Hip:Right' differs from the first row's 'Hip:Right|Knee:Right'"
@@ -850,7 +846,7 @@ class TestSubcommandChain:
         assert main(["features", "--scalograms", str(d / "work" / "scalograms"), "--out", str(d / "work")]) == 0
         assert main([
             "train", "--features", str(d / "work" / "features.csv"), "--out", str(d / "work"),
-            "--map-dims", "4x4", "--epochs", "30", "--seed", "7",
+            "--config", str(cfg_path),
         ]) == 0
         return tree_bytes(d)
 
@@ -865,7 +861,8 @@ class TestSubcommandChain:
     def test_corrupt_scalogram_names_file(self, tmp_path, capsys):
         d = tmp_path / "stage"
         main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)])
-        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--no-pgm"]) == 0
+        cwt_cfg = write_config(tmp_path, {**EVERY_PART, "write_pgm": False}, "cwt.json")
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--config", str(cwt_cfg)]) == 0
         bad = sorted((d / "scalograms").glob("*.csv"))[17]
         lines = bad.read_text(encoding="utf-8").split("\n")
         lines[4] = "x" + lines[4]  # the second scale row
@@ -873,6 +870,26 @@ class TestSubcommandChain:
         capsys.readouterr()
         assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 1
         assert f"{bad}:5: could not convert string to float: 'x" in capsys.readouterr().err
+        assert not (d / "features.csv").exists()
+
+    @pytest.mark.parametrize("line, drop, message", [
+        (0, " joint=Hip", "1: provenance line has no joint= field"),
+        (0, " side=Right", "1: provenance line has no side= field"),
+        (4, None, "5: 100 values, but the # pct= axis has 101"),
+    ], ids=["no-joint", "no-side", "short-row"])
+    def test_malformed_scalogram_names_file_and_line(self, tmp_path, capsys, line, drop, message):
+        d = tmp_path / "stage"
+        main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)])
+        cwt_cfg = write_config(tmp_path, {"joints": ["Hip"], "sides": ["Right"], "write_pgm": False}, "cwt.json")
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--config", str(cwt_cfg)]) == 0
+        bad = sorted((d / "scalograms").glob("*.csv"))[5]
+        lines = bad.read_text(encoding="utf-8").split("\n")
+        # a provenance key dropped, or the last value of the second scale row
+        lines[line] = lines[line].replace(drop, "") if drop else lines[line].rpartition(",")[0]
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 1
+        assert capsys.readouterr().err == f"gaitsig: error: {bad}:{message}\n"
         assert not (d / "features.csv").exists()
 
     def test_ids_sharing_a_first_word_stay_apart(self, tmp_path):
@@ -891,10 +908,11 @@ class TestSubcommandChain:
         for doc, name in ((big, "big"), (small, "small")):
             main(["synth", "--config", str(write_config(tmp_path, doc, f"{name}.json")), "--out", str(tmp_path / name)])
         assert main(["cwt", "--input", str(tmp_path / "big" / "dataset.csv"), "--out", str(d)]) == 0
+        cwt_cfg = write_config(tmp_path, {"joints": ["Hip", "Knee"], "write_pgm": False}, "cwt.json")
         for out in (d, fresh):
             assert main([
                 "cwt", "--input", str(tmp_path / "small" / "dataset.csv"), "--out", str(out),
-                "--joints", "Hip,Knee", "--no-pgm",
+                "--config", str(cwt_cfg),
             ]) == 0
         assert tree_bytes(d) == tree_bytes(fresh)
         assert len(tree_bytes(fresh)) == 4 * 2 * 2  # 4 subjects x 2 joints x 2 sides, CSV only
@@ -933,8 +951,9 @@ class TestBmus:
     ], ids=["quoted", "unlabeled"])
     def test_train_writes_any_id_and_label_back(self, tmp_path, ids, labels):
         write_vectors(tmp_path / "features.csv", ids, labels)
+        cfg_path = write_config(tmp_path, {"som": {"rows": 3, "cols": 3}})
         assert main(["train", "--features", str(tmp_path / "features.csv"), "--out", str(tmp_path),
-                     "--map-dims", "3x3", "--epochs", "5"]) == 0
+                     "--config", str(cfg_path), "--epochs", "5"]) == 0
         bmus = read_csv_rows(tmp_path / "bmus.csv")
         assert [row[:2] for row in bmus[1:]] == [[sid, label or ""] for sid, label in zip(ids, labels)]
         assert bmus == oracle_bmus(tmp_path)
@@ -944,7 +963,8 @@ class TestBmus:
             raise ValueError("no training")
 
         write_vectors(tmp_path / "features.csv", ["s0", "s1", "s2"], [None] * 3)
-        argv = ["train", "--features", str(tmp_path / "features.csv"), "--out", str(tmp_path), "--map-dims", "2x2"]
+        cfg_path = write_config(tmp_path, {"som": {"rows": 2, "cols": 2}})
+        argv = ["train", "--features", str(tmp_path / "features.csv"), "--out", str(tmp_path), "--config", str(cfg_path)]
         assert main(argv) == 0 and (tmp_path / "bmus.csv").exists()
         monkeypatch.setattr(pipeline.sm, "train", no_training)
         assert main(argv) == 1
