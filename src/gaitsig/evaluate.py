@@ -110,17 +110,23 @@ def _fold(matrix: FeatureMatrix, schedule: TrainSchedule, rows: int, cols: int, 
     return node_labels[best_match(som, matrix.values[i])]
 
 
+def loocv_classes(labels: Sequence[ClassLabel | None]) -> tuple[ClassLabel, ...]:
+    """The sorted classes of labels that leave-one-out can score."""
+    if len(labels) < 2:
+        raise ValueError("leave-one-out needs at least 2 samples")
+    if any(label is None for label in labels):
+        raise ValueError("all vectors must be labeled")
+    classes = tuple(sorted(set(labels)))
+    if len(classes) < 2:
+        raise ValueError("kappa undefined for single-class data")
+    return classes
+
+
 def loocv(matrix: FeatureMatrix, schedule: TrainSchedule, rows: int, cols: int) -> EvalReport:
     """Leave-one-out validation: one train/label/classify round per
     subject on rows x cols maps, fold i seeded with schedule.rng_seed + i."""
     n = len(matrix.subject_ids)
-    if n < 2:
-        raise ValueError("leave-one-out needs at least 2 samples")
-    if any(label is None for label in matrix.labels):
-        raise ValueError("all vectors must be labeled")
-    classes = tuple(sorted(set(matrix.labels)))
-    if len(classes) < 2:
-        raise ValueError("kappa undefined for single-class data")
+    classes = loocv_classes(matrix.labels)
     index = {lab: i for i, lab in enumerate(classes)}
 
     # map keeps fold order, so the report is assembled as in a serial loop

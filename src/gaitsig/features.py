@@ -289,6 +289,8 @@ def read_features_csv(path) -> FeatureMatrix:
         for row in reader:  # the layout comment precedes the header
             if row and row[0] == "subject_id":
                 break
+        else:
+            raise ValueError(f"{path}: no subject_id header line")
         for row in reader:
             if not row:
                 continue

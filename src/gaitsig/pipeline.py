@@ -9,11 +9,11 @@ config the whole artifact tree is byte-identical across reruns.
 
 from __future__ import annotations
 
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 
@@ -83,30 +83,23 @@ def write_dataset(cfg: RunConfig, out_dir: Path) -> list[gd.Subject]:
     return subjects
 
 
-def scalogram_stems(subjects: list[gd.Subject]) -> dict[str, str]:
-    """File-name stem per subject id. Two ids with one stem (`a b` and
-    `a_b`) are refused: the second subject's files would overwrite the
-    first's."""
-    owners: dict[str, str] = {}
-    for subj in subjects:
-        stem = re.sub(r"[^A-Za-z0-9._-]", "_", subj.id)
-        owner = owners.setdefault(stem, subj.id)
-        if owner != subj.id:
-            raise ValueError(
-                f"subject ids {owner!r} and {subj.id!r} share the scalogram file stem {stem!r}"
-            )
-    return {sid: stem for stem, sid in owners.items()}
+def scalogram_stem(sid: str) -> str:
+    """The file-name stem of a subject id, distinct for each id: the id
+    percent-encoded, or when that passes 200 bytes its first 135, `+`
+    (which `quote` encodes) and the SHA-256 of the id."""
+    stem = quote(sid, safe="")
+    if len(stem) > 200:
+        import hashlib  # only an id this long needs it
+        stem = f"{stem[:135]}+{hashlib.sha256(sid.encode()).hexdigest()}"
+    return stem
 
 
-def _cwt_subject(
-    cfg: RunConfig,
-    out_dir: Path,
-    job: tuple[gd.Subject, str, list[tuple[gd.Joint, gd.Side]]],
-) -> int:
+def _cwt_subject(cfg: RunConfig, out_dir: Path, job: tuple[gd.Subject, list[tuple[gd.Joint, gd.Side]]]) -> int:
     """One subject's share of the cwt stage, run in a pool worker: the CWT
     of each selected part, written as a scalogram CSV and, with
     cfg.write_pgm, a PGM. Returns the number of scalograms."""
-    subject, stem, parts = job
+    subject, parts = job
+    stem = scalogram_stem(subject.id)
     for joint, side in parts:
         sc = wv.cwt(
             subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, cfg.boundary,
@@ -132,11 +125,7 @@ def write_scalograms(
         for joint, side in wanted or ():
             if (joint, side) not in subj.trajectories:
                 raise ValueError(f"subject {subj.id!r} lacks a {joint.value}/{side.value} trajectory")
-    stems = scalogram_stems(subjects)
-    jobs = [
-        (subj, stems[subj.id], [p for p in subj.sorted_parts() if wanted is None or p in wanted])
-        for subj in subjects
-    ]
+    jobs = [(subj, [p for p in subj.sorted_parts() if wanted is None or p in wanted]) for subj in subjects]
     scalogram_dir = out_dir / "scalograms"
     scalogram_dir.mkdir(parents=True, exist_ok=True)
     return sum(fork_map(partial(_cwt_subject, cfg, scalogram_dir), jobs))
@@ -256,6 +245,8 @@ def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:
 
     with _stage("dataset", out_dir):
         subjects = write_dataset(cfg, out_dir)
+        if cfg.loocv:  # a set LOOCV cannot score fails before the cwt stage
+            ev.loocv_classes([subj.label for subj in subjects])
 
     with _stage("cwt", out_dir):
         write_scalograms(subjects, cfg, out_dir)

@@ -268,7 +268,7 @@ def read_scalogram_csv(path) -> Scalogram:
         if fields[:2] != ["#", "scalogram"]:
             raise ValueError(f"{path}: missing scalogram header lines")
         meta = dict(f.partition("=")[::2] for f in fields[2:])
-        for key in ("joint", "side"):
+        for key in ("subject", "joint", "side"):
             if key not in meta:
                 raise ValueError(f"{path}:1: provenance line has no {key}= field")
         for lineno, line in enumerate(fh, start=header.line_num + 1):
@@ -294,7 +294,7 @@ def read_scalogram_csv(path) -> Scalogram:
             scale_axis=ScaleGrid(scales),
             joint=Joint(meta["joint"]),
             side=Side(meta["side"]),
-            subject_id=meta.get("subject", ""),
+            subject_id=meta["subject"],
             label=ClassLabel(meta["label"]) if meta.get("label") else None,
         )
     except ValueError as exc:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaitsig import features, pipeline, wavelet
 from gaitsig.cli import SETTING_FLAGS, build_parser, main
@@ -28,7 +30,7 @@ from gaitsig.config import (
 from gaitsig.data import ClassLabel, Joint, Side, ingest_csv, write_csv
 from gaitsig.evaluate import EvalReport
 from gaitsig.features import read_features_csv
-from gaitsig.pipeline import RUN_ARTIFACTS
+from gaitsig.pipeline import RUN_ARTIFACTS, scalogram_stem
 from gaitsig.som import TrainSchedule
 
 from oracles import reference_best_match, same_partition, union_find_components
@@ -119,15 +121,21 @@ EXPECTED_ARTIFACTS = [
 ]
 
 
-def write_colliding_dataset(tmp_path) -> Path:
-    """Two subjects whose ids differ but map to one file stem, `a_b`."""
-    path = tmp_path / "collide.csv"
+def write_hip_dataset(path, ids, labels) -> Path:
+    """A dataset CSV of one right-hip curve per id; no id may hold a comma,
+    quote or line break."""
     lines = ["subject_id,label,joint,side,pct,angle_deg"]
-    for sid, label in (("a b", "Normal"), ("a_b", "CP-dp")):
+    for sid, label in zip(ids, labels, strict=True):
         for pct in range(101):
             lines.append(f"{sid},{label},Hip,Right,{pct}.0,{20.0 * math.sin(pct / 16.0)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_colliding_dataset(tmp_path) -> Path:
+    """Two subjects whose ids differ only where one has a space and the
+    other an underscore."""
+    return write_hip_dataset(tmp_path / "collide.csv", ["a b", "a_b"], ["Normal", "CP-dp"])
 
 
 def read_csv_rows(path) -> list[list[str]]:
@@ -514,14 +522,14 @@ class TestRunPipeline:
         assert (out / "FAILED").read_text() == f"dataset: {message}\n"
         assert capsys.readouterr().err == f"gaitsig: [dataset] {message}\n"
 
-    def test_colliding_file_stems_rejected(self, tmp_path, capsys):
-        cfg = {"seed": 1, "input": str(write_colliding_dataset(tmp_path)),
-               "joints": ["Hip"], "sides": ["Right"], "som": {"rows": 2, "cols": 2}}
+    def test_one_class_loocv_run_fails_before_cwt(self, tmp_path, capsys):
+        data = write_hip_dataset(tmp_path / "one.csv", ["s1", "s2", "s3"], ["Normal"] * 3)
+        cfg = {"seed": 1, "input": str(data), "joints": ["Hip"], "sides": ["Right"], "loocv": True}
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
-        assert (out / "FAILED").read_text().startswith("cwt:")
-        assert "'a b' and 'a_b'" in capsys.readouterr().err
-        assert not list(out.rglob("scalogram_*"))
+        assert (out / "FAILED").read_text() == "dataset: kappa undefined for single-class data\n"
+        assert capsys.readouterr().err == "gaitsig: [dataset] kappa undefined for single-class data\n"
+        assert not (out / "scalograms").exists() and not (out / "features.csv").exists()
 
     def test_resolved_config_echo_is_loadable_and_equivalent(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())
@@ -833,11 +841,24 @@ class TestSubcommandChain:
         assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
         assert not (out / "features.csv").exists()
 
-    def test_cwt_colliding_file_stems_rejected(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["cwt", "--input", str(write_colliding_dataset(tmp_path)), "--out", str(out)]) == 1
-        assert "'a b' and 'a_b'" in capsys.readouterr().err
-        assert not list(out.rglob("scalogram_*"))
+    @pytest.mark.parametrize("ids", [
+        ["a b", "a_b", "a%20b"],
+        ["a é", "a λ"],
+        ["s" * 239 + "1", "s" * 239 + "2", "s"],
+        ["50%", "50%25", "50_", "a+b", "a%2Bb", "+"],
+    ], ids=["space", "non-ascii", "240-chars", "percent-plus"])
+    def test_any_ids_reach_features_apart(self, tmp_path, ids):
+        data = write_hip_dataset(tmp_path / "d.csv", ids, ["Normal"] * len(ids))
+        cfg_path = write_config(tmp_path, {"seed": 1, "input": str(data), "joints": ["Hip"], "sides": ["Right"],
+                                           "som": {"rows": 2, "cols": 2, "epochs": 2}, "loocv": False})
+        run, stage = tmp_path / "run", tmp_path / "stage"
+        assert main(["run", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert main(["cwt", "--input", str(data), "--out", str(stage)]) == 0
+        assert main(["features", "--scalograms", str(stage / "scalograms"), "--out", str(stage)]) == 0
+        for out in (run, stage):
+            assert sorted(read_features_csv(out / "features.csv").subject_ids) == sorted(ids)
+            assert len(list((out / "scalograms").glob("*.csv"))) == len(ids)
+            assert max(len(os.fsencode(p.name)) for p in out.rglob("*")) <= 255
 
     def stagewise(self, cfg_path, d):
         assert main(["synth", "--config", str(cfg_path), "--out", str(d / "synth")]) == 0
@@ -875,8 +896,9 @@ class TestSubcommandChain:
     @pytest.mark.parametrize("line, drop, message", [
         (0, " joint=Hip", "1: provenance line has no joint= field"),
         (0, " side=Right", "1: provenance line has no side= field"),
+        (0, " subject=normal-001", "1: provenance line has no subject= field"),
         (4, None, "5: 100 values, but the # pct= axis has 101"),
-    ], ids=["no-joint", "no-side", "short-row"])
+    ], ids=["no-joint", "no-side", "no-subject", "short-row"])
     def test_malformed_scalogram_names_file_and_line(self, tmp_path, capsys, line, drop, message):
         d = tmp_path / "stage"
         main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)])
@@ -931,6 +953,26 @@ class TestSubcommandChain:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--bogus"])
         assert exc.value.code == 2
+
+
+PLAIN = "AZaz09._-"
+_IDS = st.text(alphabet=st.sampled_from([*PLAIN, " ", "%", "~", "+", "/", "é", "λ", "\u00a0", "😀"]),
+               min_size=1, max_size=300)
+
+
+class TestScalogramStem:
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(_IDS, min_size=1, max_size=8, unique=True))
+    @example(ids=["a b", "a_b", "a%20b", "a%2520b", "a é", "a λ", "a~b"])
+    @example(ids=["s" * 200, "s" * 201, "s" * 239 + "1", "s" * 239 + "2", "s" * 135])
+    @example(ids=["%" * 67, "%" * 66 + "+", "é" * 33, "é" * 34])
+    def test_stems_are_plain_short_and_distinct(self, ids):
+        stems = [scalogram_stem(sid) for sid in ids]
+        assert len(set(stems)) == len(ids)
+        for sid, stem in zip(ids, stems):
+            assert stem.isascii() and "/" not in stem and 0 < len(stem) <= 200, stem
+            if set(sid) <= set(PLAIN) and len(sid) <= 200:
+                assert stem == sid
 
 
 class TestBmus:

@@ -453,6 +453,18 @@ class TestFeaturesCsvErrors:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:5: {message}')}$"):
             read_features_csv(path)
 
+    @pytest.mark.parametrize("n_rows, header, message", [
+        (0, True, "no feature rows"),
+        (3, False, "no subject_id header line"),
+    ], ids=["no-rows", "no-header"])
+    def test_file_without_rows_or_header_named(self, tmp_path, n_rows, header, message):
+        path = tmp_path / "features.csv"
+        _features_file(path, [{}] * n_rows)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        path.write_text("\n".join(lines if header else lines[:1] + lines[2:]), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_features_csv(path)
+
     def test_line_is_physical_after_multiline_id(self, tmp_path):
         path = tmp_path / "features.csv"
         _features_file(path, [{"subject_id": '"a\nb"'}, {"f000": "?"}])
