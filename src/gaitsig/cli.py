@@ -11,41 +11,21 @@ from pathlib import Path
 from . import evaluate as ev
 from . import features as ft
 from . import pipeline as pl
-from .config import ConfigError, config_from_dict, load_document
+from .config import ConfigError, load_config
 
 
-# Each setting flag, an integer, and the config key its value replaces.
-# Every other setting comes from --config. Neither flag has a default, so
-# a flag left out keeps the config's value.
+# Each setting flag, an integer, and the config key whose value
+# config.load_config replaces with it. Every other setting comes from
+# --config. Neither flag has a default, so a flag left out keeps the
+# config's value.
 SETTING_FLAGS = {"--seed": "seed", "--epochs": "som.epochs"}
-
-
-def _apply_overrides(doc: dict, args) -> dict:
-    """doc with the value of each setting flag given in place of its config
-    key, and --input in place of doc's input source."""
-    for flag, key in SETTING_FLAGS.items():
-        value = getattr(args, flag[2:], None)
-        if value is None:
-            continue
-        section, _, name = key.rpartition(".")
-        node = doc
-        if section:
-            current = doc.get(section)
-            if not isinstance(current, (dict, type(None))):
-                continue  # the config parser names the section
-            node = doc[section] = dict(current or {})
-        node[name] = value
-    if getattr(args, "input", None) is not None:
-        doc.pop("synth", None)
-        doc["input"] = args.input
-    return doc
 
 
 def _config(args):
     """A subcommand's settings: its --config document, else an empty one,
     with its flags applied."""
-    doc = {} if getattr(args, "config", None) is None else load_document(args.config)
-    return config_from_dict(_apply_overrides(doc, args))
+    return load_config(getattr(args, "config", None), getattr(args, "seed", None),
+                       getattr(args, "epochs", None), getattr(args, "input", None))
 
 
 def cmd_ingest(args) -> int:

@@ -7,7 +7,8 @@ any computation starts and the error names the dotted key. The fully
 resolved form (all defaults and derived seeds filled in) is echoed back as
 JSON into the output directory for reproducibility checks.
 `config_from_dict` gives a RunConfig, which names at most one input
-source.
+source; `load_config`, the one loader, gives that of a file and the
+setting flags.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ SYNTH = {
     "pathology_label": (STRING, None),  # CP-dp, the label of pathology
     "groups": (OBJECT, None),          # no groups
     "include_normal": (BOOLEAN, SynthSpec.include_normal),
-    "normal_jitter_sd": (NUMBER, None),  # jitter_sd of the first group
 }
 PERTURBATION = {
     "hf_amplitude": (NUMBER, PerturbationSpec.hf_amplitude),
@@ -248,7 +248,6 @@ def _synth(doc: Any, seed: int) -> SynthSpec:
         template=DEFAULT_TEMPLATE if s["template"] is None else _template(s["template"], "synth.template"),
         groups=groups,
         include_normal=s["include_normal"],
-        normal_jitter_sd=s["normal_jitter_sd"],
     )
 
 
@@ -375,17 +374,22 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
-def load_document(path) -> dict:
-    """The JSON object of a run-config file, not yet validated."""
-    doc = read_json(path, ConfigError)
+def load_config(path=None, seed_override: int | None = None, epochs: int | None = None,
+                input: str | None = None) -> RunConfig:
+    """The settings of the run-config file at path, or of an empty document
+    without one, with seed_override in place of seed, epochs in place of
+    som.epochs, and input in place of the document's input source."""
+    doc = {} if path is None else read_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
-
-
-def load_config(path, seed_override: int | None = None) -> RunConfig:
-    doc = load_document(path)
     if seed_override is not None:
         # sections with rng_seed: null derive their seed from this value
         doc["seed"] = seed_override
+    som = doc.get("som")
+    # a som that is not an object is left for the parser to name
+    if epochs is not None and isinstance(som, (dict, type(None))):
+        doc["som"] = {**(som or {}), "epochs": epochs}
+    if input is not None:
+        doc.pop("synth", None)
+        doc["input"] = input
     return config_from_dict(doc)

@@ -312,7 +312,8 @@ def ingest_csv(path) -> list[Subject]:
     the physical line on which that row ends, so a quoted line break in an
     id counts.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh, undecodable_as(ParseError, path):
+    # utf-8-sig drops the byte order mark of Excel's "CSV UTF-8"
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, undecodable_as(ParseError, path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -408,13 +409,24 @@ def write_csv(subjects: Sequence[Subject], path) -> None:
                 fh.write(lead + f"{q}\n{lead}".join(rows) + q + "\n")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(path, error: type[ValueError]):
     """The JSON document of a file. Bytes that are not UTF-8, text that is
     not JSON (also an integer literal over sys.get_int_max_str_digits()
-    digits) and nesting too deep for the parser raise `error`, naming path."""
+    digits, and an object that repeats a key) and nesting too deep for the
+    parser raise `error`, naming path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
 

@@ -221,10 +221,12 @@ def _stage(name: str, out_dir: Path):
     try:
         yield
     except BaseException as exc:
-        (out_dir / "FAILED").write_text(f"{name}: {exc}\n", encoding="utf-8")
+        # a lone surrogate (say, of an undecodable file name) as its escape
+        message = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
+        (out_dir / "FAILED").write_text(f"{name}: {message}\n", encoding="utf-8")
         if not isinstance(exc, Exception):
             raise
-        raise StageError(name, str(exc)) from exc
+        raise StageError(name, message) from exc
 
 
 def run_pipeline(cfg: RunConfig, out_dir) -> PipelineResult:

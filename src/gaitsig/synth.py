@@ -65,7 +65,8 @@ class PerturbationSpec:
     jitter_sd: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.hf_amplitude < 0 or self.timing_shift < 0 or self.jitter_sd < 0:
+        # not >= 0, so that NaN is refused too
+        if not all(x >= 0 for x in (self.hf_amplitude, self.timing_shift, self.jitter_sd)):
             raise ValueError("perturbation magnitudes must be >= 0")
         if not self.asymmetry_gain > 0:
             raise ValueError("asymmetry_gain must be > 0")
@@ -76,9 +77,10 @@ class SynthSpec:
     """Recipe for one dataset: n_subjects per class, for the Normal class
     (unless include_normal is false) and each pathological group.
 
-    normal_jitter_sd None gives the Normal class the jitter_sd of the
-    first group in label order (0 without groups); without the Normal
-    class it must be None. Each error names the field it is about.
+    The Normal class of include_normal takes the jitter_sd of the first
+    group in label order (0 without groups). A Normal class of any other
+    jitter is a group named Normal, with include_normal false. Each error
+    names the field it is about.
     """
 
     n_subjects: int
@@ -88,17 +90,12 @@ class SynthSpec:
     )
     groups: Mapping[ClassLabel, PerturbationSpec] = field(default_factory=dict)
     include_normal: bool = True
-    normal_jitter_sd: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_subjects < 1:
             raise ValueError(f"n_subjects: must be >= 1, got {self.n_subjects}")
-        if self.normal_jitter_sd is not None and not self.normal_jitter_sd >= 0:
-            raise ValueError(f"normal_jitter_sd: must be >= 0, got {self.normal_jitter_sd}")
         if not self.include_normal and not self.groups:
             raise ValueError("include_normal: false with no groups generates nothing")
-        if not self.include_normal and self.normal_jitter_sd is not None:
-            raise ValueError("normal_jitter_sd: given with include_normal false, which generates no Normal class")
         # subject ids are <slug>-NNN, so no two classes may share a slug
         owners = {_slug(NORMAL): "the Normal class of include_normal"} if self.include_normal else {}
         for label in sorted(self.groups):
@@ -220,11 +217,9 @@ def generate(spec: SynthSpec) -> list[Subject]:
     alongside it.
     """
     groups = sorted(spec.groups.items())
-    normal_jitter = spec.normal_jitter_sd
-    if normal_jitter is None:
-        normal_jitter = groups[0][1].jitter_sd if groups else 0.0
     # Normal is the identity perturbation: no HF burst, no shift, gain 1
-    classes = [(NORMAL, PerturbationSpec(jitter_sd=normal_jitter))] if spec.include_normal else []
+    normal = PerturbationSpec(jitter_sd=groups[0][1].jitter_sd if groups else 0.0)
+    classes = [(NORMAL, normal)] if spec.include_normal else []
     return [
         _make_subject(
             f"{_slug(label)}-{k:03d}", label, spec.template, pert,

@@ -25,6 +25,7 @@ from gaitsig.config import (
     WAVELET,
     ConfigError,
     config_from_dict,
+    config_to_dict,
     load_config,
 )
 from gaitsig.data import ClassLabel, Joint, Side, ingest_csv, write_csv
@@ -283,8 +284,9 @@ class TestRunConfig:
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
              "synth.template.Hip: must be a number within the float range"),
             ({"som": {"rows": 10**400}}, f"som.rows: must be <= 128, got {10**400}"),
-            ({"synth": {"n_subjects": 2, "normal_jitter_sd": -1.0, "pathology": {"jitter_sd": 0.5}}},
-             "synth.normal_jitter_sd: must be >= 0, got -1.0"),
+            ({"synth": {"n_subjects": 2, "include_normal": False,
+                        "groups": {"CP-dp": {"jitter_sd": 0.5}, "Normal": {"jitter_sd": -1.0}}}},
+             r"synth.groups\[Normal\]: perturbation magnitudes must be >= 0"),
             ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
         ],
         ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "threshold-huge", "scales-huge", "amplitude-huge",
@@ -394,6 +396,15 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"gaitsig: error: {cfg_path}: not valid JSON (maximum recursion depth"), err
 
+    def test_duplicate_key_names_the_file(self, tmp_path, capsys):
+        # json keeps the last of two equal keys, so the first would be dropped unseen
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"som": {"epochs": 200, "epochs": 2}, "seed": 1, "seed": 3}', encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"gaitsig: error: {cfg_path}: not valid JSON (duplicate key 'epochs')\n", err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_that_nothing_uses_accepted(self):
         doc = small_config(seed=-1)
         doc["synth"]["rng_seed"] = 3
@@ -407,6 +418,15 @@ class TestRunConfig:
         assert cfg.seed == 99
         assert cfg.synth.rng_seed == 99
         assert cfg.schedule.rng_seed == 99
+
+    def test_load_config_applies_each_flag(self, tmp_path):
+        path = write_config(tmp_path, small_config())
+        cfg = load_config(path, seed_override=3, epochs=5, input="x.csv")
+        assert (cfg.seed, cfg.schedule.epochs, cfg.input, cfg.synth) == (3, 5, "x.csv", None)
+        assert load_config(write_config(tmp_path, {"som": None}), epochs=5).schedule.epochs == 5
+        assert config_to_dict(load_config()) == config_to_dict(config_from_dict({}))
+        with pytest.raises(ConfigError, match="^som: must be an object, got a number$"):
+            load_config(write_config(tmp_path, {"som": 5}), epochs=5)
 
     def test_explicit_section_seed_pinned(self, tmp_path):
         doc = small_config()
@@ -507,6 +527,17 @@ class TestRunPipeline:
         marker = (out / "FAILED").read_text()
         assert marker.startswith("dataset:")
         assert "[dataset]" in capsys.readouterr().err
+
+    def test_failed_marker_escapes_a_lone_surrogate(self, tmp_path, capsys):
+        # a file name whose bytes are not UTF-8 reaches the message as a lone surrogate
+        bad_csv = tmp_path / "bad\udcff.csv"
+        bad_csv.write_text("subject_id,label,joint,side,pct,angle_deg\ns1,Normal,Hip,Left,0.0,nan\n")
+        cfg = {"seed": 1, "input": str(bad_csv), "som": {"rows": 4, "cols": 4}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+        message = f"{tmp_path}/bad\\udcff.csv:2: angle_deg 'nan' is not finite"
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"dataset: {message}\n"
+        assert capsys.readouterr().err == f"gaitsig: [dataset] {message}\n"
 
     @pytest.mark.parametrize("key, value, part", [
         ("hf_amplitude", 1e300, "'cp-dp-000' Hip/Right"),
@@ -784,8 +815,8 @@ class TestSubcommandChain:
         assert not any((out / name).exists() for name in ("eval.json", "eval.txt", "confusion.csv"))
 
     def test_setting_flags_default_to_none(self):
-        # a default lives only in config.py, and every setting flag
-        # reaches the config through SETTING_FLAGS
+        # a default lives only in config.py, and every setting flag is
+        # one of SETTING_FLAGS, which load_config applies
         subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         paths = {"-h", "--out", "--input", "--features", "--scalograms", "--config"}
         for name, parser in subcommands.choices.items():

@@ -25,13 +25,12 @@ from gaitsig.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    load_document,
 )
-from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint, write_json
+from gaitsig.data import CP_DP, CP_LH, CP_RH, NORMAL, ClassLabel, Joint, write_json
 from gaitsig.features import N_SCALE_SAMPLES, Level, standardize
 from gaitsig.pipeline import run_pipeline
 from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, Kernel, TrainSchedule, best_match
-from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion, _slug
+from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion, PerturbationSpec, _slug
 from gaitsig.wavelet import Boundary
 
 from test_acceptance import (
@@ -103,9 +102,6 @@ def synth_sections(draw):
             lambda groups: len(set(map(slug, groups))) == len(groups)))
     else:
         doc["include_normal"] = True
-    # without the Normal class, a normal_jitter_sd is refused
-    if doc.get("include_normal", True) and draw(st.booleans()):
-        doc["normal_jitter_sd"] = draw(st.one_of(st.none(), numbers(0, 2)))
     return doc
 
 
@@ -280,7 +276,7 @@ def laterality_geometry(tmp_path, capsys, zscore):
     """What scripts/laterality_geometry.py should print on a small
     laterality run, from the vectors the map was trained on, and what it
     does print."""
-    doc = load_document(CONFIGS / "laterality.json")
+    doc = json.loads((CONFIGS / "laterality.json").read_text(encoding="utf-8"))
     doc["synth"]["n_subjects"] = 3
     doc["som"] = {"rows": 4, "cols": 4, "epochs": 5, "init": "SampleInit"}
     doc["features"]["zscore"] = zscore
@@ -378,13 +374,20 @@ def test_synth_classes_a_run_cannot_use_name_the_key(synth, message):
     ({"groups": {"Polio": {}}, "pathology_label": "Polio"},
      "synth.pathology_label: names the label of synth.pathology, which is not given"),
     ({"pathology_label": "Polio"}, "synth.pathology_label: names the label of synth.pathology, which is not given"),
-    ({"pathology": {}, "include_normal": False, "normal_jitter_sd": 3.0},
-     "synth.normal_jitter_sd: given with include_normal false, which generates no Normal class"),
-], ids=["label-with-groups", "label-alone", "jitter-without-normal"])
+], ids=["label-with-groups", "label-alone"])
 def test_synth_keys_that_change_no_output_refused(synth, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict({"synth": synth, "loocv": False})
     assert str(err.value) == message
+
+
+def test_normal_jitter_is_a_normal_group():
+    # the Normal class has one spelling of its own jitter: a group named Normal
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"synth": {"pathology": {}, "normal_jitter_sd": 3.0}})
+    assert str(err.value) == "synth: unknown keys ['normal_jitter_sd']"
+    cfg = config_from_dict({"synth": {"include_normal": False, "groups": {"CP-dp": {}, "Normal": {"jitter_sd": 3.0}}}})
+    assert cfg.synth.groups[NORMAL] == PerturbationSpec(jitter_sd=3.0)
 
 
 @pytest.mark.parametrize("groups, message", [
@@ -421,7 +424,6 @@ TINY = {
     "synth.rng_seed": st.one_of(st.none(), seeds),
     "synth.pathology_label": st.one_of(st.none(), st.sampled_from(["CP-dp", "Polio"])),
     "synth.include_normal": st.booleans(),
-    "synth.normal_jitter_sd": st.one_of(st.none(), numbers(0, 0.5)),
     "synth.pathology.hf_amplitude": numbers(0, 5),
     "synth.pathology.hf_phase_region": names(GaitRegion),
     "synth.pathology.asymmetry_gain": numbers(0.5, 2),

@@ -246,6 +246,21 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
             ingest_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with the UTF-8 byte order mark
+        rows = [f"s1,Normal,Hip,Left,{float(p)!r},{float(p)!r}" for p in range(101)]
+        path = tmp_path / "d.csv"
+        _write_rows(path, rows)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        (subject,) = ingest_csv(path)
+        assert subject.id == "s1" and subject.label == NORMAL
+        assert np.array_equal(subject.trajectories[(Joint.HIP, Side.LEFT)].samples, np.arange(101.0))
+        rows[5] = "s1,Normal,Hip,Left,5.0,nan"
+        _write_rows(path, rows)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:7: "):  # header + 6 data rows
+            ingest_csv(path)
+
     def test_wrong_header_is_schema_error(self, tmp_path):
         path = tmp_path / "d.csv"
         _write_rows(path, ["s1,Normal,Hip,Left,0.0,0.0"], header="a,b,c,d,e,f")
@@ -619,7 +634,8 @@ class TestJsonManifest:
         (b'[{"subject_id": "a", ', "Expecting property name enclosed in double quotes"),
         (b'[{"subject_id": "\xff"}]', "'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
-    ], ids=["truncated", "undecodable", "nested-too-deep"])
+        (b'[{"subject_id": "a", "subject_id": "b"}]', "duplicate key 'subject_id')"),
+    ], ids=["truncated", "undecodable", "nested-too-deep", "duplicate-key"])
     def test_unreadable_json_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "m.json"
         path.write_bytes(text)

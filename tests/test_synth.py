@@ -34,16 +34,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="generates nothing"):
             SynthSpec(n_subjects=1, rng_seed=0, include_normal=False)
 
-    def test_normal_jitter_sd_refused_without_the_normal_class(self):
-        with pytest.raises(ValueError, match="^normal_jitter_sd: given with include_normal false"):
-            SynthSpec(n_subjects=1, rng_seed=0, groups={CP_DP: PerturbationSpec()},
-                      include_normal=False, normal_jitter_sd=3.0)
-
     @pytest.mark.parametrize("jitter", [-1.0, float("nan")])
     def test_normal_jitter_sd_non_negative(self, jitter):
-        # a negative sd would negate the jitter draws, not be refused late
-        with pytest.raises(ValueError, match=f"^normal_jitter_sd: must be >= 0, got {jitter}$"):
-            SynthSpec(n_subjects=1, rng_seed=0, normal_jitter_sd=jitter)
+        # a Normal class of its own jitter is a group named Normal; a negative
+        # sd would negate the jitter draws, and a NaN one fail late, per subject
+        with pytest.raises(ValueError, match="^perturbation magnitudes must be >= 0$"):
+            SynthSpec(n_subjects=1, rng_seed=0, groups={NORMAL: PerturbationSpec(jitter_sd=jitter)},
+                      include_normal=False)
 
     def test_perturbation_validation(self):
         with pytest.raises(ValueError, match="asymmetry_gain"):
@@ -229,19 +226,34 @@ class TestGenerateGroups:
         lh_from_both = [s for s in both if s.label == CP_LH]
         _identical_datasets(lh_from_both, only_lh)
 
-    @pytest.mark.parametrize("normal_jitter", [0.0, 0.7, None])
-    def test_normal_is_the_identity_perturbation(self, normal_jitter):
-        # the Normal class equals a group named Normal with only jitter
-        group = PerturbationSpec(hf_amplitude=3.0, asymmetry_gain=1.4, timing_shift=2.0, jitter_sd=0.4)
-        with_normal = generate(
-            SynthSpec(n_subjects=3, rng_seed=9, groups={CP_DP: group}, normal_jitter_sd=normal_jitter)
-        )
-        jitter = group.jitter_sd if normal_jitter is None else normal_jitter
+    @pytest.mark.parametrize("group_jitter", [0.0, 0.7, None])
+    def test_normal_is_the_identity_perturbation(self, group_jitter):
+        # the Normal class equals a group named Normal with only the first
+        # group's jitter, or none without groups (None)
+        groups = {} if group_jitter is None else {CP_DP: PerturbationSpec(
+            hf_amplitude=3.0, asymmetry_gain=1.4, timing_shift=2.0, jitter_sd=group_jitter)}
+        with_normal = generate(SynthSpec(n_subjects=3, rng_seed=9, groups=groups))
         as_group = generate(SynthSpec(
-            n_subjects=3, rng_seed=9, groups={ClassLabel("Normal"): PerturbationSpec(jitter_sd=jitter)},
+            n_subjects=3, rng_seed=9, groups={NORMAL: PerturbationSpec(jitter_sd=group_jitter or 0.0)},
             include_normal=False,
         ))
         _identical_datasets([s for s in with_normal if s.label == NORMAL], as_group)
+
+    @pytest.mark.parametrize("jitter_sd", [0.0, 0.3, 2.0])
+    def test_normal_group_matches_the_reference_recipe_bit_for_bit(self, jitter_sd):
+        # a Normal class of its own jitter: first in the dataset, normal-NNN ids
+        pathology = PerturbationSpec(hf_amplitude=5.0, jitter_sd=0.5)
+        spec = SynthSpec(n_subjects=2, rng_seed=42, groups={CP_DP: pathology, NORMAL: PerturbationSpec(
+            jitter_sd=jitter_sd)}, include_normal=False)
+        subjects = generate(spec)
+        assert [s.id for s in subjects] == ["normal-000", "normal-001", "cp-dp-000", "cp-dp-001"]
+        template = {j.value: hs for j, hs in spec.template.items()}
+        for k, subject in enumerate(subjects[:2]):
+            expected = reference_synth_trajectory(template, 42, "Normal", k, jitter_sd=jitter_sd)
+            got = {(j.value, s.value): t.samples for (j, s), t in subject.trajectories.items()}
+            assert got.keys() == expected.keys()
+            for part, y in expected.items():
+                assert got[part].tobytes() == y.tobytes(), part
 
     def test_empty_generation_rejected(self):
         with pytest.raises(ValueError):
@@ -264,7 +276,8 @@ class TestGenerateGroups:
         (PerturbationSpec(), 1e300, "'normal-000' Hip/Right"),
     ], ids=["hf-amplitude", "gain-small", "gain-large", "normal-jitter"])
     def test_out_of_range_angles_name_the_subject_and_part(self, group, normal_jitter, part):
-        spec = SynthSpec(n_subjects=1, rng_seed=0, groups={CP_DP: group}, normal_jitter_sd=normal_jitter)
+        spec = SynthSpec(n_subjects=1, rng_seed=0, include_normal=False,
+                         groups={CP_DP: group, NORMAL: PerturbationSpec(jitter_sd=normal_jitter)})
         with pytest.raises(ValueError, match=f"^subject {part}: \\|angle\\| must be <= 180.0 degrees$"):
             generate(spec)
 
