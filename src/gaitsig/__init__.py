@@ -19,7 +19,6 @@ from .data import (
     Side,
     Subject,
     ingest_csv,
-    ingest_json,
     resample,
     write_csv,
 )

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gait signatures: Morlet scalograms of joint angles classified with a self-organizing map.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    dataset = "dataset CSV or JSON manifest"
+    dataset = "dataset CSV"
     _subcommand(sub, "ingest", cmd_ingest, "validate a dataset and write it on the canonical grid",
                 {"--input": dataset, "--out": None})
     _subcommand(sub, "synth", cmd_synth, "generate a synthetic labeled dataset",

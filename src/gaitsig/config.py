@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .data import CP_DP, ClassLabel, Joint, Side, json_form, read_json
+from .data import CP_DP, ClassLabel, Joint, Side, json_form
 from .features import N_SCALE_SAMPLES, Level
 from .som import LARGEST_SIGMA0, InitMode, Kernel, TrainSchedule
 from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
@@ -70,7 +70,7 @@ _IS_KIND = {
 # 128x128 map of 960-value vectors peaks at about 540 MB.
 CONFIG = {
     "seed": (INTEGER, 0),
-    "input": (STRING, None),           # no input file; a .json name is a manifest
+    "input": (STRING, None),           # no input file; else a dataset CSV, not a .json name
     "synth": (OBJECT, None),           # no synthetic input
     "joints": (STRINGS, ["Hip"]),
     "sides": (STRINGS, ["Right", "Left"]),
@@ -342,6 +342,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     )
     if cfg.input is not None and cfg.synth is not None:
         raise ConfigError("config must name exactly one input source")
+    if cfg.input is not None and cfg.input.endswith(".json"):
+        raise ConfigError(f"input: must name a dataset CSV, got {cfg.input!r}")
     return cfg
 
 
@@ -374,12 +376,35 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(path):
+    """The JSON document of a config file, with or without a UTF-8 byte
+    order mark. Bytes that are not UTF-8, text that is not JSON (also an
+    integer literal over sys.get_int_max_str_digits() digits, and an object
+    that repeats a key) and nesting too deep for the parser raise
+    ConfigError, naming path."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_config(path=None, seed_override: int | None = None, epochs: int | None = None,
                 input: str | None = None) -> RunConfig:
     """The settings of the run-config file at path, or of an empty document
     without one, with seed_override in place of seed, epochs in place of
     som.epochs, and input in place of the document's input source."""
-    doc = {} if path is None else read_json(path, ConfigError)
+    doc = {} if path is None else read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if seed_override is not None:

@@ -1,9 +1,11 @@
-"""Joint-angle trajectory containers and dataset ingestion.
+"""Joint-angle trajectory containers, the dataset CSV and the JSON writer.
 
 Trajectories are sagittal joint angles (degrees) sampled on a uniform grid
 of gait-cycle percentage, 0..100% inclusive. The canonical grid has 101
 points (one sample per 1%); files on any other uniform grid are linearly
-resampled onto it at ingest time.
+resampled onto it at ingest time. The dataset CSV is the one input format:
+ingest_csv reads it and write_csv writes it. json_form, json_text and
+write_json write every JSON artifact; config.read_json reads run configs.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def resample(traj: GaitTrajectory, new_grid_size: int) -> GaitTrajectory:
     return GaitTrajectory(joint=traj.joint, side=traj.side, samples=new_samples)
 
 
-# --- CSV / JSON ingestion -------------------------------------------------
+# --- CSV ingestion -------------------------------------------------------
 #
 # CSV schema (UTF-8, header required):
 #   subject_id,label,joint,side,pct,angle_deg
@@ -218,24 +220,6 @@ def _uniform_grid_samples(pct: np.ndarray, angle: np.ndarray, where: str) -> np.
             f"{where}: pct values do not form a uniform grid over [0, 100]"
         )
     return angle[order]
-
-
-def _finish_subject(
-    sid: str,
-    label: ClassLabel,
-    parts: dict[tuple[Joint, Side], np.ndarray],
-    where: str,
-) -> Subject:
-    trajectories = {}
-    for (joint, side), samples in parts.items():
-        try:
-            traj = GaitTrajectory(joint=joint, side=side, samples=samples)
-        except ValueError as exc:
-            raise SchemaError(f"{where} {joint.value}/{side.value} angle_deg: {exc}") from None
-        if traj.grid_size != CANONICAL_GRID_SIZE:
-            traj = resample(traj, CANONICAL_GRID_SIZE)
-        trajectories[(joint, side)] = traj
-    return Subject(id=sid, label=label, trajectories=trajectories)
 
 
 def _row_error(pct_text: str, angle_text: str) -> str | None:
@@ -356,14 +340,19 @@ def ingest_csv(path) -> list[Subject]:
     subjects = []
     for sid, label_text in subject_labels.items():
         where = f"{path}: subject {sid!r}"
-        parts = {}
+        trajectories = {}
         for (joint, side), part_runs in runs[sid].items():
-            parts[(joint, side)] = _uniform_grid_samples(
+            samples = _uniform_grid_samples(
                 np.concatenate([pct for pct, _ in part_runs]),
                 np.concatenate([angle for _, angle in part_runs]),
                 f"{where} {joint.value}/{side.value}",
             )
-        subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, where))
+            try:
+                traj = GaitTrajectory(joint=joint, side=side, samples=samples)
+            except ValueError as exc:
+                raise SchemaError(f"{where} {joint.value}/{side.value} angle_deg: {exc}") from None
+            trajectories[(joint, side)] = resample(traj, CANONICAL_GRID_SIZE)
+        subjects.append(Subject(id=sid, label=ClassLabel(label_text), trajectories=trajectories))
     if not subjects:
         raise SchemaError(f"{path}: no data rows")
     return subjects
@@ -409,28 +398,6 @@ def write_csv(subjects: Sequence[Subject], path) -> None:
                 fh.write(lead + f"{q}\n{lead}".join(rows) + q + "\n")
 
 
-def _unique_keys(pairs) -> dict:
-    """A JSON object's pairs as a dict; a key given twice is an error."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
-
-
-def read_json(path, error: type[ValueError]):
-    """The JSON document of a file. Bytes that are not UTF-8, text that is
-    not JSON (also an integer literal over sys.get_int_max_str_digits()
-    digits, and an object that repeats a key) and nesting too deep for the
-    parser raise `error`, naming path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: not valid JSON ({exc})") from None
-
-
 def json_form(value):
     """value as a JSON document: a record as an object of its dataclass
     fields, an enum or ClassLabel as its text, a mapping as an object with
@@ -459,78 +426,3 @@ def write_json(value, path) -> None:
     """Write value's json_text and a newline to path."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(value) + "\n")
-
-
-def _json_text(entry: dict, name: str, where: str) -> str:
-    """A required non-empty string field of a manifest entry that
-    dataset.csv can hold (UTF-8 encodable)."""
-    if name not in entry:
-        raise SchemaError(f"{where}: missing field {name!r}")
-    value = entry[name]
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: {name} must be a string, got {type(value).__name__}")
-    if not value:
-        raise SchemaError(f"{where}: empty {name}")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise SchemaError(f"{where}: {name} {value!r} is not valid UTF-8 text") from None
-    return value
-
-
-def _json_samples(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise SchemaError(f"{where}: angle_deg must be a flat list of numbers")
-    try:
-        return np.array(value, dtype=float)
-    except OverflowError:
-        raise SchemaError(f"{where}: angle_deg holds a number out of range") from None
-
-
-def ingest_json(path) -> list[Subject]:
-    """Read the JSON manifest alternative: an array of subjects with inline
-    sample arrays. Field names mirror the CSV columns:
-
-    [{"subject_id": ..., "label": ..., "meta": {...},
-      "trajectories": [{"joint": ..., "side": ..., "angle_deg": [...]}]}]
-
-    subject_id and label are non-empty strings, each subject_id used once;
-    angle_deg is a flat list of numbers; meta, if given, must be an object
-    and is not kept, as dataset.csv has no column for it. Errors name the
-    file, the subject index and the field.
-    """
-    doc = read_json(path, ParseError)
-    if not isinstance(doc, list) or not doc:
-        raise SchemaError(f"{path}: manifest must be a non-empty array")
-    subjects = []
-    seen: set[str] = set()
-    for i, entry in enumerate(doc):
-        where = f"{path}: subject #{i}"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: not an object")
-        sid = _json_text(entry, "subject_id", where)
-        if sid in seen:
-            raise SchemaError(f"{where}: duplicate subject_id {sid!r}")
-        seen.add(sid)
-        label_text = _json_text(entry, "label", where)
-        trajs = entry.get("trajectories")
-        if not isinstance(trajs, list) or not all(isinstance(t, dict) for t in trajs):
-            raise SchemaError(f"{where}: trajectories must be a list of objects")
-        if not isinstance(entry.get("meta", {}), dict):
-            raise SchemaError(f"{where}: meta must be an object")
-        parts: dict[tuple[Joint, Side], np.ndarray] = {}
-        for k, t in enumerate(trajs):
-            joint = _parse_part(Joint, t.get("joint", ""), where)
-            side = _parse_part(Side, t.get("side", ""), where)
-            samples = _json_samples(t.get("angle_deg", []), f"{where} trajectory #{k}")
-            if (joint, side) in parts:
-                raise SchemaError(
-                    f"{where}: duplicate trajectory {joint.value}/{side.value}"
-                )
-            parts[(joint, side)] = samples
-        if not parts:
-            raise SchemaError(f"{where}: no trajectories")
-        subjects.append(_finish_subject(sid, ClassLabel(label_text), parts, where))
-    return subjects

@@ -64,12 +64,10 @@ def _require_input(cfg: RunConfig) -> None:
 
 def load_dataset(cfg: RunConfig) -> list[gd.Subject]:
     """The subjects of cfg's one input source: generated from its synth
-    section, or read from its JSON manifest (a .json name) or dataset CSV."""
+    section, or read from its dataset CSV."""
     _require_input(cfg)
     if cfg.synth is not None:
         return synth.generate(cfg.synth)
-    if cfg.input.endswith(".json"):
-        return gd.ingest_json(cfg.input)
     return gd.ingest_csv(cfg.input)
 
 

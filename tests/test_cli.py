@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import json
 import math
@@ -405,6 +406,27 @@ class TestRunConfig:
         assert err == f"gaitsig: error: {cfg_path}: not valid JSON (duplicate key 'epochs')\n", err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (b'{"seed": 1, ', "Expecting property name enclosed in double quotes"),
+        (b'{"input": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["truncated", "undecodable"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(text)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gaitsig: error: {cfg_path}: not valid JSON ({message}"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_with_byte_order_mark_loads(self, tmp_path):
+        # some editors save UTF-8 text with a byte order mark
+        plain = write_config(tmp_path, small_config(), "plain.json")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for cfg_path in (plain, bom):
+            assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / cfg_path.stem)]) == 0
+        assert (tmp_path / "bom" / "dataset.csv").read_bytes() == (tmp_path / "plain" / "dataset.csv").read_bytes()
+
     def test_negative_seed_that_nothing_uses_accepted(self):
         doc = small_config(seed=-1)
         doc["synth"]["rng_seed"] = 3
@@ -776,20 +798,16 @@ class TestSubcommandChain:
             names = [p.name for p in (d / "scalograms").glob("scalogram_*.csv")]
             assert len(names) == count and all(part in n for n in names)
 
-    def test_input_read_by_its_name(self, tmp_path):
-        # a name ending in .json is a JSON manifest, any other a dataset CSV
-        d = tmp_path / "synth"
-        assert main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)]) == 0
-        manifest = [
-            {"subject_id": s.id, "label": s.label.value, "trajectories": [
-                {"joint": j.value, "side": side.value, "angle_deg": s.trajectories[(j, side)].samples.tolist()}
-                for j, side in s.sorted_parts()]}
-            for s in ingest_csv(d / "dataset.csv")
-        ]
-        (tmp_path / "d.json").write_text(json.dumps(manifest), encoding="utf-8")
-        for path in (tmp_path / "d.json", d / "dataset.csv"):
-            pipeline.write_dataset(config_from_dict({"input": str(path)}), tmp_path / "out")
-            assert (tmp_path / "out" / "dataset.csv").read_bytes() == (d / "dataset.csv").read_bytes()
+    def test_json_input_refused_before_output(self, tmp_path, capsys):
+        # the dataset CSV is the one input format
+        data = tmp_path / "d.json"
+        data.write_text("[]", encoding="utf-8")
+        run_cfg = write_config(tmp_path, {"input": str(data)}, "run.json")
+        for argv in (["ingest", "--input", str(data)], ["cwt", "--input", str(data)], ["run", "--config", str(run_cfg)]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"gaitsig: error: input: must name a dataset CSV, got {str(data)!r}\n"
+            assert not out.exists()
 
     def test_stage_config_validated_in_full(self, tmp_path, capsys):
         doc = small_config()

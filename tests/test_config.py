@@ -147,7 +147,7 @@ def documents(draw):
         "loocv": st.booleans(),
     }))
     source = draw(st.sampled_from(["input", "synth"]))
-    doc[source] = draw(synth_sections()) if source == "synth" else draw(st.sampled_from(["data.csv", "data.json"]))
+    doc[source] = draw(synth_sections()) if source == "synth" else draw(st.sampled_from(["data.csv", "data"]))
     if source == "synth" and synth_classes(doc["synth"]) < 2:
         doc["loocv"] = False  # leave-one-out needs 2 classes
     return doc

@@ -1,4 +1,3 @@
-import json
 import re
 from dataclasses import replace
 
@@ -19,36 +18,12 @@ from gaitsig.data import (
     Side,
     Subject,
     ingest_csv,
-    ingest_json,
     resample,
     write_csv,
 )
 
 from conftest import make_traj
 from oracles import reference_ingest_error, reference_write_csv
-
-
-def write_json(subjects, path) -> None:
-    """Write subjects as a JSON manifest, the form ingest_json reads."""
-    doc = [
-        {
-            "subject_id": subj.id,
-            "label": subj.label.value,
-            "meta": {},
-            "trajectories": [
-                {
-                    "joint": joint.value,
-                    "side": side.value,
-                    "angle_deg": [float(v) for v in subj.trajectories[(joint, side)].samples],
-                }
-                for joint, side in subj.sorted_parts()
-            ],
-        }
-        for subj in subjects
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 class TestGaitTrajectory:
@@ -468,14 +443,18 @@ _ANGLES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 
     st.floats(-180.0, 180.0)
 
 
+_PARTS = [(j.value, s.value) for j in Joint for s in Side]
+
+
 @st.composite
 def subject_specs(draw):
-    """Subjects as (id, label, {(joint, side): samples}) on one grid size."""
+    """Subjects as (id, label, {(joint, side): samples}) on one grid size,
+    each id used once, as a dataset holds them."""
     n = draw(st.sampled_from([21, 22, 51, 101]))
     parts = st.lists(st.sampled_from(_PARTS), min_size=1, max_size=3, unique=True)
     return [
-        (draw(_TEXT), draw(_TEXT), {part: draw(st.lists(_ANGLES, min_size=n, max_size=n)) for part in draw(parts)})
-        for _ in range(draw(st.integers(1, 3)))
+        (sid, draw(_TEXT), {part: draw(st.lists(_ANGLES, min_size=n, max_size=n)) for part in draw(parts)})
+        for sid in draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True))
     ]
 
 
@@ -495,6 +474,17 @@ class TestWriteCsv:
         write_csv(subjects, tmp / "dataset.csv")
         reference_write_csv(specs, tmp / "reference.csv")
         assert (tmp / "dataset.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+        # any id and label text reads back, and ingest -> write -> ingest is bit-identical
+        ingested = ingest_csv(tmp / "dataset.csv")
+        assert [(s.id, s.label, set(s.trajectories)) for s in ingested] == [
+            (s.id, s.label, set(s.trajectories)) for s in subjects]
+        write_csv(ingested, tmp / "again.csv")
+        again = ingest_csv(tmp / "again.csv")
+        assert [(s.id, s.label, s.sorted_parts()) for s in again] == [
+            (s.id, s.label, s.sorted_parts()) for s in ingested]
+        for a, b in zip(ingested, again):
+            for key in a.trajectories:
+                assert a.trajectories[key].samples.tobytes() == b.trajectories[key].samples.tobytes()
 
 
 class TestRoundTrip:
@@ -541,134 +531,3 @@ class TestRoundTrip:
             for key in s.trajectories:
                 assert np.array_equal(s.trajectories[key].samples, t.trajectories[key].samples)
 
-    def test_json_matches_csv_ingest(self, tmp_path):
-        subjects = self._random_subjects(12)
-        write_csv(subjects, tmp_path / "d.csv")
-        write_json(subjects, tmp_path / "d.json")
-        from_csv = ingest_csv(tmp_path / "d.csv")
-        from_json = ingest_json(tmp_path / "d.json")
-        for a, b in zip(from_csv, from_json):
-            assert a.id == b.id and a.label == b.label
-            for key in a.trajectories:
-                assert np.array_equal(a.trajectories[key].samples, b.trajectories[key].samples)
-
-    def test_json_missing_label_rejected(self, tmp_path):
-        (tmp_path / "bad.json").write_text(
-            '[{"subject_id": "x", "label": "", "trajectories": []}]', encoding="utf-8"
-        )
-        with pytest.raises(SchemaError, match="label"):
-            ingest_json(tmp_path / "bad.json")
-
-
-def _manifest_entry(**fields):
-    entry = {
-        "subject_id": "s1",
-        "label": "Normal",
-        "trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [0.0] * 21}],
-    }
-    entry.update(fields)
-    return entry
-
-
-_PARTS = [(j.value, s.value) for j in Joint for s in Side]
-
-
-@st.composite
-def manifests(draw):
-    """JSON manifests with any id and label text, and now and then an
-    invalid field: a non-string id or label, a short or nested angle list."""
-    text = st.text(st.characters(exclude_categories=()), min_size=1, max_size=6)
-    odd_value = st.sampled_from([7, ["a"], ""])
-    angle = st.floats(-180.0, 180.0) | st.integers(-180, 180)
-    odd_angles = st.sampled_from([[[0.0] * 21], [0.0] * 20, ["x"] * 21])
-
-    def value():
-        return draw(odd_value if draw(st.integers(0, 19)) == 5 else text)
-
-    doc = []
-    for _ in range(draw(st.integers(1, 3))):
-        trajectories = [
-            {
-                "joint": joint,
-                "side": side,
-                "angle_deg": draw(
-                    odd_angles if draw(st.integers(0, 19)) == 5
-                    else st.lists(angle, min_size=21, max_size=30)
-                ),
-            }
-            for joint, side in draw(st.lists(st.sampled_from(_PARTS), min_size=1, max_size=2, unique=True))
-        ]
-        doc.append({"subject_id": value(), "label": value(), "trajectories": trajectories})
-    return doc
-
-
-class TestJsonManifest:
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"subject_id": 7}, "subject_id must be a string, got int"),
-            ({"subject_id": ["a"]}, "subject_id must be a string, got list"),
-            ({"label": 7}, "label must be a string, got int"),
-            ({"label": None}, "label must be a string, got NoneType"),
-            ({"label": "\ud800"}, re.escape("label '\\ud800' is not valid UTF-8 text")),
-            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [0.0] * 20 + ["x"]}]},
-             "trajectory #0: angle_deg must be a flat list of numbers"),
-            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [[0.0] * 21]}]},
-             "trajectory #0: angle_deg must be a flat list of numbers"),
-            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [True] * 21}]},
-             "trajectory #0: angle_deg must be a flat list of numbers"),
-            ({"trajectories": [{"joint": "Hip", "side": "Right", "angle_deg": [0.0] * 20}]},
-             "Hip/Right angle_deg: grid_size must be >= 21, got 20"),
-            ({"meta": 3}, "meta must be an object"),
-        ],
-        ids=["int-id", "list-id", "int-label", "null-label", "surrogate-label", "text-angle", "nested-angle",
-             "bool-angle", "short-angle", "int-meta"],
-    )
-    def test_field_errors_name_file_subject_and_field(self, tmp_path, fields, message):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps([_manifest_entry(subject_id="s0"), _manifest_entry(**fields)]))
-        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: subject #1:? {message}$"):
-            ingest_json(path)
-
-    @pytest.mark.parametrize("text, message", [
-        (b'[{"subject_id": "a", ', "Expecting property name enclosed in double quotes"),
-        (b'[{"subject_id": "\xff"}]', "'utf-8' codec can't decode byte 0xff"),
-        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
-        (b'[{"subject_id": "a", "subject_id": "b"}]', "duplicate key 'subject_id')"),
-    ], ids=["truncated", "undecodable", "nested-too-deep", "duplicate-key"])
-    def test_unreadable_json_names_the_file(self, tmp_path, text, message):
-        path = tmp_path / "m.json"
-        path.write_bytes(text)
-        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: not valid JSON ({message}')}"):
-            ingest_json(path)
-
-    def test_duplicate_subject_id_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps([_manifest_entry(), _manifest_entry()]))
-        with pytest.raises(SchemaError, match=r"subject #1: duplicate subject_id 's1'$"):
-            ingest_json(path)
-
-    def test_cli_reports_int_id_without_traceback(self, tmp_path, capsys):
-        from gaitsig.cli import main
-
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps([_manifest_entry(subject_id=7)]))
-        assert main(["ingest", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "subject #0: subject_id must be a string, got int" in capsys.readouterr().err
-
-    @settings(max_examples=150, deadline=None)
-    @given(doc=manifests())
-    def test_accepted_manifest_round_trips_through_dataset_csv(self, tmp_path_factory, doc):
-        tmp = tmp_path_factory.mktemp("manifest")
-        (tmp / "m.json").write_text(json.dumps(doc), encoding="utf-8")
-        try:
-            subjects = ingest_json(tmp / "m.json")
-        except SchemaError:
-            return
-        write_csv(subjects, tmp / "dataset.csv")
-        again = ingest_csv(tmp / "dataset.csv")
-        assert [(s.id, s.label) for s in again] == [(e["subject_id"], ClassLabel(e["label"])) for e in doc]
-        for a, b in zip(subjects, again):
-            assert a.sorted_parts() == b.sorted_parts()
-            for key in a.trajectories:
-                assert a.trajectories[key].samples.tobytes() == b.trajectories[key].samples.tobytes()
