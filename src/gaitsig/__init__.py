@@ -39,6 +39,6 @@ from .som import (
     umatrix,
 )
 from .synth import GaitRegion, PerturbationSpec, SynthSpec, generate
-from .wavelet import Boundary, MorletParams, ScaleGrid, Scalogram, cwt, morlet
+from .wavelet import MorletParams, ScaleGrid, Scalogram, cwt, morlet
 
 __version__ = "0.1.0"

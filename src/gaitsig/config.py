@@ -28,7 +28,6 @@ from .wavelet import (
     DEFAULT_SCALE_MIN,
     LARGEST_SCALE,
     LARGEST_TRUNCATION_RADIUS,
-    Boundary,
     MorletParams,
     ScaleGrid,
 )
@@ -77,7 +76,6 @@ CONFIG = {
     "wavelet": (OBJECT, None),         # every wavelet default
     "features": (OBJECT, None),        # every features default
     "som": (OBJECT, None),             # every som default
-    "cluster_threshold": (NUMBER, None),  # 60th percentile of the U-Matrix heights
     "write_pgm": (BOOLEAN, True),
     "loocv": (BOOLEAN, True),
 }
@@ -100,7 +98,6 @@ PERTURBATION = {
 WAVELET = {
     "nu0": (NUMBER, MorletParams.nu0),
     "truncation_radius": (NUMBER, MorletParams.truncation_radius, LARGEST_TRUNCATION_RADIUS),
-    "boundary": (STRING, Boundary.ZERO.value),
     "scales": (SCALES, None),          # the object's defaults
 }
 SCALE_RANGE = {
@@ -284,13 +281,11 @@ class RunConfig:
     sides: tuple[Side, ...]
     morlet: MorletParams
     scales: ScaleGrid
-    boundary: Boundary
     level: Level
     zscore: bool
     som_rows: int
     som_cols: int
     schedule: TrainSchedule
-    cluster_threshold: float | None
     write_pgm: bool
     loocv: bool
     input: str | None
@@ -328,13 +323,11 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         sides=sides,
         morlet=_build(MorletParams, "wavelet: ", nu0=w["nu0"], truncation_radius=w["truncation_radius"]),
         scales=_scales(w["scales"]),
-        boundary=_member(Boundary, w["boundary"], "wavelet.boundary"),
         level=_member(Level, f["level"], "features.level"),
         zscore=f["zscore"],
         som_rows=s["rows"],
         som_cols=s["cols"],
         schedule=schedule,
-        cluster_threshold=top["cluster_threshold"],
         write_pgm=top["write_pgm"],
         loocv=top["loocv"],
         input=top["input"],
@@ -362,7 +355,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "sides": json_form(cfg.sides),
         "wavelet": {
             **json_form(cfg.morlet),
-            "boundary": cfg.boundary.value,
             "scales": json_form(cfg.scales.scales),
         },
         "features": {
@@ -370,7 +362,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "zscore": cfg.zscore,
         },
         "som": {"rows": cfg.som_rows, "cols": cfg.som_cols, **json_form(cfg.schedule)},
-        "cluster_threshold": cfg.cluster_threshold,
         "write_pgm": cfg.write_pgm,
         "loocv": cfg.loocv,
     }

@@ -10,7 +10,7 @@ config the whole artifact tree is byte-identical across reruns.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from urllib.parse import quote
@@ -99,10 +99,7 @@ def _cwt_subject(cfg: RunConfig, out_dir: Path, job: tuple[gd.Subject, list[tupl
     subject, parts = job
     stem = scalogram_stem(subject.id)
     for joint, side in parts:
-        sc = wv.cwt(
-            subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, cfg.boundary,
-            subject.id, subject.label,
-        )
+        sc = wv.cwt(subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, subject.id, subject.label)
         path = out_dir / f"scalogram_{stem}_{joint.value}_{side.value}"
         wv.write_scalogram_csv(sc, f"{path}.csv")
         if cfg.write_pgm:
@@ -129,10 +126,14 @@ def write_scalograms(
     return sum(fork_map(partial(_cwt_subject, cfg, scalogram_dir), jobs))
 
 
-def _part_row(level: ft.Level, path: Path) -> tuple:
+def _part_row(level: ft.Level, first: Path, axes: tuple[np.ndarray, np.ndarray], path: Path) -> tuple:
     """The single-part row (subject_id, label, (joint, side), values) of
-    one scalogram file; a pool task of the features stage."""
+    one scalogram file, whose (scales, pct) axes must equal axes, those of
+    the file first; a pool task of the features stage."""
     sc = wv.read_scalogram_csv(path)
+    for name, axis, want in zip(("scales", "pct"), (sc.scale_axis.scales, sc.time_axis), axes):
+        if not np.array_equal(axis, want):
+            raise ValueError(f"{path}: its # {name}= axis differs from that of {first}")
     try:
         return sc.subject_id, sc.label, (sc.joint, sc.side), ft.extract_features(sc, level)
     except ValueError as exc:
@@ -141,13 +142,22 @@ def _part_row(level: ft.Level, path: Path) -> tuple:
 
 def write_features(scalogram_dir, level: ft.Level, out_dir: Path) -> ft.FeatureMatrix:
     """The features stage: the feature matrix of the scalogram CSVs under
-    scalogram_dir, one pool task per file; every subject must have the
-    same parts. Writes out_dir/features.csv and returns the matrix."""
+    scalogram_dir, one pool task per file. Every file must have the axes
+    of the first in name order, no two files one subject's part, and every
+    subject the same parts. Writes out_dir/features.csv and returns the
+    matrix."""
     remove_artifacts("features", out_dir)
     paths = sorted(Path(scalogram_dir).glob("scalogram_*.csv"))
     if not paths:
         raise ConfigError(f"no scalogram_*.csv files under {scalogram_dir}")
-    matrix = ft.FeatureMatrix.from_parts(fork_map(partial(_part_row, level), paths), level)
+    first = wv.read_scalogram_csv(paths[0])
+    rows = fork_map(partial(_part_row, level, paths[0], (first.scale_axis.scales, first.time_axis)), paths)
+    owners: dict[tuple, Path] = {}
+    for path, (sid, _, (joint, side), _) in zip(paths, rows):
+        other = owners.setdefault((sid, joint, side), path)
+        if other != path:
+            raise ValueError(f"{path}: subject {sid!r} {joint.value}/{side.value} is also in {other}")
+    matrix = ft.FeatureMatrix.from_parts(rows, level)
     out_dir.mkdir(parents=True, exist_ok=True)
     ft.write_features_csv(matrix, out_dir / "features.csv")
     return matrix
@@ -160,18 +170,15 @@ def _som_input(matrix: ft.FeatureMatrix, cfg: RunConfig) -> ft.FeatureMatrix:
 def write_map(matrix: ft.FeatureMatrix, cfg: RunConfig, out_dir: Path) -> tuple[sm.SomMap, np.ndarray]:
     """The train stage: a cfg.som_rows x cfg.som_cols SOM trained on the
     matrix (z-scored with cfg.zscore), written with its U-Matrix,
-    attraction field and clusters under out_dir; the U-Matrix carries
-    cfg.cluster_threshold when it is set. bmus.csv holds each subject's
-    best-matching node for the vector the map was trained on, in matrix
-    order. Returns the map and the per-node cluster ids."""
+    attraction field and clusters under out_dir. bmus.csv holds each
+    subject's best-matching node for the vector the map was trained on,
+    in matrix order. Returns the map and the per-node cluster ids."""
     remove_artifacts("train", out_dir)
     x = _som_input(matrix, cfg).values
     som_map = sm.train(sm.init(cfg.som_rows, cfg.som_cols, cfg.schedule, x), x)
     out_dir.mkdir(parents=True, exist_ok=True)
     sm.save_map_json(som_map, out_dir / "som.json")
     um = sm.umatrix(som_map)
-    if cfg.cluster_threshold is not None:
-        um = replace(um, threshold=cfg.cluster_threshold)
     sm.write_umatrix_csv(um, out_dir / "umatrix.csv")
     if cfg.write_pgm:
         pgm.write_pgm(um.heights, out_dir / "umatrix.pgm")

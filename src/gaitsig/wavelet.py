@@ -12,9 +12,8 @@ trajectory's own grid:
 
 with the wavelet truncated at |t - tau| > truncation_radius * s (the
 scaled Gaussian's standard deviation is s, so the default radius of 5
-leaves tail mass below 1e-6). tau ranges over every grid point; the signal
-is treated as zero outside [0, 100] by default, with periodic extension
-available as an option. Scalograms store the magnitude |W|.
+leaves tail mass below 1e-6). tau ranges over every grid point, and the
+signal is zero outside [0, 100]. Scalograms store the magnitude |W|.
 
 A low scale responds to high-frequency content and vice versa: a pure
 sinusoid of frequency f (cycles per percent) peaks near scale nu0/f.
@@ -26,7 +25,6 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -101,11 +99,6 @@ class ScaleGrid:
         return int(np.argmin(np.abs(self.scales - s)))
 
 
-class Boundary(Enum):
-    ZERO = "zero"
-    PERIODIC = "periodic"
-
-
 @dataclass(frozen=True, eq=False)
 class Scalogram:
     """|CWT| magnitudes, one row per scale, one column per grid point."""
@@ -161,14 +154,6 @@ def _half_width(radius: float, dt: float) -> int:
     return k
 
 
-def _periodic_extend(x: np.ndarray, k: int) -> np.ndarray:
-    # period = grid_size - 1 samples (the 100% sample starts the next cycle)
-    p = len(x) - 1
-    left = x[np.mod(np.arange(-k, 0), p)]
-    right = x[np.mod(np.arange(len(x), len(x) + k), p)]
-    return np.concatenate([left, x, right])
-
-
 @functools.lru_cache(maxsize=8)
 def _kernels(
     scales: tuple[float, ...], params: MorletParams, dt: float
@@ -193,7 +178,6 @@ def cwt(
     traj: GaitTrajectory,
     grid: ScaleGrid | None = None,
     params: MorletParams | None = None,
-    boundary: Boundary = Boundary.ZERO,
     subject_id: str = "",
     label: ClassLabel | None = None,
 ) -> Scalogram:
@@ -214,13 +198,7 @@ def cwt(
     dt = 100.0 / (n - 1)
     rows = np.empty((len(grid), n))
     for i, (k, flipped) in enumerate(_kernels(tuple(grid.scales.tolist()), params, dt)):
-        if boundary is Boundary.PERIODIC:
-            # k samples either side: "valid" keeps the full convolution's [2k, 2k + n)
-            coeff = np.convolve(_periodic_extend(x, k), flipped, "valid")
-        else:
-            conv = np.convolve(x, flipped)
-            coeff = conv[k : k + n]
-        rows[i] = np.abs(coeff)
+        rows[i] = np.abs(np.convolve(x, flipped)[k : k + n])
     return Scalogram(
         values=rows,
         time_axis=traj.pct_axis,

@@ -280,7 +280,6 @@ class TestRunConfig:
             ({"synth": {"n_subjects": 2, "rng_seed": -3}}, "synth.rng_seed: must be >= 0, got -3"),
             ({"som": {"rng_seed": -4}}, "som.rng_seed: must be >= 0, got -4"),
             ({"som": {"alpha0": 10**400}}, "som.alpha0: must be a number within the float range"),
-            ({"cluster_threshold": -(10**400)}, "cluster_threshold: must be a number within the float range"),
             ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: must be a number within the float range"),
             ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
              "synth.template.Hip: must be a number within the float range"),
@@ -290,8 +289,8 @@ class TestRunConfig:
              r"synth.groups\[Normal\]: perturbation magnitudes must be >= 0"),
             ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
         ],
-        ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "threshold-huge", "scales-huge", "amplitude-huge",
-             "rows-huge", "normal-jitter", "one-node"],
+        ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "scales-huge", "amplitude-huge", "rows-huge",
+             "normal-jitter", "one-node"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, stage, edit, message):
@@ -308,10 +307,9 @@ class TestRunConfig:
         [
             ({"synth": {"pathology": {"hf_amplitude": "X"}}}, "1e400",
              "synth.pathology.hf_amplitude: must be finite, got inf"),
-            ({"cluster_threshold": "X"}, "NaN", "cluster_threshold: must be finite, got nan"),
             ({"som": {"sigma0": "X"}}, "1e400", "som.sigma0: must be finite, got inf"),
         ],
-        ids=["amplitude", "threshold", "sigma0"],
+        ids=["amplitude", "sigma0"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_non_finite_value_names_the_key(self, tmp_path, capsys, stage, edit, literal, message):
@@ -595,15 +593,15 @@ class TestRunPipeline:
         assert t1 == t2
 
     def test_map_size_level_and_threshold_reach_the_artifacts(self, tmp_path):
-        doc = small_config(som={"rows": 3, "cols": 5, "epochs": 30}, features={"level": "LowScale"},
-                           cluster_threshold=0.5)
+        doc = small_config(som={"rows": 3, "cols": 5, "epochs": 30}, features={"level": "LowScale"})
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
         som = json.loads((out / "som.json").read_text())
         assert (som["rows"], som["cols"]) == (3, 5)
+        header = (out / "umatrix.csv").read_text(encoding="utf-8").partition("\n")[0]
+        assert header.startswith("# umatrix rows=3 cols=5 threshold=")
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["features"]["level"] == "LowScale"
-        assert resolved["cluster_threshold"] == 0.5
 
     def test_zscore_flag_changes_map_not_features(self, tmp_path):
         raw_cfg = write_config(tmp_path, small_config(), name="raw.json")
@@ -618,24 +616,24 @@ class TestRunPipeline:
         assert json.loads((out_z / "resolved_config.json").read_text())["features"]["zscore"] is True
 
     def test_umatrix_header_names_the_threshold_clusters_were_cut_at(self, tmp_path):
-        def read_run(out):
-            header, *rows = (out / "umatrix.csv").read_text(encoding="utf-8").splitlines()
-            heights = np.array([row.split(",") for row in rows], dtype=float)
-            ids = np.full(heights.shape, -2)
-            for line in (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]:
-                r, c, cluster = map(int, line.split(","))
-                ids[r, c] = cluster
-            return float(header.rpartition(" threshold=")[2]), heights, ids
-
-        doc = small_config(loocv=False)
-        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "a")]) == 0
-        _, heights, _ = read_run(tmp_path / "a")
-        # the median: some cells above it, some below, and not the 60th percentile
-        doc["cluster_threshold"] = float(np.median(heights))
-        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "b")]) == 0
-        threshold, heights_b, ids = read_run(tmp_path / "b")
-        assert threshold == doc["cluster_threshold"] and np.array_equal(heights_b, heights)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, small_config(loocv=False))),
+                     "--out", str(out)]) == 0
+        header, *rows = (out / "umatrix.csv").read_text(encoding="utf-8").splitlines()
+        threshold = float(header.rpartition(" threshold=")[2])
+        heights = np.array([row.split(",") for row in rows], dtype=float)
+        # the linear 60th percentile: 0.6 of the way from the lowest to the
+        # highest of the sorted heights, by position
+        ordered = sorted(heights.ravel().tolist())
+        pos = 0.6 * (len(ordered) - 1)
+        lo = math.floor(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        assert threshold == pytest.approx(ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo]), rel=1e-12)
         assert 0 < np.count_nonzero(heights < threshold) < heights.size
+        ids = np.full(heights.shape, -2)
+        for line in (out / "clusters.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            r, c, cluster = map(int, line.split(","))
+            ids[r, c] = cluster
         assert same_partition(ids, union_find_components(heights < threshold))
 
     def test_loocv_off_skips_eval(self, tmp_path):
@@ -889,6 +887,45 @@ class TestSubcommandChain:
         message = "subject 's2': parts 'Hip:Right' differs from the first row's 'Hip:Right|Knee:Right'"
         assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
         assert not (out / "features.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["scales", "pct"])
+    def test_features_refuses_scalograms_of_another_grid(self, tmp_path, capsys, axis):
+        # the CP-dp files on another grid than the Normal files; the first
+        # file in name order, a CP-dp one, sets the grid
+        d = tmp_path / "stage"
+        assert main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)]) == 0
+        right = {"sides": ["Right"], "write_pgm": False}
+        cwt_cfg = write_config(tmp_path, right, "cwt.json")
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--config", str(cwt_cfg)]) == 0
+        other = tmp_path / "other"
+        wide = {**right, "wavelet": {"scales": {"count": 14, "min": 2.0, "max": 40.0}}}
+        other_cfg = write_config(tmp_path, wide if axis == "scales" else right, "other.json")
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(other), "--config", str(other_cfg)]) == 0
+        for path in (other / "scalograms").glob("scalogram_cp-dp-*.csv"):
+            text = path.read_text(encoding="utf-8")
+            if axis == "pct":  # the 1% column moved to 0.5%
+                text = text.replace("# pct=0.0,1.0,", "# pct=0.0,0.5,", 1)
+            (d / "scalograms" / path.name).write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 1
+        first, normal = (d / "scalograms" / f"scalogram_{sid}_Hip_Right.csv" for sid in ("cp-dp-000", "normal-000"))
+        message = f"{normal}: its # {axis}= axis differs from that of {first}"
+        assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
+        assert not (d / "features.csv").exists()
+
+    def test_features_refuses_a_part_held_by_two_files(self, tmp_path, capsys):
+        d = tmp_path / "stage"
+        assert main(["synth", "--config", str(write_config(tmp_path, small_config())), "--out", str(d)]) == 0
+        cwt_cfg = write_config(tmp_path, {"sides": ["Right"], "write_pgm": False}, "cwt.json")
+        assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--config", str(cwt_cfg)]) == 0
+        held = d / "scalograms" / "scalogram_normal-000_Hip_Right.csv"
+        copy = d / "scalograms" / "scalogram_zzz_Hip_Right.csv"
+        copy.write_bytes(held.read_bytes())
+        capsys.readouterr()
+        assert main(["features", "--scalograms", str(d / "scalograms"), "--out", str(d)]) == 1
+        message = f"{copy}: subject 'normal-000' Hip/Right is also in {held}"
+        assert capsys.readouterr().err == f"gaitsig: error: {message}\n"
+        assert not (d / "features.csv").exists()
 
     @pytest.mark.parametrize("ids", [
         ["a b", "a_b", "a%20b"],

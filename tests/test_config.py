@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import math
@@ -31,7 +30,6 @@ from gaitsig.features import N_SCALE_SAMPLES, Level, standardize
 from gaitsig.pipeline import run_pipeline
 from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, Kernel, TrainSchedule, best_match
 from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion, PerturbationSpec, _slug
-from gaitsig.wavelet import Boundary
 
 from test_acceptance import (
     LATERALITY_SCHEDULE,
@@ -136,13 +134,11 @@ def documents(draw):
         "wavelet": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
             "nu0": numbers(0.81, 3),
             "truncation_radius": numbers(3, 8),
-            "boundary": names(Boundary),
             "scales": scales,
         })),
         "features": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
             "level": names(Level), "zscore": st.booleans()})),
         "som": st.one_of(st.none(), som_sections()),
-        "cluster_threshold": st.one_of(st.none(), numbers(0, 10)),
         "write_pgm": st.booleans(),
         "loocv": st.booleans(),
     }))
@@ -235,9 +231,9 @@ def test_listed_numbers_must_be_finite(doc, message):
 
 
 def test_resolved_config_written_as_standard_json(tmp_path):
-    cfg = config_from_dict({"input": "data.csv"})
+    doc = config_to_dict(config_from_dict({"input": "data.csv"}))
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_json(config_to_dict(dataclasses.replace(cfg, cluster_threshold=math.nan)), tmp_path / "c.json")
+        write_json({**doc, "seed": math.nan}, tmp_path / "c.json")
 
 
 # Each shipped config and the acceptance test's synth spec, schedule and
@@ -417,7 +413,6 @@ TINY = {
     "input": st.none(),
     "joints": st.lists(names(Joint), min_size=1, max_size=3, unique=True),
     "sides": st.lists(st.sampled_from(["Right", "Left"]), min_size=1, max_size=2, unique=True),
-    "cluster_threshold": st.one_of(st.none(), numbers(0, 2)),
     "write_pgm": st.booleans(),
     "loocv": st.booleans(),
     "synth.n_subjects": st.integers(1, 3),
@@ -431,7 +426,6 @@ TINY = {
     "synth.pathology.jitter_sd": numbers(0, 0.5),
     "wavelet.nu0": numbers(0.81, 3),
     "wavelet.truncation_radius": st.one_of(numbers(3, 10), st.just(WAVELET["truncation_radius"][2])),
-    "wavelet.boundary": names(Boundary),
     "wavelet.scales.count": st.integers(N_SCALE_SAMPLES - 1, 12),
     "wavelet.scales.min": numbers(0.1, 2),
     "wavelet.scales.max": st.one_of(numbers(3, LARGEST_SCALE), st.just(LARGEST_SCALE)),

@@ -15,7 +15,6 @@ from gaitsig import wavelet
 from gaitsig.data import ClassLabel, Joint, Side
 from gaitsig.pgm import to_gray, write_pgm
 from gaitsig.wavelet import (
-    Boundary,
     MorletParams,
     ScaleGrid,
     Scalogram,
@@ -182,39 +181,6 @@ class TestCwt:
         assert np.max(diff[np.ix_(sampled_ok, np.arange(101))]
                       [interior[sampled_ok]]) < 0.01 * peak
 
-    def test_periodic_boundary_matches_zero_in_deep_interior(self):
-        pct = np.linspace(0, 100, 101)
-        x = harmonic_signal(pct, [(3, 10.0, 0.7)])
-        z = cwt(make_traj(x), boundary=Boundary.ZERO)
-        p = cwt(make_traj(x), boundary=Boundary.PERIODIC)
-        row = 2  # small scale: support +-12 columns
-        assert np.allclose(z.values[row, 20:81], p.values[row, 20:81], rtol=1e-9, atol=1e-12)
-        assert not np.allclose(z.values[row, :10], p.values[row, :10], rtol=1e-3, atol=1e-9)
-
-    def test_periodic_boundary_shift_invariance(self):
-        # for an exactly periodic tone, periodic extension makes the
-        # responsive row's magnitude column-constant (the analytic wavelet
-        # suppresses the negative-frequency term that would beat against
-        # the column phase)
-        pct = np.linspace(0, 100, 101)
-        x = harmonic_signal(pct, [(8, 10.0, 0.4)])  # responds near scale 12.5
-        p = cwt(make_traj(x), boundary=Boundary.PERIODIC)
-        for row in (8, 9):
-            # residual spread ~1e-7 comes from kernel sampling aliasing
-            assert np.allclose(p.values[row], p.values[row][50], rtol=1e-6)
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("radius", [3.0, 5.0, 10.0])
-    def test_periodic_equals_the_full_convolution_slice(self, radius, seed):
-        # the transform keeps the "valid" part of the periodic extension's
-        # convolution; uncached_cwt slices it out of the full convolution
-        rng = np.random.default_rng(seed)
-        traj = make_traj(rng.normal(0.0, 20.0, (21, 57, 101)[seed % 3]))
-        grid = ScaleGrid(np.sort(rng.choice(np.linspace(0.5, 200.0, 400), 11, replace=False)))
-        params = MorletParams(truncation_radius=radius)
-        got = cwt(traj, grid, params, Boundary.PERIODIC)
-        assert got.values.tobytes() == uncached_cwt(traj, grid, params, Boundary.PERIODIC).tobytes()
-
     def test_provenance_and_invariants(self):
         traj = make_traj(np.ones(101), joint=Joint.KNEE, side=Side.LEFT)
         sc = cwt(traj)
@@ -222,11 +188,10 @@ class TestCwt:
         assert sc.values.shape == (12, 101)
         assert np.all(sc.values >= 0) and np.all(np.isfinite(sc.values))
 
-    @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_subject_and_label_set_on_the_scalogram(self, boundary):
+    def test_subject_and_label_set_on_the_scalogram(self):
         traj = make_traj(np.linspace(-5.0, 5.0, 101), joint=Joint.ANKLE, side=Side.LEFT)
-        got = cwt(traj, None, None, boundary, subject_id="pt 7", label=ClassLabel("CP-lh"))
-        want = replace(cwt(traj, boundary=boundary), subject_id="pt 7", label=ClassLabel("CP-lh"))
+        got = cwt(traj, None, None, subject_id="pt 7", label=ClassLabel("CP-lh"))
+        want = replace(cwt(traj), subject_id="pt 7", label=ClassLabel("CP-lh"))
         assert got.values.tobytes() == want.values.tobytes()
         assert got.time_axis.tobytes() == want.time_axis.tobytes()
         assert got.scale_axis.scales.tobytes() == want.scale_axis.scales.tobytes()
@@ -239,7 +204,7 @@ class TestCwt:
             cwt(make_traj(np.zeros(101)), grid=np.array([1.0, 2.0]))
 
 
-def uncached_cwt(traj, grid, params, boundary):
+def uncached_cwt(traj, grid, params):
     """Reference: the transform with every kernel built inline, per call."""
     x, n = traj.samples, traj.grid_size
     dt = 100.0 / (n - 1)
@@ -247,10 +212,7 @@ def uncached_cwt(traj, grid, params, boundary):
     for i, s in enumerate(grid.scales):
         k = wavelet._half_width(params.truncation_radius * s, dt)
         kernel = np.conj(morlet(np.arange(-k, k + 1) * dt / s, params)) * (dt / math.sqrt(s))
-        if boundary is Boundary.PERIODIC:
-            rows[i] = np.abs(np.convolve(wavelet._periodic_extend(x, k), kernel[::-1])[2 * k : 2 * k + n])
-        else:
-            rows[i] = np.abs(np.convolve(x, kernel[::-1])[k : k + n])
+        rows[i] = np.abs(np.convolve(x, kernel[::-1])[k : k + n])
     return rows
 
 
@@ -276,15 +238,14 @@ class TestHalfWidth:
 
 
 class TestKernelCache:
-    @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_cached_call_equals_fresh_computation(self, boundary):
+    def test_cached_call_equals_fresh_computation(self):
         traj = make_traj(harmonic_signal(np.linspace(0, 100, 101), [(3, 12.0, 0.4), (9, 2.0, 1.0)]))
         grid, params = ScaleGrid.default(count=10, lo=0.5, hi=30.0), MorletParams(nu0=1.3)
         wavelet._kernels.cache_clear()
-        fresh = cwt(traj, grid, params, boundary)
-        cached = cwt(traj, ScaleGrid(grid.scales.copy()), MorletParams(nu0=1.3), boundary)
+        fresh = cwt(traj, grid, params)
+        cached = cwt(traj, ScaleGrid(grid.scales.copy()), MorletParams(nu0=1.3))
         assert wavelet._kernels.cache_info().hits == 1
-        reference = uncached_cwt(traj, grid, params, boundary)
+        reference = uncached_cwt(traj, grid, params)
         assert fresh.values.tobytes() == cached.values.tobytes() == reference.tobytes()
 
     def test_key_separates_grids_params_and_spacing(self):
@@ -298,7 +259,7 @@ class TestKernelCache:
             (coarse, ScaleGrid.default(), MorletParams()),
         ]:
             got = cwt(t, grid, params)
-            assert got.values.tobytes() == uncached_cwt(t, grid, params, Boundary.ZERO).tobytes()
+            assert got.values.tobytes() == uncached_cwt(t, grid, params).tobytes()
 
 
 class TestScalogramCsv:
