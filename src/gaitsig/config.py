@@ -21,16 +21,8 @@ from typing import Any, Mapping
 from .data import CP_DP, ClassLabel, Joint, Side, json_form
 from .features import N_SCALE_SAMPLES, Level
 from .som import LARGEST_SIGMA0, InitMode, Kernel, TrainSchedule
-from .synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec
-from .wavelet import (
-    DEFAULT_SCALE_COUNT,
-    DEFAULT_SCALE_MAX,
-    DEFAULT_SCALE_MIN,
-    LARGEST_SCALE,
-    LARGEST_TRUNCATION_RADIUS,
-    MorletParams,
-    ScaleGrid,
-)
+from .synth import GaitRegion, PerturbationSpec, SynthSpec
+from .wavelet import LARGEST_SCALE, LARGEST_TRUNCATION_RADIUS, MorletParams, ScaleGrid
 
 
 class ConfigError(ValueError):
@@ -48,7 +40,7 @@ def _is_number(v: Any) -> bool:
 # The JSON kinds a key can take, as error messages name them.
 INTEGER, NUMBER, STRING, BOOLEAN = "an integer", "a number", "a string", "a boolean"
 STRINGS, OBJECT = "a list of strings", "an object"
-SCALES = "an object or a list of numbers"
+SCALES = "a list of numbers"
 _IS_KIND = {
     INTEGER: _is_int,
     NUMBER: _is_number,
@@ -56,7 +48,7 @@ _IS_KIND = {
     BOOLEAN: lambda v: isinstance(v, bool),
     STRINGS: lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     OBJECT: lambda v: isinstance(v, dict),
-    SCALES: lambda v: isinstance(v, dict) or (isinstance(v, list) and all(map(_is_number, v))),
+    SCALES: lambda v: isinstance(v, list) and all(map(_is_number, v)),
 }
 
 # Each section: key -> (kind, default) or, for a value that sizes the
@@ -65,8 +57,9 @@ _IS_KIND = {
 # accepted. A key that maps onto a field of a library type takes that
 # field's default. The largest values lie far above any experiment's and
 # keep each stage finite; the wavelet's and sigma0's are those of their
-# library types. Training holds a few (rows*cols, dim) arrays: a 1-epoch
-# 128x128 map of 960-value vectors peaks at about 540 MB.
+# library types, and the scales list takes ScaleGrid's bounds on its
+# values and its length. Training holds a few (rows*cols, dim) arrays: a
+# 1-epoch 128x128 map of 960-value vectors peaks at about 540 MB.
 CONFIG = {
     "seed": (INTEGER, 0),
     "input": (STRING, None),           # no input file; else a dataset CSV, not a .json name
@@ -82,7 +75,6 @@ CONFIG = {
 SYNTH = {
     "n_subjects": (INTEGER, 10, 100_000),
     "rng_seed": (INTEGER, None),       # seed
-    "template": (OBJECT, None),        # synth.DEFAULT_TEMPLATE
     "pathology": (OBJECT, None),       # shorthand for a one-entry groups
     "pathology_label": (STRING, None),  # CP-dp, the label of pathology
     "groups": (OBJECT, None),          # no groups
@@ -98,12 +90,7 @@ PERTURBATION = {
 WAVELET = {
     "nu0": (NUMBER, MorletParams.nu0),
     "truncation_radius": (NUMBER, MorletParams.truncation_radius, LARGEST_TRUNCATION_RADIUS),
-    "scales": (SCALES, None),          # the object's defaults
-}
-SCALE_RANGE = {
-    "count": (INTEGER, DEFAULT_SCALE_COUNT, 1000),
-    "min": (NUMBER, DEFAULT_SCALE_MIN),
-    "max": (NUMBER, DEFAULT_SCALE_MAX, LARGEST_SCALE),
+    "scales": (SCALES, None),          # ScaleGrid.default()
 }
 FEATURES = {
     "level": (STRING, Level.HIGH_SCALE.value),
@@ -197,20 +184,6 @@ def _perturbation(doc: Any, where: str) -> PerturbationSpec:
     return _build(PerturbationSpec, f"{where}: ", **p)
 
 
-def _template(doc: Mapping[str, Any], where: str) -> dict:
-    template = {}
-    for joint_name, harmonics in doc.items():
-        joint = _member(Joint, joint_name, where)
-        if not isinstance(harmonics, list) or not all(
-            isinstance(t, list) and len(t) == 3 and _is_int(t[0]) and all(map(_is_number, t[1:]))
-            for t in harmonics
-        ):
-            raise ConfigError(f"{where}.{joint_name}: must be a list of [harmonic, amplitude, phase]")
-        key = f"{where}.{joint_name}"
-        template[joint] = tuple((h, _float(a, key), _float(p, key)) for h, a, p in harmonics)
-    return template
-
-
 def _seed(own: int | None, key: str, seed: int) -> int:
     """A section's RNG seed: its own rng_seed, at the dotted key, or else
     the top-level seed. numpy takes only seeds >= 0, and the error names
@@ -242,20 +215,16 @@ def _synth(doc: Any, seed: int) -> SynthSpec:
         "synth.",
         n_subjects=s["n_subjects"],
         rng_seed=_seed(s["rng_seed"], "synth.rng_seed", seed),
-        template=DEFAULT_TEMPLATE if s["template"] is None else _template(s["template"], "synth.template"),
         groups=groups,
         include_normal=s["include_normal"],
     )
 
 
-def _scales(value: Any) -> ScaleGrid:
-    """The scale grid, of at least the N_SCALE_SAMPLES scales a feature
-    level samples."""
-    if value is None or isinstance(value, dict):
-        r = _read(value or {}, SCALE_RANGE, "wavelet.scales")
-        if r["count"] < N_SCALE_SAMPLES:
-            raise ConfigError(f"wavelet.scales.count: must be >= {N_SCALE_SAMPLES}, got {r['count']}")
-        return _build(ScaleGrid.default, "wavelet.scales: ", count=r["count"], lo=r["min"], hi=r["max"])
+def _scales(value: list | None) -> ScaleGrid:
+    """The scale grid of a list, or the default grid for null, of at least
+    the N_SCALE_SAMPLES scales a feature level samples."""
+    if value is None:
+        return ScaleGrid.default()
     key = "wavelet.scales"
     scales = [_largest(_float(v, key), LARGEST_SCALE, key) for v in value]
     if len(scales) < N_SCALE_SAMPLES:

@@ -156,13 +156,18 @@ class FeatureMatrix:
         """The matrix of single-part rows (subject_id, label, (joint, side),
         160 values) given in any order: one row per subject in id order, its
         parts in canonical order. Every subject must have the parts of the
-        first and one label."""
+        first, each once, and one label."""
         subjects: dict[str, list] = {}
         for sid, label, part, values in sorted(rows, key=lambda r: (r[0], part_sort_key(*r[2]))):
             subjects.setdefault(sid, []).append((label, part, values))
         first = None
         for sid, own in subjects.items():
-            token = _parts_token([part for _, part, _ in own])
+            parts = [part for _, part, _ in own]
+            # sorted, so a repeated part is next to itself
+            for part, following in zip(parts, parts[1:]):
+                if part == following:
+                    raise ValueError(f"subject {sid!r}: duplicate part {_parts_token([part])!r}")
+            token = _parts_token(parts)
             first = first or token
             if token != first:
                 raise ValueError(f"subject {sid!r}: parts {token!r} differs from the first row's {first!r}")

@@ -73,9 +73,10 @@ class TrainSchedule:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.alpha0 <= 1.0:
             raise ValueError(f"alpha0 must be in [0, 1], got {self.alpha0}")
-        if self.sigma_end < 0:
-            raise ValueError("sigma_end must be >= 0")
-        if self.sigma0 is not None and self.sigma0 < self.sigma_end:
+        # not >=, so that a NaN sigma is refused too
+        if not self.sigma_end >= 0:
+            raise ValueError(f"sigma_end must be >= 0, got {self.sigma_end}")
+        if self.sigma0 is not None and not self.sigma0 >= self.sigma_end:
             raise ValueError("sigma0 must be >= sigma_end (non-increasing sigma)")
         if self.sigma0 is not None and self.sigma0 > LARGEST_SIGMA0:
             raise ValueError(f"sigma0 must be <= {LARGEST_SIGMA0}, got {self.sigma0}")

@@ -1,10 +1,11 @@
 """Synthetic labeled gait datasets.
 
-Normal subjects are low-harmonic templates (gait spectra concentrate below
-the 15th harmonic) with per-subject Gaussian jitter on the harmonic
-amplitudes. Pathological subjects additionally carry a high-frequency
-component (harmonics 10..20, mimicking spastic content), a left/right
-amplitude asymmetry, and/or a timing shift of the whole cycle.
+Every subject follows one built-in low-harmonic template, DEFAULT_TEMPLATE
+(gait spectra concentrate below the 15th harmonic), with per-subject
+Gaussian jitter on the harmonic amplitudes. Pathological subjects
+additionally carry a high-frequency component (harmonics 10..20, mimicking
+spastic content), a left/right amplitude asymmetry, and/or a timing shift
+of the whole cycle.
 
 Everything is a pure function of (spec, seed): per-subject RNG streams are
 derived from (seed, class label, subject index), so a dataset is
@@ -23,15 +24,14 @@ import numpy as np
 
 from .data import CANONICAL_GRID_SIZE, STANCE_END_PCT, ClassLabel, GaitTrajectory, Joint, NORMAL, Side, Subject
 
-MAX_TEMPLATE_HARMONIC = 15
 HF_HARMONICS = tuple(range(10, 21))
 
 Harmonic = tuple[int, float, float]  # (harmonic index, amplitude in degrees, phase in radians)
 
 # The components per joint. Hip: dominant fundamental plus a small 2nd
 # harmonic. Knee: two-peak pattern from harmonics 0-3 with the swing-phase
-# flexion peak near 60 deg. Ankle: harmonics 1-4. Coefficients are
-# configuration, not ground truth.
+# flexion peak near 60 deg. Ankle: harmonics 1-4. The coefficients are
+# a stand-in, not ground truth.
 DEFAULT_TEMPLATE: Mapping[Joint, tuple[Harmonic, ...]] = {
     Joint.HIP: ((1, 30.0, 0.0), (2, 4.0, 0.5)),
     Joint.KNEE: ((0, 24.0, 0.0), (1, 19.7, 1.804), (2, 12.6, -2.642), (3, 2.8, -1.915)),
@@ -75,7 +75,8 @@ class PerturbationSpec:
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for one dataset: n_subjects per class, for the Normal class
-    (unless include_normal is false) and each pathological group.
+    (unless include_normal is false) and each pathological group, each
+    class its perturbation of DEFAULT_TEMPLATE.
 
     The Normal class of include_normal takes the jitter_sd of the first
     group in label order (0 without groups). A Normal class of any other
@@ -85,9 +86,6 @@ class SynthSpec:
 
     n_subjects: int
     rng_seed: int
-    template: Mapping[Joint, tuple[Harmonic, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_TEMPLATE)
-    )
     groups: Mapping[ClassLabel, PerturbationSpec] = field(default_factory=dict)
     include_normal: bool = True
 
@@ -102,16 +100,6 @@ class SynthSpec:
             name, slug = f"group {label.value!r}", _slug(label)
             if owners.setdefault(slug, name) != name:
                 raise ValueError(f"groups: {name} would reuse the subject ids {slug}-NNN of {owners[slug]}")
-        for joint, harmonics in self.template.items():
-            for h, _amp, _phase in harmonics:
-                if not 0 <= h <= MAX_TEMPLATE_HARMONIC:
-                    raise ValueError(
-                        f"template.{joint.value}: harmonic index {h} outside "
-                        f"[0, {MAX_TEMPLATE_HARMONIC}]"
-                    )
-        object.__setattr__(
-            self, "template", {j: tuple(tuple(t) for t in hs) for j, hs in self.template.items()}
-        )
         object.__setattr__(self, "groups", dict(self.groups))
 
 
@@ -168,7 +156,6 @@ def _jittered(components: Sequence[Harmonic], sd: float, rng: np.random.Generato
 def _make_subject(
     sid: str,
     label: ClassLabel,
-    template: Mapping[Joint, tuple[Harmonic, ...]],
     perturbation: PerturbationSpec,
     rng: np.random.Generator,
 ) -> Subject:
@@ -181,11 +168,10 @@ def _make_subject(
     gain_left, gain_right = root, 1.0 / root
 
     trajectories = {}
-    # canonical joint order fixes the RNG draw sequence regardless of the
-    # template mapping's insertion order
-    for joint in (j for j in Joint if j in template):
+    # canonical joint order fixes the RNG draw sequence
+    for joint in Joint:
         # one jitter draw per amplitude, shared by both sides
-        harmonics = _jittered(template[joint], jitter_sd, rng)
+        harmonics = _jittered(DEFAULT_TEMPLATE[joint], jitter_sd, rng)
         hf = _jittered(hf_base, jitter_sd, rng)
         for side, gain in ((Side.RIGHT, gain_right), (Side.LEFT, gain_left)):
             samples = _synth_samples(pct, harmonics, hf, region, shift, gain)
@@ -222,7 +208,7 @@ def generate(spec: SynthSpec) -> list[Subject]:
     classes = [(NORMAL, normal)] if spec.include_normal else []
     return [
         _make_subject(
-            f"{_slug(label)}-{k:03d}", label, spec.template, pert,
+            f"{_slug(label)}-{k:03d}", label, pert,
             np.random.default_rng([spec.rng_seed, _class_stream(label), k]),
         )
         for label, pert in classes + groups

@@ -32,14 +32,13 @@ from .data import ClassLabel, GaitTrajectory, Joint, Side, csv_fields, undecodab
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
-DEFAULT_SCALE_COUNT = 12
-DEFAULT_SCALE_MIN = 1.0
-DEFAULT_SCALE_MAX = 25.0
 # A Morlet kernel has 2*floor(radius*scale/dt)+1 taps: a truncation radius
 # of 10, where the Gaussian is below 2e-22 of its peak, and a scale of 200,
-# two gait cycles, cap it at 4001 taps on the 101-point grid.
+# two gait cycles, cap it at 4001 taps on the 101-point grid. A grid of
+# at most 1000 scales keeps a scalogram to at most 1000 rows.
 LARGEST_TRUNCATION_RADIUS = 10
 LARGEST_SCALE = 200
+LARGEST_SCALE_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,8 @@ class ScaleGrid:
         arr = np.array(self.scales, dtype=float)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("scales must be a non-empty 1-d sequence")
+        if len(arr) > LARGEST_SCALE_COUNT:
+            raise ValueError(f"scales must hold at most {LARGEST_SCALE_COUNT} values, got {len(arr)}")
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
             raise ValueError("scales must be finite and > 0")
         if not np.all(np.diff(arr) > 0):
@@ -81,12 +82,7 @@ class ScaleGrid:
         object.__setattr__(self, "scales", arr)
 
     @classmethod
-    def default(
-        cls,
-        count: int = DEFAULT_SCALE_COUNT,
-        lo: float = DEFAULT_SCALE_MIN,
-        hi: float = DEFAULT_SCALE_MAX,
-    ) -> "ScaleGrid":
+    def default(cls, count: int = 12, lo: float = 1.0, hi: float = 25.0) -> "ScaleGrid":
         """Logarithmically spaced scales, by default 12 over [1, 25]."""
         if count < 2:
             raise ValueError("scale count must be >= 2")

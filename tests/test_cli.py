@@ -229,9 +229,7 @@ class TestRunConfig:
             ({"synth": {"n_subjects": 2, "pathology": [1]}}, "synth.pathology: must be an object, got an array"),
             ({"synth": {"n_subjects": 2, "groups": ["Polio"]}}, "synth.groups: must be an object, got an array"),
             ({"synth": {"n_subjects": 2, "groups": {"Polio": True}}}, r"synth.groups\[Polio\]: must be an object, got a boolean"),
-            ({"synth": {"n_subjects": 2, "template": "flat"}}, "synth.template: must be an object, got a string"),
-            ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 2.0]]}}},
-             r"synth.template.Hip: must be a list of \[harmonic, amplitude, phase\]"),
+            ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 30.0, 0.0]]}}}, r"synth: unknown keys \['template'\]"),
             ({"joints": "Hip"}, 'joints: must be a list of strings, got "Hip"'),
             ({"joints": ["Hip", None]}, r'joints: must be a list of strings, got \["Hip", null\]'),
             ({"sides": {"Right": 1}}, r'sides: must be a list of strings, got \{"Right": 1\}'),
@@ -250,19 +248,15 @@ class TestRunConfig:
             ({"som": {"rows": "10"}}, 'som.rows: must be an integer, got "10"'),
             ({"som": {"alpha0": "0.5"}}, 'som.alpha0: must be a number, got "0.5"'),
             ({"synth": {"n_subjects": 2.5}}, "synth.n_subjects: must be an integer, got 2.5"),
-            ({"wavelet": {"scales": {"count": 12.9}}}, "wavelet.scales.count: must be an integer, got 12.9"),
+            ({"wavelet": {"scales": {"count": 12.9}}}, r'wavelet.scales: must be a list of numbers, got \{"count": 12.9\}'),
             ({"input": 5}, "input: must be a string, got 5"),
             ({"som": {"kernel": "x"}}, "som.kernel: 'x' is not a valid Kernel"),
-            ({"synth": {"n_subjects": 2, "template": {"Hip": [[40, 1.0, 0.0]]}}},
-             r"synth.template.Hip: harmonic index 40 outside \[0, 15\]"),
-            ({"synth": {"n_subjects": 2, "template": {"Hip": [[-3, 1.0, 0.0]]}}},
-             r"synth.template.Hip: harmonic index -3 outside \[0, 15\]"),
         ],
-        ids=["som", "wavelet", "features", "synth", "pathology", "groups", "group", "template", "harmonics",
-             "joints-text", "joints-null", "sides-object", "sides-value", "write-pgm", "loocv", "zscore",
-             "include-normal", "pathology-label", "epochs-float", "epochs-bool", "epochs-list", "seed-text",
+        ids=["som", "wavelet", "features", "synth", "pathology", "groups", "group", "template", "joints-text",
+             "joints-null", "sides-object", "sides-value", "write-pgm", "loocv", "zscore", "include-normal",
+             "pathology-label", "epochs-float", "epochs-bool", "epochs-list", "seed-text",
              "seed-float", "rows-text", "alpha0-text", "n-subjects-float", "scale-count-float",
-             "input-csv-number", "kernel-value", "harmonic-40", "harmonic-negative"],
+             "input-csv-number", "kernel-value"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_wrong_json_type_names_the_key(self, tmp_path, capsys, stage, edit, message):
@@ -281,8 +275,8 @@ class TestRunConfig:
             ({"som": {"rng_seed": -4}}, "som.rng_seed: must be >= 0, got -4"),
             ({"som": {"alpha0": 10**400}}, "som.alpha0: must be a number within the float range"),
             ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: must be a number within the float range"),
-            ({"synth": {"n_subjects": 2, "template": {"Hip": [[1, 10**400, 0.0]]}}},
-             "synth.template.Hip: must be a number within the float range"),
+            ({"synth": {"n_subjects": 2, "pathology": {"hf_amplitude": 10**400}}},
+             "synth.pathology.hf_amplitude: must be a number within the float range"),
             ({"som": {"rows": 10**400}}, f"som.rows: must be <= 128, got {10**400}"),
             ({"synth": {"n_subjects": 2, "include_normal": False,
                         "groups": {"CP-dp": {"jitter_sd": 0.5}, "Normal": {"jitter_sd": -1.0}}}},
@@ -330,11 +324,12 @@ class TestRunConfig:
             ({"som": {"epochs": 10**400}}, f"som.epochs: must be <= 100000, got {10**400}"),
             ({"som": {"epochs": 100_001}}, "som.epochs: must be <= 100000, got 100001"),
             ({"synth": {"n_subjects": 10**400}}, f"synth.n_subjects: must be <= 100000, got {10**400}"),
-            ({"wavelet": {"scales": {"count": 1001}}}, "wavelet.scales.count: must be <= 1000, got 1001"),
+            ({"wavelet": {"scales": [k / 10 for k in range(1, 1002)]}},
+             "wavelet.scales: scales must hold at most 1000 values, got 1001"),
             ({"wavelet": {"truncation_radius": 1e6}}, r"wavelet.truncation_radius: must be <= 10, got 1000000.0"),
             ({"wavelet": {"truncation_radius": 1e300}}, r"wavelet.truncation_radius: must be <= 10, got 1e\+300"),
-            ({"wavelet": {"scales": {"max": 1e7}}}, r"wavelet.scales.max: must be <= 200, got 10000000.0"),
-            ({"wavelet": {"scales": {"max": 1e300}}}, r"wavelet.scales.max: must be <= 200, got 1e\+300"),
+            ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7, 201]}}, r"wavelet.scales: must be <= 200, got 201.0"),
+            ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7, 1e300]}}, r"wavelet.scales: must be <= 200, got 1e\+300"),
             ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7, 1e7]}}, r"wavelet.scales: must be <= 200, got 10000000.0"),
             ({"som": {"sigma0": 1e300}}, r"som.sigma0: must be <= 1000000, got 1e\+300"),
         ],
@@ -352,7 +347,7 @@ class TestRunConfig:
 
     def test_largest_sizes_accepted(self):
         doc = small_config(som={"rows": 128, "cols": 128, "epochs": 100_000, "sigma0": 1e6, "sigma_end": 1e-6},
-                           wavelet={"truncation_radius": 10, "scales": {"count": 1000, "max": 200}})
+                           wavelet={"truncation_radius": 10, "scales": [k / 5 for k in range(1, 1001)]})
         doc["synth"]["n_subjects"] = 100_000
         cfg = config_from_dict(doc)
         assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (128, 128, 100_000)
@@ -898,7 +893,7 @@ class TestSubcommandChain:
         cwt_cfg = write_config(tmp_path, right, "cwt.json")
         assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(d), "--config", str(cwt_cfg)]) == 0
         other = tmp_path / "other"
-        wide = {**right, "wavelet": {"scales": {"count": 14, "min": 2.0, "max": 40.0}}}
+        wide = {**right, "wavelet": {"scales": [2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22, 27, 33, 40]}}
         other_cfg = write_config(tmp_path, wide if axis == "scales" else right, "other.json")
         assert main(["cwt", "--input", str(d / "dataset.csv"), "--out", str(other), "--config", str(other_cfg)]) == 0
         for path in (other / "scalograms").glob("scalogram_cp-dp-*.csv"):

@@ -16,7 +16,6 @@ from gaitsig.config import (
     NUMBER,
     OBJECT,
     PERTURBATION,
-    SCALE_RANGE,
     SOM,
     SYNTH,
     WAVELET,
@@ -29,7 +28,7 @@ from gaitsig.data import CP_DP, CP_LH, CP_RH, NORMAL, ClassLabel, Joint, write_j
 from gaitsig.features import N_SCALE_SAMPLES, Level, standardize
 from gaitsig.pipeline import run_pipeline
 from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, Kernel, TrainSchedule, best_match
-from gaitsig.synth import MAX_TEMPLATE_HARMONIC, GaitRegion, PerturbationSpec, _slug
+from gaitsig.synth import GaitRegion, PerturbationSpec, _slug
 
 from test_acceptance import (
     LATERALITY_SCHEDULE,
@@ -70,15 +69,8 @@ perturbations = st.fixed_dictionaries({}, optional={
     "timing_shift": numbers(0, 20),
     "jitter_sd": numbers(0, 2),
 })
-templates = st.dictionaries(
-    names(Joint),
-    st.lists(st.tuples(st.integers(0, MAX_TEMPLATE_HARMONIC), numbers(-30, 30), numbers(-4, 4)).map(list),
-             max_size=3),
-)
 scales = st.one_of(
     st.none(),
-    st.fixed_dictionaries({}, optional={
-        "count": st.integers(N_SCALE_SAMPLES, 30), "min": numbers(0.5, 2), "max": numbers(3, 40)}),
     st.lists(numbers(0.1, 50), min_size=N_SCALE_SAMPLES, max_size=12, unique=True).map(sorted),
 )
 
@@ -87,7 +79,6 @@ scales = st.one_of(
 def synth_sections(draw):
     doc = draw(st.fixed_dictionaries({"n_subjects": st.integers(1, 50)}, optional={
         "rng_seed": st.one_of(st.none(), seeds),
-        "template": st.one_of(st.none(), templates),
         "include_normal": st.booleans(),
     }))
     form = draw(st.sampled_from(["pathology", "groups", "normal"]))
@@ -189,7 +180,6 @@ SECTION_PATHS = {
     "synth": SYNTH,
     "synth.pathology": PERTURBATION,
     "wavelet": WAVELET,
-    "wavelet.scales": SCALE_RANGE,
     "features": FEATURES,
     "som": SOM,
 }
@@ -219,11 +209,10 @@ def test_every_number_key_must_be_finite(key, value):
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"synth": {"template": {"Knee": [[1, math.inf, 0.0]]}}}, "synth.template.Knee: must be finite, got inf"),
-    ({"synth": {"template": {"Hip": [[2, 1.0, math.nan]]}}}, "synth.template.Hip: must be finite, got nan"),
     ({"wavelet": {"scales": [1.0, math.inf]}}, "wavelet.scales: must be finite, got inf"),
     ({"wavelet": {"scales": [-math.inf, 2]}}, "wavelet.scales: must be finite, got -inf"),
-], ids=["amplitude", "phase", "scales", "scales-negative"])
+    ({"wavelet": {"scales": [1.0, math.nan]}}, "wavelet.scales: must be finite, got nan"),
+], ids=["scales", "scales-negative", "scales-nan"])
 def test_listed_numbers_must_be_finite(doc, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict(doc)
@@ -316,8 +305,6 @@ def test_laterality_reader_reads_the_zscored_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"wavelet": {"scales": {"count": 7}}}, "wavelet.scales.count: must be >= 8, got 7"),
-    ({"wavelet": {"scales": {"count": 1}}}, "wavelet.scales.count: must be >= 8, got 1"),
     ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7]}}, "wavelet.scales: must hold at least 8 scales, got 7"),
     ({"wavelet": {"scales": [1]}}, "wavelet.scales: must hold at least 8 scales, got 1"),
     ({"wavelet": {"scales": [1, 1e7]}}, "wavelet.scales: must be <= 200, got 10000000.0"),
@@ -327,7 +314,7 @@ def test_laterality_reader_reads_the_zscored_run(tmp_path, capsys):
     ({"sides": ["Right", "Right"]}, 'sides: must not repeat a value, got ["Right", "Right"]'),
     ({"sides": []}, "sides: must be non-empty"),
     ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
-], ids=["count-7", "count-1", "list-7", "list-1", "list-value-first", "sigma-end", "sigma-end-tiny",
+], ids=["list-7", "list-1", "list-value-first", "sigma-end", "sigma-end-tiny",
         "joints", "sides", "sides-empty", "one-node"])
 def test_settings_a_stage_cannot_run_name_the_key(doc, message):
     # each passed the config and then failed in a stage, or named no key
@@ -426,9 +413,8 @@ TINY = {
     "synth.pathology.jitter_sd": numbers(0, 0.5),
     "wavelet.nu0": numbers(0.81, 3),
     "wavelet.truncation_radius": st.one_of(numbers(3, 10), st.just(WAVELET["truncation_radius"][2])),
-    "wavelet.scales.count": st.integers(N_SCALE_SAMPLES - 1, 12),
-    "wavelet.scales.min": numbers(0.1, 2),
-    "wavelet.scales.max": st.one_of(numbers(3, LARGEST_SCALE), st.just(LARGEST_SCALE)),
+    "wavelet.scales": st.one_of(st.none(), st.lists(
+        numbers(0.1, LARGEST_SCALE), min_size=N_SCALE_SAMPLES - 1, max_size=12, unique=True).map(sorted)),
     "features.level": names(Level),
     "features.zscore": st.booleans(),
     "som.rows": st.integers(1, 3),
@@ -443,8 +429,7 @@ TINY = {
 }
 SIZES = {"synth.n_subjects", "som.rows", "som.cols", "som.epochs"}
 # Object keys the property leaves out; synth.groups is drawn as pathology.
-UNDRAWN = {"synth", "wavelet", "features", "som", "synth.template", "synth.pathology", "synth.groups",
-           "wavelet.scales"}
+UNDRAWN = {"synth", "wavelet", "features", "som", "synth.pathology", "synth.groups"}
 SECTION_KEYS = {
     f"{where}{'.' if where else ''}{key}" for where, table in SECTION_PATHS.items() for key in table
 }
@@ -466,9 +451,6 @@ def tiny_documents(draw):
             for section in sections:
                 node = node.setdefault(section, {})
             node[name] = draw(values)
-    if draw(st.booleans()):
-        doc.setdefault("wavelet", {})["scales"] = draw(st.lists(
-            numbers(0.1, LARGEST_SCALE), min_size=N_SCALE_SAMPLES, max_size=12, unique=True).map(sorted))
     return doc
 
 

@@ -225,6 +225,18 @@ class TestCombineJoints:
         with pytest.raises(ValueError, match="^subject 's1': mixed labels across parts$"):
             _combine(rows)
 
+    @pytest.mark.parametrize("subjects, message", [
+        (["s1", "s1"], "subject 's1': duplicate part 'Hip:Right'"),
+        (["a", "b", "b"], "subject 'b': duplicate part 'Hip:Right'"),
+        (["a", "a", "b"], "subject 'a': duplicate part 'Hip:Right'"),
+    ], ids=["one-subject", "second-subject", "first-subject"])
+    def test_repeated_part_names_the_subject_and_part(self, subjects, message):
+        # the subject that repeats the part, whatever the other subjects hold
+        rows = [self._fv(Joint.HIP, Side.RIGHT, 1.0, sid) for sid in subjects]
+        with pytest.raises(ValueError) as err:
+            _combine(rows)
+        assert str(err.value) == message
+
     def test_duplicate_parts_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             _combine([

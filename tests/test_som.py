@@ -176,8 +176,12 @@ class TestSchedule:
         [
             ({"sigma0": 5, "sigma_end": 1e-7}, "sigma_end must be >= 1e-06 with the Gaussian kernel, got 1e-07"),
             ({"sigma0": 2e6}, "sigma0 must be <= 1000000, got 2000000.0"),
+            # a NaN sigma would run every epoch and then fail on its weights
+            ({"sigma_end": float("nan")}, "sigma_end must be >= 0, got nan"),
+            ({"sigma_end": float("nan"), "kernel": Kernel.BUBBLE}, "sigma_end must be >= 0, got nan"),
+            ({"sigma0": float("nan")}, "sigma0 must be >= sigma_end (non-increasing sigma)"),
         ],
-        ids=["sigma-end", "sigma0"],
+        ids=["sigma-end", "sigma0", "sigma-end-nan", "sigma-end-nan-bubble", "sigma0-nan"],
     )
     def test_config_bounds_hold_for_a_library_schedule(self, kwargs, message):
         with pytest.raises(ValueError) as err:

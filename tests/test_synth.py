@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitsig.data import CP_DP, CP_LH, CP_RH, ClassLabel, Joint, NORMAL, Side
-from gaitsig.synth import GaitRegion, PerturbationSpec, SynthSpec, generate
+from gaitsig.synth import DEFAULT_TEMPLATE, GaitRegion, PerturbationSpec, SynthSpec, generate
 
 from oracles import band_energy_above, reference_synth_trajectory
 
 HIP_R = (Joint.HIP, Side.RIGHT)
 HIP_L = (Joint.HIP, Side.LEFT)
+# the built-in template, as the oracle takes it: joint names to harmonics
+TEMPLATE = {joint.value: harmonics for joint, harmonics in DEFAULT_TEMPLATE.items()}
 
 
 def _identical_datasets(a, b):
@@ -22,10 +24,6 @@ def _identical_datasets(a, b):
 
 
 class TestSpecValidation:
-    def test_template_harmonic_cap(self):
-        with pytest.raises(ValueError, match="harmonic index"):
-            SynthSpec(n_subjects=1, rng_seed=0, template={Joint.HIP: ((16, 1.0, 0.0),)})
-
     def test_n_subjects_positive(self):
         with pytest.raises(ValueError, match="n_subjects"):
             SynthSpec(n_subjects=0, rng_seed=0)
@@ -175,11 +173,6 @@ class TestGenerate:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        template=st.dictionaries(
-            st.sampled_from(Joint),
-            st.lists(st.tuples(st.integers(0, 15), st.floats(-40, 40), st.floats(-4, 4)), max_size=4),
-            min_size=1,
-        ),
         label=st.sampled_from(["CP-dp", "Polio", "pt group 2"]),
         seed=st.integers(0, 2**32 - 1),
         jitter_sd=st.just(0.0) | st.floats(0, 3),
@@ -189,15 +182,13 @@ class TestGenerate:
         asymmetry_gain=st.just(1.0) | st.floats(0.25, 4),
     )
     def test_matches_the_reference_recipe_bit_for_bit(
-        self, template, label, seed, jitter_sd, hf_amplitude, region, timing_shift, asymmetry_gain
+        self, label, seed, jitter_sd, hf_amplitude, region, timing_shift, asymmetry_gain
     ):
         pert = PerturbationSpec(hf_amplitude=hf_amplitude, hf_phase_region=region, asymmetry_gain=asymmetry_gain,
                                 timing_shift=timing_shift, jitter_sd=jitter_sd)
-        spec = SynthSpec(n_subjects=2, rng_seed=seed, template=template, groups={ClassLabel(label): pert},
-                         include_normal=False)
-        names = {j.value: hs for j, hs in template.items()}
+        spec = SynthSpec(n_subjects=2, rng_seed=seed, groups={ClassLabel(label): pert}, include_normal=False)
         expected = [
-            reference_synth_trajectory(names, seed, label, k, hf_amplitude, region.value, timing_shift,
+            reference_synth_trajectory(TEMPLATE, seed, label, k, hf_amplitude, region.value, timing_shift,
                                        asymmetry_gain, jitter_sd)
             for k in range(2)
         ]
@@ -247,9 +238,8 @@ class TestGenerateGroups:
             jitter_sd=jitter_sd)}, include_normal=False)
         subjects = generate(spec)
         assert [s.id for s in subjects] == ["normal-000", "normal-001", "cp-dp-000", "cp-dp-001"]
-        template = {j.value: hs for j, hs in spec.template.items()}
         for k, subject in enumerate(subjects[:2]):
-            expected = reference_synth_trajectory(template, 42, "Normal", k, jitter_sd=jitter_sd)
+            expected = reference_synth_trajectory(TEMPLATE, 42, "Normal", k, jitter_sd=jitter_sd)
             got = {(j.value, s.value): t.samples for (j, s), t in subject.trajectories.items()}
             assert got.keys() == expected.keys()
             for part, y in expected.items():

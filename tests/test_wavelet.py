@@ -99,6 +99,14 @@ class TestScaleGrid:
         assert ScaleGrid([1.0, 200.0]).scales[-1] == 200.0
         assert ScaleGrid.default(count=8, hi=200.0).scales[-1] == 200.0
 
+    def test_largest_scale_count(self):
+        # a library grid takes the config's bound on wavelet.scales
+        with pytest.raises(ValueError, match="^scales must hold at most 1000 values, got 1001$"):
+            ScaleGrid(np.arange(1, 1002) / 10)
+        with pytest.raises(ValueError, match="^scales must hold at most 1000 values, got 1001$"):
+            ScaleGrid.default(count=1001)
+        assert len(ScaleGrid(np.arange(1, 1001) / 10)) == len(ScaleGrid.default(count=1000)) == 1000
+
     def test_nearest_index(self):
         grid = ScaleGrid.default()
         assert grid.nearest_index(8.0) == 7
