@@ -4,8 +4,9 @@ A single JSON document holds every stage's parameters. Each section of it
 is declared once below, as a table of key -> (JSON kind, default); one
 reader checks a section against its table, so a bad config fails before
 any computation starts and the error names the dotted key. The fully
-resolved form (all defaults and derived seeds filled in) is echoed back as
-JSON into the output directory for reproducibility checks.
+resolved form (all defaults filled in) is echoed back as JSON into the
+output directory for reproducibility checks. Every random stream of a run
+derives from the one top-level seed.
 `config_from_dict` gives a RunConfig, which names at most one input
 source; `load_config`, the one loader, gives that of a file and the
 setting flags.
@@ -20,9 +21,9 @@ from typing import Any, Mapping
 
 from .data import CP_DP, ClassLabel, Joint, Side, json_form
 from .features import N_SCALE_SAMPLES, Level
-from .som import LARGEST_SIGMA0, InitMode, Kernel, TrainSchedule
+from .som import InitMode, TrainSchedule
 from .synth import GaitRegion, PerturbationSpec, SynthSpec
-from .wavelet import LARGEST_SCALE, LARGEST_TRUNCATION_RADIUS, MorletParams, ScaleGrid
+from .wavelet import LARGEST_SCALE, ScaleGrid
 
 
 class ConfigError(ValueError):
@@ -56,8 +57,7 @@ _IS_KIND = {
 # derived (the comment says from what) and is the only place null is
 # accepted. A key that maps onto a field of a library type takes that
 # field's default. The largest values lie far above any experiment's and
-# keep each stage finite; the wavelet's and sigma0's are those of their
-# library types, and the scales list takes ScaleGrid's bounds on its
+# keep each stage finite; the scales list takes ScaleGrid's bounds on its
 # values and its length. Training holds a few (rows*cols, dim) arrays: a
 # 1-epoch 128x128 map of 960-value vectors peaks at about 540 MB.
 CONFIG = {
@@ -74,7 +74,6 @@ CONFIG = {
 }
 SYNTH = {
     "n_subjects": (INTEGER, 10, 100_000),
-    "rng_seed": (INTEGER, None),       # seed
     "pathology": (OBJECT, None),       # shorthand for a one-entry groups
     "pathology_label": (STRING, None),  # CP-dp, the label of pathology
     "groups": (OBJECT, None),          # no groups
@@ -88,8 +87,6 @@ PERTURBATION = {
     "jitter_sd": (NUMBER, PerturbationSpec.jitter_sd),
 }
 WAVELET = {
-    "nu0": (NUMBER, MorletParams.nu0),
-    "truncation_radius": (NUMBER, MorletParams.truncation_radius, LARGEST_TRUNCATION_RADIUS),
     "scales": (SCALES, None),          # ScaleGrid.default()
 }
 FEATURES = {
@@ -100,12 +97,8 @@ SOM = {
     "rows": (INTEGER, 10, 128),
     "cols": (INTEGER, 10, 128),
     "epochs": (INTEGER, TrainSchedule.epochs, 100_000),
-    "alpha0": (NUMBER, TrainSchedule.alpha0),
-    "sigma0": (NUMBER, None, LARGEST_SIGMA0),  # max(rows, cols) / 2
     "sigma_end": (NUMBER, TrainSchedule.sigma_end),
-    "kernel": (STRING, TrainSchedule.kernel.value),
     "init": (STRING, TrainSchedule.init.value),
-    "rng_seed": (INTEGER, None),       # seed
 }
 
 
@@ -184,16 +177,6 @@ def _perturbation(doc: Any, where: str) -> PerturbationSpec:
     return _build(PerturbationSpec, f"{where}: ", **p)
 
 
-def _seed(own: int | None, key: str, seed: int) -> int:
-    """A section's RNG seed: its own rng_seed, at the dotted key, or else
-    the top-level seed. numpy takes only seeds >= 0, and the error names
-    the key the value came from."""
-    value, key = (seed, "seed") if own is None else (own, key)
-    if value < 0:
-        raise ConfigError(f"{key}: must be >= 0, got {value}")
-    return value
-
-
 def _synth(doc: Any, seed: int) -> SynthSpec:
     s = _read(doc, SYNTH, "synth")
     if s["pathology"] is not None and s["groups"] is not None:
@@ -214,7 +197,7 @@ def _synth(doc: Any, seed: int) -> SynthSpec:
         SynthSpec,
         "synth.",
         n_subjects=s["n_subjects"],
-        rng_seed=_seed(s["rng_seed"], "synth.rng_seed", seed),
+        rng_seed=seed,
         groups=groups,
         include_normal=s["include_normal"],
     )
@@ -248,7 +231,6 @@ class RunConfig:
     seed: int
     joints: tuple[Joint, ...]
     sides: tuple[Side, ...]
-    morlet: MorletParams
     scales: ScaleGrid
     level: Level
     zscore: bool
@@ -266,6 +248,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
     source; the stage that reads one checks that it is there."""
     top = _read(doc, CONFIG, "")
     seed = top["seed"]
+    if seed < 0:  # numpy takes only seeds >= 0
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     synth = None if top["synth"] is None else _synth(top["synth"], seed)
     if synth is not None and top["loocv"] and len(synth.groups) + synth.include_normal < 2:
         raise ConfigError("loocv: leave-one-out needs 2 classes, and synth generates 1")
@@ -278,24 +262,25 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
         TrainSchedule,
         "som: ",
         epochs=s["epochs"],
-        alpha0=s["alpha0"],
-        sigma0=s["sigma0"],
         sigma_end=s["sigma_end"],
-        kernel=_member(Kernel, s["kernel"], "som.kernel"),
-        rng_seed=_seed(s["rng_seed"], "som.rng_seed", seed),
+        rng_seed=seed,
         init=_member(InitMode, s["init"], "som.init"),
     )
-    schedule = _build(schedule.resolve, "som: ", rows=s["rows"], cols=s["cols"])
+    rows, cols = s["rows"], s["cols"]
+    sigma0 = max(rows, cols) / 2  # the start radius resolve derives
+    # sigma must not grow; a map without rows or columns is resolve's to refuse
+    if min(rows, cols) >= 1 and s["sigma_end"] > sigma0:
+        raise ConfigError(f"som.sigma_end: must be <= max(rows, cols)/2 = {sigma0}, got {s['sigma_end']}")
+    schedule = _build(schedule.resolve, "som: ", rows=rows, cols=cols)
     cfg = RunConfig(
         seed=seed,
         joints=joints,
         sides=sides,
-        morlet=_build(MorletParams, "wavelet: ", nu0=w["nu0"], truncation_radius=w["truncation_radius"]),
         scales=_scales(w["scales"]),
         level=_member(Level, f["level"], "features.level"),
         zscore=f["zscore"],
-        som_rows=s["rows"],
-        som_cols=s["cols"],
+        som_rows=rows,
+        som_cols=cols,
         schedule=schedule,
         write_pgm=top["write_pgm"],
         loocv=top["loocv"],
@@ -310,27 +295,30 @@ def config_from_dict(doc: Mapping[str, Any]) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Fully resolved form: every default and derived seed made explicit.
-    The synth spec, the Morlet parameters and the schedule are their
-    records' json_form; the pathology shorthand resolves to groups."""
+    """Fully resolved form: every default made explicit. The synth spec and
+    the schedule are their records' json_form, but for the fields no key
+    sets (the seed is the top-level one); the pathology shorthand resolves
+    to groups."""
     synth = None
     if cfg.synth is not None:
-        synth = {**json_form(cfg.synth), "pathology": None, "pathology_label": None}
+        synth = {key: value for key, value in json_form(cfg.synth).items() if key in SYNTH}
+        synth.update(pathology=None, pathology_label=None)
     return {
         "seed": cfg.seed,
         "input": cfg.input,
         "synth": synth,
         "joints": json_form(cfg.joints),
         "sides": json_form(cfg.sides),
-        "wavelet": {
-            **json_form(cfg.morlet),
-            "scales": json_form(cfg.scales.scales),
-        },
+        "wavelet": {"scales": json_form(cfg.scales.scales)},
         "features": {
             "level": cfg.level.value,
             "zscore": cfg.zscore,
         },
-        "som": {"rows": cfg.som_rows, "cols": cfg.som_cols, **json_form(cfg.schedule)},
+        "som": {
+            "rows": cfg.som_rows,
+            "cols": cfg.som_cols,
+            **{key: value for key, value in json_form(cfg.schedule).items() if key in SOM},
+        },
         "write_pgm": cfg.write_pgm,
         "loocv": cfg.loocv,
     }
@@ -368,7 +356,6 @@ def load_config(path=None, seed_override: int | None = None, epochs: int | None 
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if seed_override is not None:
-        # sections with rng_seed: null derive their seed from this value
         doc["seed"] = seed_override
     som = doc.get("som")
     # a som that is not an object is left for the parser to name

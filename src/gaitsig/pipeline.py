@@ -99,7 +99,7 @@ def _cwt_subject(cfg: RunConfig, out_dir: Path, job: tuple[gd.Subject, list[tupl
     subject, parts = job
     stem = scalogram_stem(subject.id)
     for joint, side in parts:
-        sc = wv.cwt(subject.trajectories[(joint, side)], cfg.scales, cfg.morlet, subject.id, subject.label)
+        sc = wv.cwt(subject.trajectories[(joint, side)], cfg.scales, wv.MorletParams(), subject.id, subject.label)
         path = out_dir / f"scalogram_{stem}_{joint.value}_{side.value}"
         wv.write_scalogram_csv(sc, f"{path}.csv")
         if cfg.write_pgm:

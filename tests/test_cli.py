@@ -67,9 +67,8 @@ STAGEWISE_CASES = {
     "flags": None,
     "default": {},
     "zscore": {"features": {"zscore": True}},
-    "bubble": {"som": {"kernel": "Bubble"}},
     "random_small": {"som": {"init": "RandomSmall"}},
-    "alpha_sigma": {"som": {"alpha0": 0.3, "sigma0": 3.0, "sigma_end": 1.0}},
+    "sigma_end": {"som": {"sigma_end": 1.0}},
 }
 
 
@@ -246,11 +245,11 @@ class TestRunConfig:
             ({"seed": "3"}, 'seed: must be an integer, got "3"'),
             ({"seed": 2.9}, "seed: must be an integer, got 2.9"),
             ({"som": {"rows": "10"}}, 'som.rows: must be an integer, got "10"'),
-            ({"som": {"alpha0": "0.5"}}, 'som.alpha0: must be a number, got "0.5"'),
+            ({"som": {"alpha0": "0.5"}}, r"som: unknown keys \['alpha0'\]"),
             ({"synth": {"n_subjects": 2.5}}, "synth.n_subjects: must be an integer, got 2.5"),
             ({"wavelet": {"scales": {"count": 12.9}}}, r'wavelet.scales: must be a list of numbers, got \{"count": 12.9\}'),
             ({"input": 5}, "input: must be a string, got 5"),
-            ({"som": {"kernel": "x"}}, "som.kernel: 'x' is not a valid Kernel"),
+            ({"som": {"kernel": "x"}}, r"som: unknown keys \['kernel'\]"),
         ],
         ids=["som", "wavelet", "features", "synth", "pathology", "groups", "group", "template", "joints-text",
              "joints-null", "sides-object", "sides-value", "write-pgm", "loocv", "zscore", "include-normal",
@@ -271,9 +270,10 @@ class TestRunConfig:
         "edit, message",
         [
             ({"seed": -1}, "seed: must be >= 0, got -1"),
-            ({"synth": {"n_subjects": 2, "rng_seed": -3}}, "synth.rng_seed: must be >= 0, got -3"),
-            ({"som": {"rng_seed": -4}}, "som.rng_seed: must be >= 0, got -4"),
-            ({"som": {"alpha0": 10**400}}, "som.alpha0: must be a number within the float range"),
+            # every stream takes the top-level seed
+            ({"synth": {"n_subjects": 2, "rng_seed": -3}}, r"synth: unknown keys \['rng_seed'\]"),
+            ({"som": {"rng_seed": -4}}, r"som: unknown keys \['rng_seed'\]"),
+            ({"som": {"alpha0": 10**400}}, r"som: unknown keys \['alpha0'\]"),
             ({"wavelet": {"scales": [1, 10**400]}}, "wavelet.scales: must be a number within the float range"),
             ({"synth": {"n_subjects": 2, "pathology": {"hf_amplitude": 10**400}}},
              "synth.pathology.hf_amplitude: must be a number within the float range"),
@@ -301,9 +301,9 @@ class TestRunConfig:
         [
             ({"synth": {"pathology": {"hf_amplitude": "X"}}}, "1e400",
              "synth.pathology.hf_amplitude: must be finite, got inf"),
-            ({"som": {"sigma0": "X"}}, "1e400", "som.sigma0: must be finite, got inf"),
+            ({"som": {"sigma_end": "X"}}, "1e400", "som.sigma_end: must be finite, got inf"),
         ],
-        ids=["amplitude", "sigma0"],
+        ids=["amplitude", "sigma-end"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_non_finite_value_names_the_key(self, tmp_path, capsys, stage, edit, literal, message):
@@ -326,15 +326,12 @@ class TestRunConfig:
             ({"synth": {"n_subjects": 10**400}}, f"synth.n_subjects: must be <= 100000, got {10**400}"),
             ({"wavelet": {"scales": [k / 10 for k in range(1, 1002)]}},
              "wavelet.scales: scales must hold at most 1000 values, got 1001"),
-            ({"wavelet": {"truncation_radius": 1e6}}, r"wavelet.truncation_radius: must be <= 10, got 1000000.0"),
-            ({"wavelet": {"truncation_radius": 1e300}}, r"wavelet.truncation_radius: must be <= 10, got 1e\+300"),
             ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7, 201]}}, r"wavelet.scales: must be <= 200, got 201.0"),
             ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7, 1e300]}}, r"wavelet.scales: must be <= 200, got 1e\+300"),
             ({"wavelet": {"scales": [1, 2, 3, 4, 5, 6, 7, 1e7]}}, r"wavelet.scales: must be <= 200, got 10000000.0"),
-            ({"som": {"sigma0": 1e300}}, r"som.sigma0: must be <= 1000000, got 1e\+300"),
         ],
-        ids=["cols", "epochs-huge", "epochs", "n-subjects-huge", "scale-count", "radius", "radius-huge",
-             "scale-max", "scale-max-huge", "scale-list", "sigma0-huge"],
+        ids=["cols", "epochs-huge", "epochs", "n-subjects-huge", "scale-count",
+             "scale-max", "scale-max-huge", "scale-list"],
     )
     def test_size_over_its_bound_names_the_key(self, tmp_path, capsys, edit, message):
         # through train, whose features.csv is missing: a run that took the
@@ -346,14 +343,14 @@ class TestRunConfig:
         assert re.fullmatch(f"gaitsig: error: {message}\n", err), err
 
     def test_largest_sizes_accepted(self):
-        doc = small_config(som={"rows": 128, "cols": 128, "epochs": 100_000, "sigma0": 1e6, "sigma_end": 1e-6},
-                           wavelet={"truncation_radius": 10, "scales": [k / 5 for k in range(1, 1001)]})
+        doc = small_config(som={"rows": 128, "cols": 128, "epochs": 100_000, "sigma_end": 1e-6},
+                           wavelet={"scales": [k / 5 for k in range(1, 1001)]})
         doc["synth"]["n_subjects"] = 100_000
         cfg = config_from_dict(doc)
         assert (cfg.som_rows, cfg.som_cols, cfg.schedule.epochs) == (128, 128, 100_000)
         assert (cfg.synth.n_subjects, len(cfg.scales.scales)) == (100_000, 1000)
-        assert (cfg.morlet.truncation_radius, cfg.scales.scales[-1]) == (10.0, 200.0)
-        assert (cfg.schedule.sigma0, cfg.schedule.sigma_end) == (1e6, 1e-6)
+        assert cfg.scales.scales[-1] == 200.0
+        assert (cfg.schedule.sigma0, cfg.schedule.sigma_end) == (64.0, 1e-6)
         doc["wavelet"]["scales"] = [1, 2, 3, 4, 5, 6, 7, 200]
         assert config_from_dict(doc).scales.scales[-1] == 200.0
 
@@ -420,13 +417,6 @@ class TestRunConfig:
             assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / cfg_path.stem)]) == 0
         assert (tmp_path / "bom" / "dataset.csv").read_bytes() == (tmp_path / "plain" / "dataset.csv").read_bytes()
 
-    def test_negative_seed_that_nothing_uses_accepted(self):
-        doc = small_config(seed=-1)
-        doc["synth"]["rng_seed"] = 3
-        doc["som"]["rng_seed"] = 0
-        cfg = config_from_dict(doc)
-        assert (cfg.seed, cfg.synth.rng_seed, cfg.schedule.rng_seed) == (-1, 3, 0)
-
     def test_seed_override_propagates(self, tmp_path):
         path = write_config(tmp_path, small_config())
         cfg = load_config(path, seed_override=99)
@@ -442,13 +432,6 @@ class TestRunConfig:
         assert config_to_dict(load_config()) == config_to_dict(config_from_dict({}))
         with pytest.raises(ConfigError, match="^som: must be an object, got a number$"):
             load_config(write_config(tmp_path, {"som": 5}), epochs=5)
-
-    def test_explicit_section_seed_pinned(self, tmp_path):
-        doc = small_config()
-        doc["som"]["rng_seed"] = 5
-        path = write_config(tmp_path, doc)
-        cfg = load_config(path, seed_override=99)
-        assert cfg.schedule.rng_seed == 5
 
 
 class TestRunPipeline:
@@ -516,6 +499,18 @@ class TestRunPipeline:
         main(["run", "--config", str(cfg_path), "--out", str(out1)])
         main(["run", "--config", str(cfg_path), "--out", str(out2), "--seed", "8"])
         assert (out1 / "dataset.csv").read_bytes() != (out2 / "dataset.csv").read_bytes()
+
+    def test_resolved_config_reruns_at_a_new_seed(self, tmp_path):
+        # a run's resolved_config.json holds no seed but the top-level one,
+        # so --seed reruns it at the new seed, dataset and map alike
+        cfg_path = write_config(tmp_path, small_config(seed=3, write_pgm=False))
+        first, rerun, fresh = tmp_path / "first", tmp_path / "rerun", tmp_path / "fresh"
+        assert main(["run", "--config", str(cfg_path), "--out", str(first)]) == 0
+        resolved = str(first / "resolved_config.json")
+        assert main(["run", "--config", resolved, "--seed", "7", "--out", str(rerun)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--seed", "7", "--out", str(fresh)]) == 0
+        assert "som.json" in tree_bytes(fresh) and tree_bytes(rerun) == tree_bytes(fresh)
+        assert tree_bytes(first)["dataset.csv"] != tree_bytes(fresh)["dataset.csv"]
 
     def test_missing_input_fails_before_compute(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"seed": 1, "som": {"rows": 4, "cols": 4}})

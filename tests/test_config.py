@@ -27,7 +27,7 @@ from gaitsig.config import (
 from gaitsig.data import CP_DP, CP_LH, CP_RH, NORMAL, ClassLabel, Joint, write_json
 from gaitsig.features import N_SCALE_SAMPLES, Level, standardize
 from gaitsig.pipeline import run_pipeline
-from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, Kernel, TrainSchedule, best_match
+from gaitsig.som import SMALLEST_GAUSSIAN_SIGMA_END, InitMode, TrainSchedule, best_match
 from gaitsig.synth import GaitRegion, PerturbationSpec, _slug
 
 from test_acceptance import (
@@ -78,7 +78,6 @@ scales = st.one_of(
 @st.composite
 def synth_sections(draw):
     doc = draw(st.fixed_dictionaries({"n_subjects": st.integers(1, 50)}, optional={
-        "rng_seed": st.one_of(st.none(), seeds),
         "include_normal": st.booleans(),
     }))
     form = draw(st.sampled_from(["pathology", "groups", "normal"]))
@@ -100,18 +99,12 @@ def som_sections(draw):
         "rows": st.integers(1, 12),
         "cols": st.integers(1, 12),
         "epochs": st.integers(1, 500),
-        "alpha0": numbers(0, 1),
-        "kernel": names(Kernel),
+        "sigma_end": numbers(0.01, 1),
         "init": names(InitMode),
-        "rng_seed": st.one_of(st.none(), seeds),
     }))
     rows, cols = doc.get("rows", SOM["rows"][1]), doc.get("cols", SOM["cols"][1])
     if rows * cols < 2:
-        doc["cols"] = cols = 2
-    if draw(st.booleans()):
-        doc["sigma_end"] = draw(numbers(0.01, 1))
-    if draw(st.booleans()):
-        doc["sigma0"] = doc.get("sigma_end", SOM["sigma_end"][1]) + draw(numbers(0, 5))
+        doc["cols"] = 2
     return doc
 
 
@@ -122,11 +115,7 @@ def documents(draw):
         "seed": seeds,
         "joints": st.lists(names(Joint), min_size=1, max_size=3, unique=True),
         "sides": st.lists(st.sampled_from(["Right", "Left"]), min_size=1, max_size=2, unique=True),
-        "wavelet": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
-            "nu0": numbers(0.81, 3),
-            "truncation_radius": numbers(3, 8),
-            "scales": scales,
-        })),
+        "wavelet": st.one_of(st.none(), st.fixed_dictionaries({}, optional={"scales": scales})),
         "features": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
             "level": names(Level), "zscore": st.booleans()})),
         "som": st.one_of(st.none(), som_sections()),
@@ -314,8 +303,11 @@ def test_laterality_reader_reads_the_zscored_run(tmp_path, capsys):
     ({"sides": ["Right", "Right"]}, 'sides: must not repeat a value, got ["Right", "Right"]'),
     ({"sides": []}, "sides: must be non-empty"),
     ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
+    # sigma falls from the derived max(rows, cols)/2, which no key sets
+    ({"som": {"sigma_end": 6}}, "som.sigma_end: must be <= max(rows, cols)/2 = 5.0, got 6.0"),
+    ({"som": {"rows": 3, "cols": 2, "sigma_end": 1.6}}, "som.sigma_end: must be <= max(rows, cols)/2 = 1.5, got 1.6"),
 ], ids=["list-7", "list-1", "list-value-first", "sigma-end", "sigma-end-tiny",
-        "joints", "sides", "sides-empty", "one-node"])
+        "joints", "sides", "sides-empty", "one-node", "sigma-end-over-radius", "sigma-end-over-radius-3x2"])
 def test_settings_a_stage_cannot_run_name_the_key(doc, message):
     # each passed the config and then failed in a stage, or named no key
     with pytest.raises(ConfigError) as err:
@@ -323,19 +315,27 @@ def test_settings_a_stage_cannot_run_name_the_key(doc, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("key", ["synth.rng_seed", "som.rng_seed", "wavelet.nu0", "wavelet.truncation_radius",
+                                 "som.alpha0", "som.sigma0", "som.kernel"])
+def test_keys_no_experiment_sets_are_refused(key):
+    # every stream takes the top-level seed, the cwt the default Morlet
+    # parameters and training the Gaussian schedule from max(rows, cols)/2
+    section, name = key.split(".")
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(nested(key, 1))
+    assert str(err.value) == f"{section}: unknown keys [{name!r}]"
+
+
 def test_init_default_is_the_library_schedule_default():
     assert SOM["init"][1] == TrainSchedule().init.value
     assert config_from_dict({}).schedule.init is TrainSchedule().init is InitMode.SAMPLE_INIT
 
 
-def test_bubble_kernel_takes_any_sigma_end():
-    assert config_from_dict({"som": {"kernel": "Bubble", "sigma_end": 0}}).schedule.sigma_end == 0.0
-
-
 @pytest.mark.parametrize("sigma0", [1e6, 500.0, 5.0, 1e-6])
 def test_last_epoch_sigma_stays_positive_within_the_bounds(sigma0):
-    # the Gaussian kernel divides by 2*sigma**2, which must not be 0
-    schedule = config_from_dict({"som": {"sigma0": sigma0, "sigma_end": 1e-6, "epochs": 7}}).schedule
+    # the Gaussian kernel divides by 2*sigma**2, which must not be 0; the
+    # config derives sigma0 <= 64, and a library schedule may take up to 1e6
+    schedule = TrainSchedule(sigma0=sigma0, sigma_end=SMALLEST_GAUSSIAN_SIGMA_END, epochs=7)
     last = schedule.sigma(schedule.epochs - 1)
     assert 2.0 * last * last > 0
 
@@ -403,7 +403,6 @@ TINY = {
     "write_pgm": st.booleans(),
     "loocv": st.booleans(),
     "synth.n_subjects": st.integers(1, 3),
-    "synth.rng_seed": st.one_of(st.none(), seeds),
     "synth.pathology_label": st.one_of(st.none(), st.sampled_from(["CP-dp", "Polio"])),
     "synth.include_normal": st.booleans(),
     "synth.pathology.hf_amplitude": numbers(0, 5),
@@ -411,8 +410,6 @@ TINY = {
     "synth.pathology.asymmetry_gain": numbers(0.5, 2),
     "synth.pathology.timing_shift": numbers(0, 100),
     "synth.pathology.jitter_sd": numbers(0, 0.5),
-    "wavelet.nu0": numbers(0.81, 3),
-    "wavelet.truncation_radius": st.one_of(numbers(3, 10), st.just(WAVELET["truncation_radius"][2])),
     "wavelet.scales": st.one_of(st.none(), st.lists(
         numbers(0.1, LARGEST_SCALE), min_size=N_SCALE_SAMPLES - 1, max_size=12, unique=True).map(sorted)),
     "features.level": names(Level),
@@ -420,12 +417,8 @@ TINY = {
     "som.rows": st.integers(1, 3),
     "som.cols": st.integers(1, 3),
     "som.epochs": st.integers(1, 3),
-    "som.alpha0": numbers(0, 1),
-    "som.sigma0": st.one_of(st.none(), numbers(1, 10), st.just(SOM["sigma0"][2])),
     "som.sigma_end": st.one_of(numbers(SMALLEST_GAUSSIAN_SIGMA_END, 1), st.just(SMALLEST_GAUSSIAN_SIGMA_END)),
-    "som.kernel": names(Kernel),
     "som.init": names(InitMode),
-    "som.rng_seed": st.one_of(st.none(), seeds),
 }
 SIZES = {"synth.n_subjects", "som.rows", "som.cols", "som.epochs"}
 # Object keys the property leaves out; synth.groups is drawn as pathology.
