@@ -3,9 +3,10 @@ scalograms, region/level feature vectors, and SOM classification."""
 
 import os
 
-# Set before numpy loads: no stage uses BLAS threads (the LOOCV folds
-# already fill every CPU, and som.train's one matrix-vector product per
-# presentation is small), and idle threads cost CPU in every process.
+# No stage uses BLAS threads (the LOOCV folds already fill every CPU, and
+# som.train's one matrix-vector product per presentation is small), and
+# idle threads cost CPU in every process. OpenBLAS reads the variable when
+# numpy loads, so this takes effect only if gaitsig is imported first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .data import (

@@ -49,8 +49,6 @@ class Regions:
     swing_low: np.ndarray    # region 2
     swing_high: np.ndarray   # region 3
     stance_high: np.ndarray  # region 4
-    col_split: int           # last stance column index (inclusive)
-    row_split: int           # first high-scale row index
 
 
 def split_regions(sc: Scalogram, stance_fraction: float = DEFAULT_STANCE_FRACTION) -> Regions:
@@ -68,8 +66,6 @@ def split_regions(sc: Scalogram, stance_fraction: float = DEFAULT_STANCE_FRACTIO
         swing_low=v[:row, col + 1 :],
         swing_high=v[row:, col + 1 :],
         stance_high=v[row:, : col + 1],
-        col_split=col,
-        row_split=row,
     )
 
 

@@ -42,7 +42,6 @@ DEFAULT_TEMPLATE: Mapping[Joint, tuple[Harmonic, ...]] = {
 class GaitRegion(Enum):
     STANCE = "Stance"
     SWING = "Swing"
-    BOTH = "Both"
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,6 @@ def _hf_components(amplitude: float) -> tuple[Harmonic, ...]:
 
 
 def _region_window(phase_pct: np.ndarray, region: GaitRegion) -> np.ndarray:
-    if region is GaitRegion.BOTH:
-        return np.ones_like(phase_pct)
     stance = phase_pct < STANCE_END_PCT
     return np.where(stance if region is GaitRegion.STANCE else ~stance, 1.0, 0.0)
 

@@ -10,10 +10,10 @@ trajectory's own grid:
 
     W(s, tau) = (1/sqrt(s)) * sum_k x(t_k) * conj(psi((t_k - tau)/s)) * dt,
 
-with the wavelet truncated at |t - tau| > truncation_radius * s (the
-scaled Gaussian's standard deviation is s, so the default radius of 5
-leaves tail mass below 1e-6). tau ranges over every grid point, and the
-signal is zero outside [0, 100]. Scalograms store the magnitude |W|.
+with the wavelet truncated at |t - tau| > 5 * s (the scaled Gaussian's
+standard deviation is s, so a radius of 5 leaves tail mass below 1e-6).
+tau ranges over every grid point, and the signal is zero outside
+[0, 100]. Scalograms store the magnitude |W|.
 
 A low scale responds to high-frequency content and vice versa: a pure
 sinusoid of frequency f (cycles per percent) peaks near scale nu0/f.
@@ -32,11 +32,11 @@ from .data import ClassLabel, GaitTrajectory, Joint, Side, csv_fields, undecodab
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
-# A Morlet kernel has 2*floor(radius*scale/dt)+1 taps: a truncation radius
-# of 10, where the Gaussian is below 2e-22 of its peak, and a scale of 200,
-# two gait cycles, cap it at 4001 taps on the 101-point grid. A grid of
-# at most 1000 scales keeps a scalogram to at most 1000 rows.
-LARGEST_TRUNCATION_RADIUS = 10
+TRUNCATION_RADIUS = 5.0
+
+# A Morlet kernel has 2*floor(TRUNCATION_RADIUS*scale/dt)+1 taps: a scale
+# of 200, two gait cycles, caps it at 2001 taps on the 101-point grid. A
+# grid of at most 1000 scales keeps a scalogram to at most 1000 rows.
 LARGEST_SCALE = 200
 LARGEST_SCALE_COUNT = 1000
 
@@ -44,20 +44,10 @@ LARGEST_SCALE_COUNT = 1000
 @dataclass(frozen=True)
 class MorletParams:
     nu0: float = 1.0
-    truncation_radius: float = 5.0
 
     def __post_init__(self) -> None:
         if not self.nu0 > 0.8:
             raise ValueError(f"nu0 must be > 0.8 for admissibility, got {self.nu0}")
-        if not self.truncation_radius >= 3.0:
-            raise ValueError(
-                f"truncation_radius must be >= 3, got {self.truncation_radius}"
-            )
-        if self.truncation_radius > LARGEST_TRUNCATION_RADIUS:
-            raise ValueError(
-                f"truncation_radius must be <= {LARGEST_TRUNCATION_RADIUS}, "
-                f"got {self.truncation_radius}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,11 +72,11 @@ class ScaleGrid:
         object.__setattr__(self, "scales", arr)
 
     @classmethod
-    def default(cls, count: int = 12, lo: float = 1.0, hi: float = 25.0) -> "ScaleGrid":
-        """Logarithmically spaced scales, by default 12 over [1, 25]."""
+    def default(cls, count: int = 12) -> "ScaleGrid":
+        """count logarithmically spaced scales over [1, 25], by default 12."""
         if count < 2:
             raise ValueError("scale count must be >= 2")
-        return cls(np.geomspace(lo, hi, count))
+        return cls(np.geomspace(1.0, 25.0, count))
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -160,7 +150,7 @@ def _kernels(
     since every caller gets the same arrays."""
     out = []
     for s in scales:
-        k = _half_width(params.truncation_radius * s, dt)
+        k = _half_width(TRUNCATION_RADIUS * s, dt)
         offsets = np.arange(-k, k + 1)
         kernel = np.conj(morlet(offsets * dt / s, params)) * (dt / math.sqrt(s))
         # column j = sum_k x[k] * kernel[k - j]  ==  (x * flip(kernel))[j + k]

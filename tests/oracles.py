@@ -297,14 +297,14 @@ def reference_synth_trajectory(template, seed, label, index, hf_amplitude=0.0, r
     amplitude hf_amplitude/sqrt(11) and phase 0.7*h. Both sides sum
     amp*cos(2*pi*h*phase/100 + ph) over the cycle phase (pct - timing_shift)
     mod 100; the HF sum is added only where the region's window is 1 (Stance:
-    phase < 60, Swing: phase >= 60, Both: everywhere). Left is scaled by
-    sqrt(asymmetry_gain), right by its inverse."""
+    phase < 60, Swing: phase >= 60). Left is scaled by sqrt(asymmetry_gain),
+    right by its inverse."""
     rng = np.random.default_rng([seed, int.from_bytes(label.encode("utf-8"), "big"), index])
     phase = np.mod(np.linspace(0.0, 100.0, 101) - timing_shift, 100.0)
     hf = []
     if hf_amplitude > 0:
         hf = [(h, hf_amplitude / math.sqrt(11), 0.7 * h) for h in range(10, 21)]
-    window = {"Stance": phase < 60.0, "Swing": phase >= 60.0, "Both": np.full(101, True)}[region]
+    window = {"Stance": phase < 60.0, "Swing": phase >= 60.0}[region]
 
     def cosines(components):
         amps = [amp for _, amp, _ in components] + rng.normal(0.0, 1.0, len(components)) * jitter_sd

@@ -282,9 +282,11 @@ class TestRunConfig:
                         "groups": {"CP-dp": {"jitter_sd": 0.5}, "Normal": {"jitter_sd": -1.0}}}},
              r"synth.groups\[Normal\]: perturbation magnitudes must be >= 0"),
             ({"som": {"rows": 1, "cols": 1}}, "som: the map needs at least 2 nodes, got 1x1"),
+            ({"synth": {"n_subjects": 2, "pathology": {"hf_amplitude": 5.0, "hf_phase_region": "Both"}}},
+             "synth.pathology.hf_phase_region: 'Both' is not a valid GaitRegion"),
         ],
         ids=["seed", "synth-seed", "som-seed", "alpha0-huge", "scales-huge", "amplitude-huge", "rows-huge",
-             "normal-jitter", "one-node"],
+             "normal-jitter", "one-node", "region-both"],
     )
     @pytest.mark.parametrize("stage", ["run", "train"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, stage, edit, message):

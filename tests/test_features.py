@@ -44,8 +44,7 @@ class TestSplitRegions:
     def test_default_boundary_matches_clinical_convention(self):
         sc = make_scalogram(np.zeros((12, 101)))
         regions = split_regions(sc)
-        assert regions.col_split == 60  # stance = pct 0..60, swing = 61..100
-        assert regions.stance_low.shape == (6, 61)
+        assert regions.stance_low.shape == (6, 61)  # stance = pct 0..60, swing = 61..100
         assert regions.swing_low.shape == (6, 40)
         assert regions.swing_high.shape == (6, 40)
         assert regions.stance_high.shape == (6, 61)

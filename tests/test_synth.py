@@ -103,7 +103,7 @@ class TestGenerate:
         for amp in (1.0, 2.0, 4.0, 8.0):
             spec = SynthSpec(
                 n_subjects=1,
-                groups={CP_DP: PerturbationSpec(hf_amplitude=amp, hf_phase_region=GaitRegion.BOTH)},
+                groups={CP_DP: PerturbationSpec(hf_amplitude=amp, hf_phase_region=GaitRegion.STANCE)},
                 rng_seed=9,
             )
             _, path = generate(spec)

@@ -59,18 +59,6 @@ class TestMorlet:
             MorletParams(nu0=0.8)
         MorletParams(nu0=0.81)  # boundary is strict
 
-    def test_truncation_radius_floor(self):
-        with pytest.raises(ValueError, match="truncation_radius"):
-            MorletParams(truncation_radius=2.9)
-
-    @pytest.mark.parametrize("radius", [math.nextafter(10.0, math.inf), 1e6])
-    def test_truncation_radius_cap(self, radius):
-        # the cap holds outside the config too: 1e6 would ask cwt for a
-        # kernel of 50,000,001 taps at scale 25
-        with pytest.raises(ValueError, match=f"^truncation_radius must be <= 10, got {radius}$"):
-            MorletParams(truncation_radius=radius)
-        assert MorletParams(truncation_radius=10).truncation_radius == 10
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             morlet(float("nan"))
@@ -97,7 +85,7 @@ class TestScaleGrid:
         with pytest.raises(ValueError, match="^scales must be <= 200$"):
             ScaleGrid([1.0, largest])
         assert ScaleGrid([1.0, 200.0]).scales[-1] == 200.0
-        assert ScaleGrid.default(count=8, hi=200.0).scales[-1] == 200.0
+        assert ScaleGrid(np.geomspace(1.0, 200.0, 8)).scales[-1] == 200.0
 
     def test_largest_scale_count(self):
         # a library grid takes the config's bound on wavelet.scales
@@ -218,7 +206,7 @@ def uncached_cwt(traj, grid, params):
     dt = 100.0 / (n - 1)
     rows = np.empty((len(grid), n))
     for i, s in enumerate(grid.scales):
-        k = wavelet._half_width(params.truncation_radius * s, dt)
+        k = wavelet._half_width(5.0 * s, dt)
         kernel = np.conj(morlet(np.arange(-k, k + 1) * dt / s, params)) * (dt / math.sqrt(s))
         rows[i] = np.abs(np.convolve(x, kernel[::-1])[k : k + n])
     return rows
@@ -248,7 +236,7 @@ class TestHalfWidth:
 class TestKernelCache:
     def test_cached_call_equals_fresh_computation(self):
         traj = make_traj(harmonic_signal(np.linspace(0, 100, 101), [(3, 12.0, 0.4), (9, 2.0, 1.0)]))
-        grid, params = ScaleGrid.default(count=10, lo=0.5, hi=30.0), MorletParams(nu0=1.3)
+        grid, params = ScaleGrid(np.geomspace(0.5, 30.0, 10)), MorletParams(nu0=1.3)
         wavelet._kernels.cache_clear()
         fresh = cwt(traj, grid, params)
         cached = cwt(traj, ScaleGrid(grid.scales.copy()), MorletParams(nu0=1.3))
@@ -263,7 +251,7 @@ class TestKernelCache:
         for t, grid, params in [
             (traj, ScaleGrid.default(), MorletParams()),
             (traj, ScaleGrid.default(count=8), MorletParams()),
-            (traj, ScaleGrid.default(), MorletParams(truncation_radius=3.0)),
+            (traj, ScaleGrid.default(), MorletParams(nu0=2.0)),
             (coarse, ScaleGrid.default(), MorletParams()),
         ]:
             got = cwt(t, grid, params)
